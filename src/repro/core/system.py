@@ -407,10 +407,11 @@ class NetSessionSystem:
         self.peer_by_guid[peer.guid] = peer
         return peer
 
-    def next_peer_name_index(self) -> int:
-        """Claim the next ``peerN`` naming slot (creation order, store-agnostic)."""
+    def next_peer_name_index(self, count: int = 1) -> int:
+        """Claim the next ``count`` ``peerN`` naming slots; returns the first
+        (creation order, store-agnostic)."""
         index = self._peer_seq
-        self._peer_seq += 1
+        self._peer_seq += count
         return index
 
     def adopt_clone(self, peer: PeerNode) -> None:

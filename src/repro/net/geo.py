@@ -22,6 +22,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from repro.net.weighted import cumulative
 
 __all__ = [
     "Region", "City", "Country", "GeoRecord", "World", "GeoDatabase",
@@ -78,6 +81,11 @@ class Country:
         if self.peer_weight < 0:
             raise ValueError(f"country {self.code} peer_weight must be >= 0")
 
+    @cached_property
+    def city_cum_weights(self) -> list[float]:
+        """Cumulative city-size weights (what ``sample_city`` bisects)."""
+        return cumulative(c.weight for c in self.cities)
+
 
 @dataclass(frozen=True)
 class GeoRecord:
@@ -104,19 +112,19 @@ class World:
             raise ValueError("duplicate country codes in world definition")
         self.countries = list(countries)
         self.by_code = {c.code: c for c in countries}
-        self._weights = [c.peer_weight for c in countries]
-        total = sum(self._weights)
-        if total <= 0:
+        #: Cumulative peer-population weights, in ``countries`` order.
+        self.cum_weights = cumulative(c.peer_weight for c in countries)
+        if self.cum_weights[-1] <= 0:
             raise ValueError("total peer weight must be positive")
 
     def sample_country(self, rng: random.Random) -> Country:
         """Draw a country proportionally to its peer-population weight."""
-        return rng.choices(self.countries, weights=self._weights, k=1)[0]
+        return rng.choices(self.countries, cum_weights=self.cum_weights, k=1)[0]
 
     def sample_city(self, country: Country, rng: random.Random) -> City:
         """Draw a city within a country, weighted by city size."""
-        weights = [c.weight for c in country.cities]
-        return rng.choices(list(country.cities), weights=weights, k=1)[0]
+        return rng.choices(country.cities,
+                           cum_weights=country.city_cum_weights, k=1)[0]
 
     def region_weight(self, region: str) -> float:
         """Total peer weight of all countries in a region."""

@@ -10,10 +10,14 @@ server as a single high-capacity egress resource.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.net.flows import Resource
+from repro.net.weighted import cumulative, pick_indices
 
 __all__ = ["AccessLink", "BroadbandTier", "BroadbandModel", "EdgeCapacityModel",
            "DEFAULT_BROADBAND_TIERS", "mbps"]
@@ -136,26 +140,62 @@ class BroadbandModel:
             raise ValueError("tier weights must sum to a positive value")
         self._rng = rng
         self._tiers = tiers
-        self._weights = [t.weight / total for t in tiers]
+        self._cum_weights = cumulative(t.weight / total for t in tiers)
 
-    def sample(self, owner: str, speed_multiplier: float = 1.0) -> AccessLink:
-        """Draw an access link for peer ``owner``.
+    @property
+    def tier_names(self) -> list[str]:
+        """Tier names, indexed like the tier column of :meth:`draw_columns`."""
+        return [t.name for t in self._tiers]
 
-        ``speed_multiplier`` scales both directions (used for per-country or
-        per-AS speed differences).
-        """
+    def draw(self, speed_multiplier: float = 1.0) -> tuple[int, float, float]:
+        """Draw link parameters ``(tier index, down_mbps, up_mbps)``;
+        ``speed_multiplier`` (per-country/AS differences) scales both ways."""
         if speed_multiplier <= 0:
             raise ValueError(f"speed multiplier must be positive, got {speed_multiplier}")
-        tier = self._rng.choices(self._tiers, weights=self._weights, k=1)[0]
+        tier_i = self._rng.choices(
+            range(len(self._tiers)), cum_weights=self._cum_weights, k=1)[0]
+        tier = self._tiers[tier_i]
         down = _log_uniform(self._rng, *tier.down_mbps) * speed_multiplier
         up = _log_uniform(self._rng, *tier.up_mbps) * speed_multiplier
         # Upstream never exceeds downstream on residential links.
-        up = min(up, down)
+        return tier_i, down, min(up, down)
+
+    def sample(self, owner: str, speed_multiplier: float = 1.0) -> AccessLink:
+        """Draw an access link for peer ``owner`` (:meth:`draw`, then build)."""
+        tier_i, down, up = self.draw(speed_multiplier)
         return AccessLink(
             downlink=Resource(f"{owner}/down", mbps(down)),
             uplink=Resource(f"{owner}/up", mbps(up)),
-            tier=tier.name,
+            tier=self._tiers[tier_i].name,
         )
+
+    def draw_columns(self, speed_multipliers: "np.ndarray"):
+        """:meth:`draw` per entry, as ``(tier index, down B/s, up B/s)`` arrays.
+
+        Leaves the stream where that many :meth:`draw` calls would: three
+        uniforms a peer — unless a tier's speed range is degenerate (drawing
+        nothing), when only the scalar order is right.
+        """
+        tiers = self._tiers
+        if any(lo >= hi for t in tiers for lo, hi in (t.down_mbps, t.up_mbps)):
+            drawn = np.array([self.draw(m) for m in speed_multipliers.tolist()])
+            return drawn[:, 0].astype(np.int32), mbps(drawn[:, 1]), mbps(drawn[:, 2])
+        if (speed_multipliers <= 0).any():
+            raise ValueError("speed multipliers must be positive")
+        r = self._rng.random
+        u = np.array([(r(), r(), r()) for _ in speed_multipliers])
+        tier_i = pick_indices(self._cum_weights, u[:, 0])
+
+        def speeds(ranges, uniforms):
+            # rng.uniform(log lo, log hi) column-wise; math.exp per element
+            # because np.exp differs from it in the last ulp.
+            lo, hi = np.array([[math.log(b) for b in rg] for rg in ranges])[tier_i].T
+            logs = (lo + (hi - lo) * uniforms).tolist()
+            return np.array([math.exp(x) for x in logs]) * speed_multipliers
+
+        down = speeds([t.down_mbps for t in tiers], u[:, 1])
+        up = np.minimum(speeds([t.up_mbps for t in tiers], u[:, 2]), down)
+        return tier_i.astype(np.int32), mbps(down), mbps(up)
 
 
 class EdgeCapacityModel:
@@ -179,8 +219,6 @@ class EdgeCapacityModel:
 
 def _log_uniform(rng: random.Random, low: float, high: float) -> float:
     """Sample log-uniformly from [low, high]."""
-    import math
-
     if low <= 0 or high < low:
         raise ValueError(f"invalid log-uniform range [{low}, {high}]")
     if high == low:

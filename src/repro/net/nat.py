@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+from repro.net.weighted import cumulative, pick_indices
+
 __all__ = ["NATType", "NATProfile", "NATModel", "can_connect", "DEFAULT_NAT_MIX"]
 
 
@@ -69,9 +71,12 @@ DEFAULT_NAT_MIX: dict[NATType, float] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class NATProfile:
     """A peer's connectivity details, as stored by the database nodes.
+
+    Immutable (a rebind yields a new one), so the columnar store can
+    intern profiles by value.
 
     ``reported_type`` is what STUN probing concluded; it can differ from
     ``true_type`` with a small probability, modelling the real-world
@@ -104,8 +109,9 @@ class NATModel:
             raise ValueError("NAT mix weights must sum to a positive value")
         if not 0.0 <= misclassify_prob < 1.0:
             raise ValueError(f"misclassify_prob out of range: {misclassify_prob}")
-        self._types = list(self._mix.keys())
-        self._weights = [self._mix[t] / total for t in self._types]
+        #: The NAT types of the mix; :meth:`draw_columns` indexes into it.
+        self.types = list(self._mix.keys())
+        self._cum_weights = cumulative(self._mix[t] / total for t in self.types)
         self.misclassify_prob = misclassify_prob
 
     def sample(self, rng: random.Random | None = None) -> NATProfile:
@@ -116,12 +122,31 @@ class NATModel:
         perturbing the population's draw sequence.
         """
         rng = self._rng if rng is None else rng
-        true_type = rng.choices(self._types, weights=self._weights, k=1)[0]
+        true_type = rng.choices(self.types, cum_weights=self._cum_weights, k=1)[0]
         reported = true_type
         if rng.random() < self.misclassify_prob:
-            others = [t for t in self._types if t is not true_type]
+            others = [t for t in self.types if t is not true_type]
             reported = rng.choice(others)
         return NATProfile(true_type=true_type, reported_type=reported)
+
+    def draw_columns(self, n: int):
+        """``n`` :meth:`sample` calls as ``(true, reported)`` indexes into
+        :attr:`types`, leaving the stream where they would: two uniforms a
+        peer, the rare misclassification's ``choice`` drawn in place (its
+        rejection sampling takes a varying number of draws)."""
+        rng, p = self._rng, self.misclassify_prob
+        r, others = rng.random, range(len(self.types) - 1)
+        uniforms, wrong = [], []
+        for row in range(n):
+            uniforms.append(r())
+            if r() < p:
+                wrong.append((row, rng.choice(others)))
+        true_i = pick_indices(self._cum_weights, uniforms)
+        reported_i = true_i.copy()
+        for row, k in wrong:
+            # k indexes ``types`` with the true type removed.
+            reported_i[row] = k if k < true_i[row] else k + 1
+        return true_i, reported_i
 
     def rebind(self, profile: NATProfile, rng: random.Random) -> NATProfile:
         """Model a NAT rebind: the middlebox re-assigns this peer's mapping.

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from repro.net.geo import World, Country
+from repro.net.weighted import cumulative
 
 __all__ = ["AutonomousSystem", "ASTopology", "build_topology"]
 
@@ -62,18 +63,26 @@ class ASTopology:
         for a in ases:
             if a.kind == "eyeball":
                 self._eyeballs_by_country.setdefault(a.country_code, []).append(a)
+        self._eyeball_cum_weights = {
+            code: cumulative(a.size_weight for a in eyeballs)
+            for code, eyeballs in self._eyeballs_by_country.items()
+        }
 
     def eyeball_ases(self, country_code: str) -> list[AutonomousSystem]:
         """Eyeball (access) ASes serving a country."""
         return self._eyeballs_by_country.get(country_code, [])
 
+    def eyeball_cum_weights(self, country_code: str) -> list[float]:
+        """Cumulative size weights of :meth:`eyeball_ases` (KeyError if none)."""
+        if country_code not in self._eyeball_cum_weights:
+            raise KeyError(f"no eyeball ASes for country {country_code!r}")
+        return self._eyeball_cum_weights[country_code]
+
     def sample_as(self, country_code: str, rng: random.Random) -> AutonomousSystem:
         """Pick the AS a new peer in ``country_code`` attaches to."""
-        candidates = self.eyeball_ases(country_code)
-        if not candidates:
-            raise KeyError(f"no eyeball ASes for country {country_code!r}")
-        weights = [a.size_weight for a in candidates]
-        return rng.choices(candidates, weights=weights, k=1)[0]
+        cum_weights = self.eyeball_cum_weights(country_code)
+        return rng.choices(self.eyeball_ases(country_code),
+                           cum_weights=cum_weights, k=1)[0]
 
     def directly_connected(self, asn_a: int, asn_b: int) -> bool:
         """True if the two ASes share an edge in the inter-AS graph."""

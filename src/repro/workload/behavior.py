@@ -181,8 +181,8 @@ class UserBehavior:
         rng = self.rng
         horizon = duration_days * DAY
         scheduled = 0
-        for peer in population.iter_peers():
-            if peer.uploads_enabled:
+        for row, enabled in enumerate(population.column("uploads_enabled")):
+            if enabled:
                 p_once, p_twice = cfg.toggle_once_if_enabled, cfg.toggle_twice_if_enabled
             else:
                 p_once, p_twice = cfg.toggle_once_if_disabled, cfg.toggle_twice_if_disabled
@@ -193,6 +193,7 @@ class UserBehavior:
                 toggles = 1
             else:
                 continue
+            peer = population.peers[row]
             times = sorted(rng.uniform(0, horizon) for _ in range(toggles))
             for t in times:
                 # Each toggle flips the setting from whatever it is then.

@@ -70,9 +70,10 @@ class CloningModel:
         weights = (cfg.failed_update_weight, cfg.restored_backup_weight,
                    cfg.reimaging_weight, cfg.irregular_weight)
         census = {p: 0 for p in self.PATTERNS}
-        for peer in population.iter_peers():
+        for row in range(population.peer_count()):
             if self.rng.random() >= cfg.affected_fraction:
                 continue
+            peer = population.peers[row]
             pattern = self.rng.choices(self.PATTERNS, weights=weights, k=1)[0]
             self.assigned[peer.guid] = pattern
             census[pattern] += 1

@@ -9,45 +9,52 @@ capacities, provider attribution, per-peer RNG seeds — and materializes a
 real ``PeerNode`` only for peers something actually touches: a boot, a
 download, a fault token, an adversary assignment.
 
-Equivalence contract (enforced byte-for-byte by ``tests/scale/``):
+Equivalence contract (enforced byte-for-byte by ``tests/scale/``; the
+object-mode build — ``create_peer`` plus ``build_population``'s loop — is
+the oracle):
 
-* **Build draws** replicate object mode exactly.  The build consumes
-  ``system.rng``, the broadband model's stream, the NAT model's stream and
-  the population RNG in the precise per-peer order
-  :meth:`~repro.core.system.NetSessionSystem.create_peer` +
-  :func:`~repro.workload.population.build_population` would, so every
-  downstream stream (demand, behaviour, catalog) sees identical state.
+* **Per-stream order, not per-peer interleaving.**  The build touches four
+  separate ``random.Random`` objects — ``system.rng``, the broadband and
+  NAT models' streams, the population RNG.  Each is drained in its own
+  loop, in the order the oracle draws *from that stream*, and ends the
+  build in the oracle's exact ``getstate()`` (``system._peer_seq`` too).
+  Every per-peer sampler is one uniform through an inverse CDF, so whole
+  columns are mapped at once (``searchsorted`` over the models'
+  precomputed cumulative weights); draws stay scalar only where their
+  count varies (``choice`` rejection sampling, NAT misclassification,
+  device tiers).  No ``AccessLink``, ``Resource``, ``NATProfile`` or
+  ``Random`` is built per dormant peer.
+* **GUIDs are lazy**: the first 128 bits of ``Random(peer_seed)``, derived
+  on first read, so rows nothing asks about never pay for a ``Random``.
 * **Materialization is draw-free.**  The 64-bit seed object mode would
   have fed each peer's private RNG is recorded per row; materializing
   replays ``random.Random(seed)`` through the GUID draw and hands the
   stream to the node, and the control channel re-derives its own stream
   from the GUID string.  A peer materialized at t=0 and one materialized
   mid-run are indistinguishable from eagerly-built ones.
+* **Set-up scans read columns.**  :meth:`ColumnarPopulationStore.column`
+  serves an attribute of every row as a plain list (live nodes override
+  their rows), so demand pools, mobility and behaviour work on row
+  indexes and resolve a handle only for the rows they schedule.
 * **Release reconciles.**  :meth:`ColumnarPopulationStore.release` writes
   a node's mutated scalars back to the columns, parks the non-columnar
   residue (RNG state, counters, identity history) in a sparse side table,
   and drops the node; re-materializing restores the exact state.
-
-Columns use numpy when available (the same soft dependency as the flow
-kernel) and fall back to stdlib ``array``/lists otherwise.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from typing import TYPE_CHECKING, Iterator, Mapping
+
+import numpy as np
 
 from repro.core.ids import make_guid
 from repro.core.peer import PeerNode
 from repro.net.links import AccessLink
 from repro.net.flows import Resource
 from repro.net.nat import NATProfile, NATType
-
-try:  # soft dependency, mirroring the flow kernel's gating
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
+from repro.net.weighted import pick_indices
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.content import ContentProvider
@@ -56,46 +63,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ColumnarPopulationStore", "LazyPeer", "build_columnar_store"]
 
-
-def _f8(values) -> "array":
-    """A float64 column."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
-
-
-def _i4(values) -> "array":
-    """An int32 column (intern-table indexes, provider codes)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int32)
-    return array("l", values)
-
-
-def _u1(values) -> "array":
-    """A uint8 flag column."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.uint8)
-    return array("B", values)
-
-
-def _u8(values) -> "array":
-    """A uint64 column (per-peer RNG seeds)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.uint64)
-    return array("Q", values)
+#: Peers drawn and mapped per pass of the build, bounding its temporaries.
+_BLOCK = 65_536
 
 
 class _Interner:
-    """Id-keyed object interning: shared model objects become int32 indexes."""
+    """Interning: shared model objects become int32 indexes, keyed by
+    identity (world/topology singletons) or by a value ``key``."""
 
-    __slots__ = ("objects", "_index")
+    __slots__ = ("objects", "_index", "_key")
 
-    def __init__(self):
+    def __init__(self, key=id):
         self.objects: list = []
-        self._index: dict[int, int] = {}
+        self._index: dict = {}
+        self._key = key
 
     def intern(self, obj) -> int:
-        key = id(obj)
+        key = self._key(obj)
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.objects)
@@ -103,6 +87,28 @@ class _Interner:
             self._index[key] = idx
         return idx
 
+
+def _nat_key(profile: NATProfile):
+    return profile.true_type, profile.reported_type
+
+
+class _GuidColumn:
+    """Row GUIDs, each derived from its ``peer_seed`` on first read."""
+
+    __slots__ = ("_seeds", "_cache")
+
+    def __init__(self, seeds):
+        self._seeds = seeds
+        self._cache: list[str | None] = [None] * len(seeds)
+
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    def __getitem__(self, i: int) -> str:
+        guid = self._cache[i]
+        if guid is None:
+            guid = self._cache[i] = make_guid(random.Random(int(self._seeds[i])))
+        return guid
 
 class LazyPeer:
     """A handle onto one column row; becomes a :class:`PeerNode` on touch.
@@ -222,6 +228,21 @@ _COLUMN_READS = {
 }
 
 
+def _via_table(table, index_column) -> list:
+    return [table[k] for k in index_column.tolist()]
+
+
+#: Whole-column forms of the :data:`_COLUMN_READS` the set-up scans use.
+_BULK_READS = {
+    "uploads_enabled": lambda p: p.uploads.astype(bool).tolist(),
+    "installed_from_cp": lambda p: p.installed_cp.tolist(),
+    "geo_region": lambda p: _via_table(
+        [c.region for c in p._countries.objects], p.country_i),
+    # device_i == -1 (no tier mix) picks the trailing None.
+    "device": lambda p: _via_table(p._device_classes + (None,), p.device_i),
+}
+
+
 class _PeerColumnView:
     """Sequence view over the store's rows, yielding cached handles.
 
@@ -271,34 +292,33 @@ class _TzView(Mapping):
 class ColumnarPopulationStore:
     """The packed installed base: columns, handles, materialized nodes."""
 
-    def __init__(self, system: "NetSessionSystem"):
+    def __init__(self, system: "NetSessionSystem", n: int):
         self.system = system
         # Intern tables (shared world/topology/NAT value objects).
         self._countries = _Interner()
         self._cities = _Interner()
         self._ases = _Interner()
-        self._nats = _Interner()
+        self._nats = _Interner(key=_nat_key)
         self._tier_names: list[str] = []
-        self._tier_index: dict[str, int] = {}
-        # Columns (filled by build_columnar_store, then frozen into arrays).
-        self.guids: list[str] = []
-        self.peer_seeds = _u8(())
-        self.country_i = _i4(())
-        self.city_i = _i4(())
-        self.as_i = _i4(())
-        self.tier_i = _i4(())
-        self.down_bps = _f8(())
-        self.up_bps = _f8(())
-        self.nat_i = _i4(())
-        self.uploads = _u1(())
-        self.installed_cp = _i4(())
-        self.corruption = _f8(())
-        self.attacker = _u1(())
-        self.always_on = _u1(())
-        self.tz = _f8(())
+        # Columns, filled block by block by build_columnar_store.
+        self.peer_seeds = np.zeros(n, dtype=np.uint64)
+        self.guids = _GuidColumn(self.peer_seeds)
+        self.country_i = np.zeros(n, dtype=np.int32)
+        self.city_i = np.zeros(n, dtype=np.int32)
+        self.as_i = np.zeros(n, dtype=np.int32)
+        self.tier_i = np.zeros(n, dtype=np.int32)
+        self.down_bps = np.zeros(n, dtype=np.float64)
+        self.up_bps = np.zeros(n, dtype=np.float64)
+        self.nat_i = np.zeros(n, dtype=np.int32)
+        self.uploads = np.ones(n, dtype=np.uint8)
+        self.installed_cp = np.zeros(n, dtype=np.int32)
+        self.corruption = np.zeros(n, dtype=np.float64)
+        self.attacker = np.zeros(n, dtype=np.uint8)
+        self.always_on = np.zeros(n, dtype=np.uint8)
+        self.tz = np.zeros(n, dtype=np.float64)
         #: Device-tier column: index into ``_device_classes`` or -1 for the
         #: homogeneous default (``PopulationConfig.device`` is None).
-        self.device_i = _i4(())
+        self.device_i = np.full(n, -1, dtype=np.int32)
         self._device_classes: tuple = ()
         #: First ``peerN`` naming slot this store occupies (normally 0).
         self.name_base = 0
@@ -315,7 +335,7 @@ class ColumnarPopulationStore:
     # -------------------------------------------------------------- accessors
 
     def __len__(self) -> int:
-        return len(self.guids)
+        return len(self.peer_seeds)
 
     def handle(self, i: int) -> LazyPeer:
         """The (cached, identity-stable) handle for row ``i``."""
@@ -339,8 +359,22 @@ class ColumnarPopulationStore:
         idx = self.device_i[i]
         return self._device_classes[idx] if idx >= 0 else None
 
+    def column(self, name: str) -> list:
+        """``[getattr(p, name) for p in handles()]`` without the handles:
+        dormant rows straight off the columns, materialized rows from
+        their live node."""
+        bulk = _BULK_READS.get(name)
+        if bulk is not None:
+            values = bulk(self)
+        else:
+            reader = _COLUMN_READS[name]
+            values = [reader(self, i) for i in range(len(self))]
+        for i, node in self._nodes.items():
+            values[i] = getattr(node, name)
+        return values
+
     def index_of(self, guid: str) -> int:
-        """Row index of ``guid`` (builds the reverse index on first use)."""
+        """Row index of ``guid`` (derives every GUID on first use)."""
         if self._guid_index is None:
             self._guid_index = {g: i for i, g in enumerate(self.guids)}
         return self._guid_index[guid]
@@ -367,7 +401,7 @@ class ColumnarPopulationStore:
             return node
         system = self.system
         rng = random.Random(int(self.peer_seeds[i]))
-        guid = make_guid(rng)
+        guid = self.guids._cache[i] = make_guid(rng)
         name = f"peer{self.name_base + i}"
         link = AccessLink(
             downlink=Resource(f"{name}/down", float(self.down_bps[i])),
@@ -469,6 +503,33 @@ class ColumnarPopulationStore:
             pass
 
 
+def _drain_population_stream(rng: random.Random, m: int, n_providers: int, mix):
+    """The population RNG's draws for ``m`` peers, in the oracle's order.
+
+    Scalar, because the draw count varies per peer (``choice`` rejection
+    sampling, the per-class NAT override).  Returns the bundling-provider
+    index per peer, the (broken, attacker, always-on) uniforms as an
+    ``(m, 3)`` array, the device-class index per peer, and the block rows
+    whose class forced always-on / an open NAT.
+    """
+    r, choice, cps = rng.random, rng.choice, range(n_providers)
+    provider, uniforms, device, forced_on, opened = [], [], [], [], []
+    classes = mix.classes if mix is not None else ()
+    class_index = {cls.name: j for j, cls in enumerate(classes)}
+    for row in range(m):
+        if n_providers:
+            provider.append(choice(cps))
+        uniforms.append((r(), r(), r()))
+        if classes:
+            cls = mix.pick(r())
+            device.append(class_index[cls.name])
+            if r() < cls.always_on_prob:
+                forced_on.append(row)
+            if cls.nat_open_prob is not None and r() < cls.nat_open_prob:
+                opened.append(row)
+    return provider, np.array(uniforms), device, forced_on, opened
+
+
 def build_columnar_store(
     system: "NetSessionSystem",
     providers: list["ContentProvider"],
@@ -477,95 +538,88 @@ def build_columnar_store(
 ) -> ColumnarPopulationStore:
     """Sample the installed base straight into columns.
 
-    Consumes ``system.rng``, the broadband/NAT model streams and the
-    population RNG in exactly the per-peer order the object-mode build
-    (``create_peer`` + the build loop) would, so everything downstream of
-    population synthesis sees identical RNG state regardless of store.
+    Array-native: each of the four RNG streams (``system.rng``, the
+    broadband and NAT models', the population ``rng``) is drained in its
+    own loop, in the order the object-mode build (``create_peer`` + the
+    build loop) draws from it, and the uniforms are mapped a column at a
+    time.  Every stream — and ``system._peer_seq`` — ends where the oracle
+    leaves it, so everything downstream sees identical state.
     """
-    store = ColumnarPopulationStore(system)
-    world, topology = system.world, system.topology
-    sys_rng = system.rng
-    store.name_base = system._peer_seq
-
     n = cfg.n_peers
-    guids = store.guids
-    seeds, country_i, city_i, as_i = [], [], [], []
-    tier_i, down, up, nat_i = [], [], [], []
-    uploads, installed, corruption, attacker, always, tz = [], [], [], [], [], []
-    device_i = []
+    store = ColumnarPopulationStore(system, n)
+    store.name_base = system.next_peer_name_index(n)
+    store._tier_names = system.broadband.tier_names
+    world, topology, sys_rng = system.world, system.topology, system.rng
+    countries = world.countries
+
+    # Intern the models' value objects up front: a sampled position in a
+    # model's own table then maps to its column index by array lookup.
+    def interned(interner, objects):
+        return np.array([interner.intern(o) for o in objects], dtype=np.int32)
+
+    country_of = interned(store._countries, countries)
+    cities_of = [interned(store._cities, c.cities) for c in countries]
+    ases_of = [interned(store._ases, topology.eyeball_ases(c.code))
+               for c in countries]
+    speed_of = np.array([c.speed_multiplier for c in countries])
+    # Local solar time from longitude: 15 degrees per hour.
+    tz_of = np.array([(c.lon / 15.0) * 3600.0 for c in store._cities.objects])
+    types = system.nat_model.types
+    nat_of = np.array([interned(store._nats, [NATProfile(t, rep) for rep in types])
+                       for t in types])
+    cp_code_of = np.array([p.cp_code for p in providers], dtype=np.int32)
+    upload_rate_of = np.array([p.upload_default_rate for p in providers])
     default_corruption = system.config.client.piece_corruption_prob
+    # What a device class's port-forward override (nat_open_prob) installs.
+    open_nat = store._nats.intern(NATProfile(NATType.OPEN, NATType.OPEN))
     mix = cfg.device
     if mix is not None:
         store._device_classes = mix.classes
-        device_index = {cls.name: j for j, cls in enumerate(mix.classes)}
 
-    for _ in range(n):
-        installed_from = rng.choice(providers) if providers else None
-        country = world.sample_country(sys_rng)
-        city = world.sample_city(country, sys_rng)
-        asys = topology.sample_as(country.code, sys_rng)
-        link = system.broadband.sample(
-            f"peer{system.next_peer_name_index()}",
-            speed_multiplier=country.speed_multiplier,
-        )
-        nat = system.nat_model.sample()
-        if installed_from is not None:
-            uploads_enabled = sys_rng.random() < installed_from.upload_default_rate
+    r, bits = sys_rng.random, sys_rng.getrandbits
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, min(n, start + _BLOCK))
+        m = rows.stop - start
+        provider, flags, device, forced_on, opened = _drain_population_stream(
+            rng, m, len(providers), mix)
+        # system.rng per peer: country, city, AS, upload default (only for
+        # a bundled install), then the private-RNG seed.
+        if providers:
+            draws = [(r(), r(), r(), r(), bits(64)) for _ in range(m)]
         else:
-            uploads_enabled = True
-        peer_seed = sys_rng.getrandbits(64)
-        guid = make_guid(random.Random(peer_seed))
+            draws = [(r(), r(), r(), 0.0, bits(64)) for _ in range(m)]
+        *uniforms, seeds = zip(*draws)
+        u_country, u_city, u_as, u_upload = np.array(uniforms)
+        store.peer_seeds[rows] = np.array(seeds, dtype=np.uint64)
 
-        broken = rng.random() < cfg.broken_fraction
-        is_attacker = rng.random() < cfg.attacker_fraction
-        is_always_on = rng.random() < cfg.always_on_fraction
-        if mix is None:
-            device_i.append(-1)
-        else:
-            # Exactly the object-mode draw order: class pick, always-on
-            # override, optional NAT override (only for classes with one).
-            cls = mix.pick(rng.random())
-            device_i.append(device_index[cls.name])
-            if rng.random() < cls.always_on_prob:
-                is_always_on = True
-            if cls.nat_open_prob is not None and rng.random() < cls.nat_open_prob:
-                nat = NATProfile(true_type=NATType.OPEN,
-                                 reported_type=NATType.OPEN)
+        picked = pick_indices(world.cum_weights, u_country)
+        store.country_i[rows] = country_of[picked]
+        city_i, as_i = store.city_i[rows], store.as_i[rows]  # views
+        for g in np.flatnonzero(np.bincount(picked, minlength=len(countries))):
+            at = np.flatnonzero(picked == g)
+            country = countries[g]
+            city_i[at] = cities_of[g][
+                pick_indices(country.city_cum_weights, u_city[at])]
+            as_i[at] = ases_of[g][pick_indices(
+                topology.eyeball_cum_weights(country.code), u_as[at])]
+        store.tz[rows] = tz_of[city_i]
 
-        guids.append(guid)
-        seeds.append(peer_seed)
-        country_i.append(store._countries.intern(country))
-        city_i.append(store._cities.intern(city))
-        as_i.append(store._ases.intern(asys))
-        tier = link.tier
-        t = store._tier_index.get(tier)
-        if t is None:
-            t = store._tier_index[tier] = len(store._tier_names)
-            store._tier_names.append(tier)
-        tier_i.append(t)
-        down.append(link.down_bps)
-        up.append(link.up_bps)
-        nat_i.append(store._nats.intern(nat))
-        uploads.append(1 if uploads_enabled else 0)
-        installed.append(installed_from.cp_code if installed_from else 0)
-        corruption.append(cfg.broken_corruption_prob if broken else default_corruption)
-        attacker.append(1 if is_attacker else 0)
-        always.append(1 if is_always_on else 0)
-        tz.append((city.lon / 15.0) * 3600.0)
+        store.tier_i[rows], store.down_bps[rows], store.up_bps[rows] = \
+            system.broadband.draw_columns(speed_of[picked])
+        nat_i = nat_of[system.nat_model.draw_columns(m)]
+        nat_i[opened] = open_nat
+        store.nat_i[rows] = nat_i
 
-    store.peer_seeds = _u8(seeds)
-    store.country_i = _i4(country_i)
-    store.city_i = _i4(city_i)
-    store.as_i = _i4(as_i)
-    store.tier_i = _i4(tier_i)
-    store.down_bps = _f8(down)
-    store.up_bps = _f8(up)
-    store.nat_i = _i4(nat_i)
-    store.uploads = _u1(uploads)
-    store.installed_cp = _i4(installed)
-    store.corruption = _f8(corruption)
-    store.attacker = _u1(attacker)
-    store.always_on = _u1(always)
-    store.tz = _f8(tz)
-    store.device_i = _i4(device_i)
+        if providers:
+            store.installed_cp[rows] = cp_code_of[provider]
+            store.uploads[rows] = u_upload < upload_rate_of[provider]
+        store.corruption[rows] = np.where(
+            flags[:, 0] < cfg.broken_fraction,
+            cfg.broken_corruption_prob, default_corruption)
+        store.attacker[rows] = flags[:, 1] < cfg.attacker_fraction
+        always_on = flags[:, 2] < cfg.always_on_fraction
+        always_on[forced_on] = True
+        store.always_on[rows] = always_on
+        if mix is not None:
+            store.device_i[rows] = device
     return store

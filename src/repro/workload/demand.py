@@ -82,12 +82,14 @@ class DemandGenerator:
         self.catalog = catalog
         self.config = config if config is not None else DemandConfig()
         self.rng = random.Random(system.rng.getrandbits(64))
-        self._peers_by_region: dict[str, list[PeerNode]] = {}
-        self._peers_by_region_cp: dict[tuple[str, int], list[PeerNode]] = {}
-        for peer in population.iter_peers():
-            self._peers_by_region.setdefault(peer.geo_region, []).append(peer)
-            key = (peer.geo_region, peer.installed_from_cp)
-            self._peers_by_region_cp.setdefault(key, []).append(peer)
+        # Pools hold row indexes into ``population.peers`` (creation
+        # order), so a dormant install costs nothing until it is picked.
+        self._peers_by_region: dict[str, list[int]] = {}
+        self._peers_by_region_cp: dict[tuple[str, int], list[int]] = {}
+        for row, key in enumerate(zip(population.column("geo_region"),
+                                      population.column("installed_from_cp"))):
+            self._peers_by_region.setdefault(key[0], []).append(row)
+            self._peers_by_region_cp.setdefault(key, []).append(row)
         self.requests_issued = 0
         self.requests_dropped = 0
         #: Sessions created by this generator, for behaviour attachment.
@@ -157,7 +159,8 @@ class DemandGenerator:
             self.on_session_started(session)
 
     def _pick_peer(self, region: str, obj: ContentObject) -> PeerNode | None:
-        pools: list[list[PeerNode]] = []
+        peers = self.population.peers
+        pools: list = []
         if self.rng.random() < self.config.install_affinity:
             affine = self._peers_by_region_cp.get((region, obj.provider.cp_code))
             if affine:
@@ -166,7 +169,7 @@ class DemandGenerator:
         if regional:
             pools.append(regional)
         # Tiny scenarios may lack peers in the target region entirely.
-        pools.append(self.population.peers)
+        pools.append(range(len(peers)))
 
         def eligible(peer: PeerNode, need_online: bool) -> bool:
             if obj.cid in peer.sessions or peer.has_complete(obj.cid):
@@ -182,7 +185,7 @@ class DemandGenerator:
                 if not pool:
                     continue
                 for _ in range(12):
-                    peer = self.rng.choice(pool)
+                    peer = peers[self.rng.choice(pool)]
                     if eligible(peer, need_online):
                         return peer
         return None

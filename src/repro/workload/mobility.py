@@ -69,6 +69,7 @@ class MobilityModel:
         self.system = system
         self.config = config if config is not None else MobilityConfig()
         self.rng = random.Random(system.rng.getrandbits(64))
+        #: guid -> class of every peer that moves (the rest are stationary).
         self.classes: dict[str, str] = {}
 
     def apply(self, population: Population, duration_days: float) -> dict[str, int]:
@@ -77,12 +78,14 @@ class MobilityModel:
         Returns the class census (class name -> count).
         """
         census = {"stationary": 0, "commuter": 0, "roamer": 0, "traveler": 0}
-        for peer in population.iter_peers():
-            device = peer.device
+        for row, device in enumerate(population.column("device")):
             cls = self._draw_class(
                 device.mobility if device is not None else "default")
-            self.classes[peer.guid] = cls
             census[cls] += 1
+            if cls == "stationary":
+                continue  # nothing to schedule: the row is never resolved
+            peer = population.peers[row]
+            self.classes[peer.guid] = cls
             if cls == "commuter":
                 self._schedule_commuter(peer, duration_days)
             elif cls == "roamer":

@@ -221,19 +221,25 @@ class Population:
             return
         peer.lan = site
 
-    def _session_rows(self):
-        """(peer, tz_offset, always_on, device) per install, creation order."""
+    def column(self, name: str) -> list:
+        """Attribute ``name`` of every peer, in creation order.
+
+        For set-up passes that classify every install but act on few:
+        scan this, index ``peers`` only for the rows to schedule, and a
+        columnar store hands out no handle (and derives no GUID) otherwise.
+        """
+        if self.store is None:
+            return [getattr(p, name) for p in self.peers]
+        return self.store.column(name)
+
+    def _session_row(self, i: int):
+        """(peer, tz_offset, always_on, device) of install ``i``."""
         store = self.store
         if store is None:
-            return (
-                (p, self.tz_offset[p.guid], p.guid in self.always_on, p.device)
-                for p in self.peers
-            )
-        return (
-            (store.handle(i), float(store.tz[i]), bool(store.always_on[i]),
-             store.device_at(i))
-            for i in range(len(store))
-        )
+            p = self.peers[i]
+            return p, self.tz_offset[p.guid], p.guid in self.always_on, p.device
+        return (store.handle(i), float(store.tz[i]), bool(store.always_on[i]),
+                store.device_at(i))
 
 
 def build_population(
@@ -259,7 +265,8 @@ def build_population(
         population = Population(
             peers=store.peers_view(),
             tz_offset=store.tz_view(),
-            always_on={g for g, flag in zip(store.guids, store.always_on) if flag},
+            always_on={store.guids[i]
+                       for i in store.always_on.nonzero()[0].tolist()},
             store=store,
         )
     else:
@@ -353,14 +360,12 @@ def _schedule_sessions(
     """
     sim = system.sim
     count = population.peer_count()
-    chosen = None
+    scheduled = range(count)
     if cfg.active_peer_cap is not None and cfg.active_peer_cap < count:
-        chosen = set(rng.sample(range(count), cfg.active_peer_cap))
+        scheduled = sorted(rng.sample(scheduled, cfg.active_peer_cap))
     uptime_mean = cfg.mean_daily_uptime_hours * 3600.0
-    rows = enumerate(population._session_rows())
-    for index, (peer, tz, is_always_on, device) in rows:
-        if chosen is not None and index not in chosen:
-            continue
+    for index in scheduled:
+        peer, tz, is_always_on, device = population._session_row(index)
         if is_always_on:
             sim.schedule(rng.uniform(0, 3600.0), peer.boot)
             continue
