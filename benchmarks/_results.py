@@ -54,16 +54,15 @@ def wall_seconds(entry: dict) -> float | None:
     """Locate the headline wall-clock metric inside a bench entry.
 
     Benches differ in shape: ``vod_playback`` is flat, the engine
-    comparisons nest the production configuration under ``batched`` or
-    ``numpy`` (the reference side is expected to be slower and is not
-    gated).  Returns ``None`` when the entry carries no wall metric at
+    comparisons nest the production configuration under ``batched``
+    (the reference side is expected to be slower and is not gated).
+    Returns ``None`` when the entry carries no wall metric at
     all (overhead-fraction benches), which the gate treats as ungateable
     rather than as a failure.
     """
     if "wall_seconds" in entry:
         return float(entry["wall_seconds"])
-    for key in ("batched", "numpy"):
-        sub = entry.get(key)
-        if isinstance(sub, dict) and "wall_seconds" in sub:
-            return float(sub["wall_seconds"])
+    sub = entry.get("batched")
+    if isinstance(sub, dict) and "wall_seconds" in sub:
+        return float(sub["wall_seconds"])
     return None

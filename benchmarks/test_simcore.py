@@ -13,11 +13,9 @@ per-mutation settlement policy (``SystemConfig.flow_batching=False`` /
 
 Both policies must produce identical completion/abort counts — the
 benchmark doubles as a coarse equivalence check (the fine-grained one
-lives in ``tests/net/test_flow_batching.py``).  A third workload pits
-the numpy water-filling kernel against the python reference at a scale
-where components are large enough for the arrays to pay off.  Results
-land in the ``BENCH_simcore.json`` trajectory at the repo root, which
-the CI bench gate checks against the committed baseline on every PR.
+lives in ``tests/net/test_flow_batching.py``).  Results land in the
+``BENCH_simcore.json`` trajectory at the repo root, which the CI bench
+gate checks against the committed baseline on every PR.
 """
 
 from __future__ import annotations
@@ -66,20 +64,19 @@ def _record(name: str, batched, reference) -> None:
 # ------------------------------------------------------------- swarm bursts
 
 
-def _run_swarm_burst(batching: bool, *, kernel: str = "numpy", n: int = 120,
-                     horizon: float = 3600.0, starts: int = 10,
-                     aborts: int = 6, caps: int = 8):
+def _run_swarm_burst(batching: bool):
     """A raw-FlowNetwork swarm: bursty churn plus capacity waves.
 
     Every 20 s one event aborts up to ``aborts`` flows, starts ``starts``,
     and re-caps ``caps`` — the same-timestamp mutation burst a swarm tick
     produces.  Every 20 min a wave degrades half the downlinks in a single
     event and restores them 10 min later (a region fault).  The RNG stream
-    is consumed identically under both policies and both kernels, so the
-    schedules are the same workload whichever engine runs it.
+    is consumed identically under both policies, so the schedules are the
+    same workload whichever engine runs it.
     """
+    n, horizon, starts, aborts, caps = 120, 3600.0, 10, 6, 8
     sim = Simulator()
-    net = FlowNetwork(sim, batching=batching, kernel=kernel)
+    net = FlowNetwork(sim, batching=batching)
     rng = random.Random(0xBEEF)
     downs, ups = [], []
     for i in range(n):
@@ -145,43 +142,6 @@ def test_swarm_burst_batching():
 
     # Heap maintenance: skipping unchanged-rate re-pushes must dominate.
     assert b_stats["heap_skips"] > b_stats["heap_pushes"]
-
-
-def test_swarm_burst_kernels():
-    """Vectorized water-filling: exact parity and >= 1.5x at swarm scale.
-
-    A denser burst (300 peers, 27 starts per tick) keeps the settled
-    components large enough that the numpy kernel's per-round fixed cost
-    amortizes; the measured margin is ~2x, the asserted bar is the
-    acceptance criterion.  Identical completion/abort/round counters are
-    the coarse equivalence check — the exact per-rate one lives in
-    ``tests/net/test_kernels.py``.
-    """
-    scale = dict(n=300, horizon=1800.0, starts=27, aborts=18, caps=12)
-    p_wall, p_stats = _run_swarm_burst(batching=True, kernel="python", **scale)
-    v_wall, v_stats = _run_swarm_burst(batching=True, kernel="numpy", **scale)
-    speedup = p_wall / v_wall
-    RESULTS["swarm_burst_kernels"] = {
-        "numpy": {"wall_seconds": round(v_wall, 3),
-                  "waterfill_rounds": v_stats["waterfill_rounds"]},
-        "python": {"wall_seconds": round(p_wall, 3),
-                   "waterfill_rounds": p_stats["waterfill_rounds"]},
-        "completed": v_stats["completed"],
-        "aborted": v_stats["aborted"],
-        "speedup": round(speedup, 2),
-        **{k: v for k, v in scale.items()},
-    }
-
-    # Same workload, same trajectory — byte-identical settle results mean
-    # every derived counter matches exactly.
-    assert v_stats["completed"] == p_stats["completed"]
-    assert v_stats["aborted"] == p_stats["aborted"]
-    assert v_stats["mutations"] == p_stats["mutations"]
-    assert v_stats["waterfill_rounds"] == p_stats["waterfill_rounds"]
-
-    assert speedup >= 1.5, (
-        f"numpy kernel only {speedup:.2f}x vs python (bar: 1.5x)"
-    )
 
 
 # ------------------------------------------------------- end-to-end scenario

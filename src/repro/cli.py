@@ -206,10 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run under cProfile and print the hottest functions")
     perf.add_argument("--profile-limit", type=int, default=20, metavar="N",
                       help="functions to show with --profile (default: 20)")
-    perf.add_argument("--kernel", choices=("auto", "numpy", "python"),
-                      default=None,
-                      help="water-filling kernel override (default: the "
-                           "config's, normally auto -> numpy when available)")
     perf.add_argument("--json", action="store_true", dest="json_report",
                       help="emit the counters as JSON (for scripts/CI)")
 
@@ -329,17 +325,12 @@ def _print_cached_perf() -> None:
 
 
 def _run_perf(scale: str, seed: int, *, profile: bool, profile_limit: int,
-              kernel: str | None = None, json_report: bool = False) -> int:
-    from dataclasses import replace
-
+              json_report: bool = False) -> int:
     from repro.analysis.report import render_perf
     from repro.experiments.common import standard_config
     from repro.workload import run_scenario
 
     config = standard_config(scale, seed)
-    if kernel is not None:
-        config = replace(config, system=replace(config.system, kernel=kernel))
-    resolved = config.system.resolve_kernel()
     started = time.perf_counter()
     if profile:
         import cProfile
@@ -358,12 +349,11 @@ def _run_perf(scale: str, seed: int, *, profile: bool, profile_limit: int,
     counters: dict[str, object] = {"wall_seconds": round(elapsed, 2)}
     counters.update(stats.as_dict())
     if json_report:
-        payload = {"scale": scale, "seed": seed, "kernel": resolved,
-                   **counters}
+        payload = {"scale": scale, "seed": seed, **counters}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_perf(
-            f"perf counters  (scale={scale}, seed={seed}, kernel={resolved})",
+            f"perf counters  (scale={scale}, seed={seed})",
             counters,
         ))
     if profiler is not None:
@@ -627,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "perf":
         return _run_perf(args.scale, args.seed,
                          profile=args.profile, profile_limit=args.profile_limit,
-                         kernel=args.kernel, json_report=args.json_report)
+                         json_report=args.json_report)
 
     if args.command == "audit":
         return _run_audit(args)

@@ -346,34 +346,17 @@ class SystemConfig:
     #: (kept for the equivalence tests and perf benchmarks — the two
     #: policies produce identical rate trajectories).
     flow_batching: bool = True
-    #: Water-filling kernel: ``numpy`` settles large components on the
-    #: vectorized array backend, ``python`` always uses the dict-based
-    #: reference implementation.  The two are bit-identical — the knob
-    #: only moves wall time.  The default ``auto`` resolves through the
-    #: ``REPRO_KERNEL`` environment variable and falls back to ``numpy``
-    #: (or ``python`` when numpy is not importable).
-    kernel: str = "auto"
-
-    _KERNELS = ("auto", "numpy", "python")
-
-    def __post_init__(self):
-        if self.kernel not in self._KERNELS:
-            raise ValueError(
-                f"kernel must be one of {self._KERNELS}, got {self.kernel!r}"
-            )
 
     def resolve_kernel(self) -> str:
-        """The effective kernel: ``auto`` resolved via ``REPRO_KERNEL``."""
-        if self.kernel != "auto":
-            return self.kernel
-        env = os.environ.get("REPRO_KERNEL", "").strip().lower()
-        if env in ("numpy", "python"):
-            return env
-        try:
-            import numpy  # noqa: F401 — availability probe only
-        except ImportError:  # pragma: no cover - numpy is a hard dep here
-            return "python"
-        return "numpy"
+        """Always ``"python"``: there is one water-filling kernel.
+
+        Kept only because ``benchmarks/perf/harness.resolved_modes()``
+        reports it at the top of every benchmark run and a PR may not
+        change the benchmark it is measured with; nothing under ``src/``
+        calls it.  Goes with the ``benchmark`` PR that stops
+        ``resolved_modes()`` calling the ``resolve_*`` accessors.
+        """
+        return "python"
 
     def with_client(self, **changes) -> "SystemConfig":
         """Return a copy with client-config fields replaced."""

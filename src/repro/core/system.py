@@ -285,8 +285,7 @@ class NetSessionSystem:
         self.config = config if config is not None else SystemConfig()
         self.rng = random.Random(seed)
         self.sim = Simulator()
-        self.flows = FlowNetwork(self.sim, batching=self.config.flow_batching,
-                                 kernel=self.config.resolve_kernel())
+        self.flows = FlowNetwork(self.sim, batching=self.config.flow_batching)
         #: Fleet-wide control-channel robustness counters; every peer's
         #: :class:`~repro.core.control.channel.ControlChannel` feeds it.
         self.channel_stats = ControlChannelStats()

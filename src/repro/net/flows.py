@@ -41,29 +41,6 @@ it coalesces, the resulting rate trajectories are identical to the
 per-mutation engine's — ``batching=False`` restores the per-mutation
 behaviour and is kept as the reference for the equivalence test-suite and
 the ``benchmarks/test_simcore.py`` baseline.
-
-Water-filling kernels
----------------------
-The progressive water-filling itself runs on one of two interchangeable
-kernels, selected per network (``FlowNetwork(kernel=...)``, usually via
-``SystemConfig.kernel``):
-
-* ``python`` — :func:`_max_min_fair`, the dict-and-set reference
-  implementation; and
-* ``numpy`` (default) — :class:`_VectorWaterfill`, which rebuilds the
-  settling component into flat arrays (per-flow caps, a CSR-style
-  flow→resource incidence, per-resource remaining capacity and unfrozen
-  counts) and runs each freezing round as vector ops: ``argmin`` over the
-  per-resource equal shares, boolean-mask freezing, and an ordered
-  scatter-subtract of the frozen rates.
-
-The two kernels perform the *same* IEEE operations in the same order —
-components are canonically ordered by flow id before either kernel sees
-them — so their results are bit-identical, not merely close; the golden
-experiment pipeline produces the same bytes under both.  Components
-smaller than :data:`_VECTOR_MIN_FLOWS` always take the python path (array
-setup would cost more than it saves), which keeps the numpy kernel a pure
-large-component accelerator.
 """
 
 from __future__ import annotations
@@ -76,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.net.sim import Simulator
 
-__all__ = ["Resource", "Flow", "FlowNetwork", "FlowNetworkStats", "KERNELS"]
+__all__ = ["Resource", "Flow", "FlowNetwork", "FlowNetworkStats"]
 
 #: Rate assigned to a flow constrained by nothing at all (no resources, no
 #: cap).  Finite so completion times stay finite; generous enough (10 GB/s)
@@ -87,15 +64,6 @@ UNCONSTRAINED_RATE = 10e9
 #: rebuilt) when more than half the heap is stale — but only past this size,
 #: so small heaps never pay the rebuild.
 _HEAP_COMPACT_MIN = 64
-
-#: Components with fewer flows than this settle on the python kernel even
-#: when the numpy kernel is selected: building the arrays costs more than
-#: the handful of dict operations they replace.  Both kernels are
-#: bit-identical, so the cutover is unobservable except in wall time.
-_VECTOR_MIN_FLOWS = 24
-
-#: Kernel names accepted by :class:`FlowNetwork` / ``SystemConfig.kernel``.
-KERNELS = ("numpy", "python")
 
 
 class Resource:
@@ -112,7 +80,7 @@ class Resource:
     loops.
     """
 
-    __slots__ = ("name", "capacity", "flows", "allocated", "_slot", "_stamp")
+    __slots__ = ("name", "capacity", "flows", "allocated")
 
     def __init__(self, name: str, capacity: Optional[float]):
         if capacity is not None and capacity <= 0:
@@ -121,10 +89,6 @@ class Resource:
         self.capacity = capacity
         self.flows: set["Flow"] = set()
         self.allocated = 0.0
-        # Dense local index interned by the vector kernel while it rebuilds
-        # a component into arrays (valid only for the stamped settle call).
-        self._slot = 0
-        self._stamp = 0
 
     @property
     def utilization(self) -> float:
@@ -276,22 +240,11 @@ class FlowNetwork:
     same-timestamp mutation bursts into one settlement pass per simulator
     event; ``False`` settles after every mutation (the reference engine the
     equivalence tests and benchmarks compare against).
-
-    ``kernel`` selects the water-filling implementation: ``"numpy"``
-    (default) settles large components on the vectorized
-    :class:`_VectorWaterfill` backend, ``"python"`` always uses the
-    dict-based reference :func:`_max_min_fair`.  The two are bit-identical
-    (see the module docstring), so the knob only moves wall time.
     """
 
-    def __init__(self, sim: Simulator, *, batching: bool = True,
-                 kernel: str = "numpy"):
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    def __init__(self, sim: Simulator, *, batching: bool = True):
         self.sim = sim
         self.batching = batching
-        self.kernel = kernel
-        self._vector: Optional[_VectorWaterfill] = None
         self._next_id = 0
         self.active_flows: set[Flow] = set()
         # (completion_time, flow_id, version, flow) — lazy invalidation
@@ -564,21 +517,14 @@ class FlowNetwork:
                         res.allocated = sum(g.rate for g in res.flows)
         self._schedule_next_completion()
 
-    def _waterfill(self, flows: set[Flow]) -> dict[Flow, float]:
-        """Run the selected kernel over one settling component.
+    def _waterfill(self, flows: Iterable[Flow]) -> dict[Flow, float]:
+        """Max-min fair rates for one settling component.
 
-        Both kernels receive the component in canonical flow-id order, so
-        their per-round freeze/subtract sequences — and therefore every
-        IEEE rounding step — coincide exactly.  Components too small to
-        amortize array setup stay on the python path regardless of the
-        selected kernel.
+        The component is solved in canonical flow-id order, so which
+        resource wins a bottleneck tie never depends on set iteration
+        order — which differs between the parent process and pool workers.
         """
-        ordered = sorted(flows, key=lambda f: f.flow_id)
-        if self.kernel == "numpy" and len(ordered) >= _VECTOR_MIN_FLOWS:
-            if self._vector is None:
-                self._vector = _VectorWaterfill()
-            return self._vector.solve(ordered, self.stats)
-        return _max_min_fair(ordered, self.stats)
+        return _max_min_fair(sorted(flows, key=lambda f: f.flow_id), self.stats)
 
     def _maybe_compact_heap(self) -> None:
         heap = self._completions
@@ -671,7 +617,7 @@ class FlowNetwork:
 def _max_min_fair(
     flows: Iterable[Flow], stats: Optional[FlowNetworkStats] = None
 ) -> dict[Flow, float]:
-    """Progressive water-filling with per-flow caps (the python kernel).
+    """Progressive water-filling with per-flow caps.
 
     Repeatedly find the binding constraint — either the most-loaded resource's
     equal share or the smallest unfrozen flow cap — and freeze the affected
@@ -749,176 +695,3 @@ def _max_min_fair(
 
     # Guard against tiny negative residue from float subtraction.
     return {f: max(0.0, r) for f, r in rates.items()}
-
-
-class _VectorWaterfill:
-    """Array-based progressive water-filling (the ``numpy`` kernel).
-
-    A settling component is rebuilt into flat arrays — made cheap by the
-    interned integer ids both node kinds already carry (``Flow.flow_id``;
-    resources are interned into dense local indices in first-encounter
-    order over the flow-id-ordered component):
-
-    * ``caps[i]``       — flow *i*'s rate cap (``inf`` when uncapped);
-    * ``inc_flow[k]`` / ``inc_res[k]`` — the CSR-style flow→resource
-      incidence list, flow-major in flow-id order (so entry order equals
-      the reference kernel's iteration order);
-    * ``remaining[j]`` / ``counts[j]`` — per-resource capacity left and
-      unfrozen-flow occurrence counts.
-
-    Each freezing round is then vector ops: an elementwise divide +
-    ``argmin`` finds the bottleneck share, a boolean mask selects the
-    flows to freeze (every flow whose cap equals the binding minimum cap,
-    or every unfrozen flow crossing the bottleneck), and an *ordered*
-    ``np.subtract.at`` scatter-subtracts the frozen rates from their
-    resources.  ``subtract.at`` applies repeated indices sequentially in
-    entry order, and within a round every subtracted value is identical
-    (the frozen caps all equal the minimum cap; the bottleneck freezes at
-    one level), so each remaining-capacity cell sees the exact IEEE
-    operation sequence the python kernel performs — results are
-    bit-identical, which the hypothesis suite and the golden pipeline
-    both assert.
-
-    Buffers are owned by the instance and grown geometrically, so steady
-    state settles allocate nothing; one instance lives per
-    :class:`FlowNetwork` and is reused across all its settle calls.
-    """
-
-    #: Settle-call stamps are global so two networks sharing Resource
-    #: objects can never mistake each other's interned slots for their own.
-    _next_stamp = 0
-
-    __slots__ = ("np", "_caps", "_rates", "_unfrozen", "_frozen",
-                 "_inc_flow", "_inc_res", "_remaining", "_counts", "_share")
-
-    def __init__(self):
-        import numpy
-        self.np = numpy
-        self._caps = numpy.empty(0)
-        self._rates = numpy.empty(0)
-        self._unfrozen = numpy.empty(0, dtype=bool)
-        self._frozen = numpy.empty(0, dtype=bool)
-        self._inc_flow = numpy.empty(0, dtype=numpy.intp)
-        self._inc_res = numpy.empty(0, dtype=numpy.intp)
-        self._remaining = numpy.empty(0)
-        self._counts = numpy.empty(0, dtype=numpy.int64)
-        self._share = numpy.empty(0)
-
-    def _fit(self, name: str, n: int):
-        """The named buffer, grown (never shrunk) to hold ``n`` entries."""
-        buf = getattr(self, name)
-        if len(buf) < n:
-            buf = self.np.empty(max(n, 2 * len(buf)), dtype=buf.dtype)
-            setattr(self, name, buf)
-        return buf
-
-    def solve(
-        self, ordered: list[Flow], stats: Optional[FlowNetworkStats] = None
-    ) -> dict[Flow, float]:
-        """Max-min fair rates for one component, in flow-id order."""
-        np = self.np
-        if stats is not None:
-            stats.waterfill_calls += 1
-        nf = len(ordered)
-
-        # ---- rebuild the component into arrays -------------------------
-        # Resources are interned to dense local slots via a stamp (no dict,
-        # no hashing): a resource whose stamp is stale gets the next slot.
-        caps = self._fit("_caps", nf)
-        inc_cap = sum(len(f.resources) for f in ordered)
-        inc_flow = self._fit("_inc_flow", inc_cap)
-        inc_res = self._fit("_inc_res", inc_cap)
-        stamp = _VectorWaterfill._next_stamp = _VectorWaterfill._next_stamp + 1
-        res_list: list[Resource] = []
-        k = 0
-        for i, f in enumerate(ordered):
-            cap = f.cap
-            caps[i] = math.inf if cap is None else cap
-            for res in f.resources:
-                if res.capacity is None:
-                    continue  # never binds; keeping it out shrinks the arrays
-                if res._stamp != stamp:
-                    res._stamp = stamp
-                    res._slot = len(res_list)
-                    res_list.append(res)
-                inc_flow[k] = i
-                inc_res[k] = res._slot
-                k += 1
-        nr = len(res_list)
-        caps = caps[:nf]
-        inc_flow = inc_flow[:k]
-        inc_res = inc_res[:k]
-
-        remaining = self._fit("_remaining", nr)[:nr]
-        counts = self._fit("_counts", nr)[:nr]
-        share = self._fit("_share", nr)[:nr]
-        for j, res in enumerate(res_list):
-            remaining[j] = res.capacity
-        counts[:] = 0
-        np.add.at(counts, inc_res, 1)
-
-        rates = self._fit("_rates", nf)[:nf]
-        rates[:] = 0.0
-        unfrozen = self._fit("_unfrozen", nf)[:nf]
-        unfrozen[:] = True
-        frozen = self._fit("_frozen", nf)[:nf]
-
-        # ---- freezing rounds -------------------------------------------
-        # ``caps`` doubles as the live cap array: a frozen flow's entry is
-        # overwritten with inf, so the per-round minimum only ever sees
-        # unfrozen caps (the reference scans the unfrozen set the same way).
-        remaining_flows = nf
-        while remaining_flows:
-            if stats is not None:
-                stats.waterfill_rounds += 1
-            # Bottleneck share among constrained resources with unfrozen
-            # flows; inactive resources keep inf so argmin (first-minimum,
-            # like the reference's strict '<' scan) skips them.  An
-            # infinite minimum means no resource binds at all.
-            share.fill(math.inf)
-            np.divide(remaining, counts, out=share, where=counts > 0)
-            if nr:
-                b = int(np.argmin(share))
-                level = float(share[b])
-            else:
-                b = -1
-                level = math.inf
-
-            # Smallest cap among unfrozen flows (inf when all uncapped;
-            # frozen entries were overwritten with inf below).
-            min_cap = float(caps.min())
-
-            if min_cap < level:
-                # Freeze every flow whose cap equals the binding minimum —
-                # ``<=`` like the reference, but every selected cap *is*
-                # min_cap exactly, so the scatter subtracts the same value
-                # the reference kernel subtracts flow by flow.
-                np.less_equal(caps, min_cap, out=frozen)
-                rates[frozen] = min_cap
-                idx = inc_res[frozen[inc_flow]]
-                np.subtract.at(remaining, idx, min_cap)
-            elif level < math.inf:
-                # Freeze every unfrozen flow crossing the bottleneck at the
-                # equal share.
-                frozen[:] = False
-                touching = inc_res == b
-                touching &= unfrozen[inc_flow]
-                frozen[inc_flow[touching]] = True
-                rates[frozen] = level
-                idx = inc_res[frozen[inc_flow]]
-                np.subtract.at(remaining, idx, level)
-                remaining[b] = 0.0
-            else:
-                # No constrained resource and no unfrozen cap (min_cap is
-                # also inf here, or the cap branch would have taken it):
-                # the leftovers are fully unconstrained flows.
-                rates[unfrozen] = UNCONSTRAINED_RATE
-                break
-            np.add.at(counts, idx, -1)
-            unfrozen[frozen] = False
-            caps[frozen] = math.inf
-            remaining_flows -= int(np.count_nonzero(frozen))
-
-        # Guard against tiny negative residue from float subtraction
-        # (same final clamp as the reference kernel).
-        return {f: max(0.0, float(rates[i])) for i, f in enumerate(ordered)}

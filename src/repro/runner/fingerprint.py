@@ -67,15 +67,12 @@ def canonicalize(obj: object) -> object:
             f.name: canonicalize(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
         }
-        # ``auto`` invariant mode and ``auto`` kernel are env-var
-        # indirections (REPRO_INVARIANTS / REPRO_KERNEL): resolve them so
-        # the fingerprint captures the behaviour, not the indirection.
+        # ``auto`` settings are env-var indirections (REPRO_INVARIANTS,
+        # REPRO_POPULATION_STORE, REPRO_SHARDS): resolve them so the
+        # fingerprint captures the behaviour, not the indirection.
         resolve = getattr(obj, "resolve_mode", None)
         if "mode" in fields and callable(resolve):
             fields["mode"] = resolve()
-        resolve_kernel = getattr(obj, "resolve_kernel", None)
-        if "kernel" in fields and callable(resolve_kernel):
-            fields["kernel"] = resolve_kernel()
         resolve_store = getattr(obj, "resolve_store", None)
         if "store" in fields and callable(resolve_store):
             fields["store"] = resolve_store()

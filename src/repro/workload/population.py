@@ -19,8 +19,8 @@ Two interchangeable stores back the population (``PopulationConfig.store``):
   (``tests/scale/``) and the only store that reaches paper-scale
   populations (§4.1's tens of millions).
 
-``auto`` resolves through ``REPRO_POPULATION_STORE`` the way the flow
-kernel resolves through ``REPRO_KERNEL``, and is a cache key once resolved.
+``auto`` resolves through ``REPRO_POPULATION_STORE`` and is a cache key
+once resolved.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ class PopulationConfig:
     def resolve_store(self) -> str:
         """The concrete store "auto" means right now (an env indirection).
 
-        Mirrors :meth:`repro.core.config.SystemConfig.resolve_kernel`: the
-        fingerprint layer hashes the *resolved* value, so an object-store
-        run and a columnar run never share a cache slot even though their
-        outputs are byte-identical by contract.
+        The fingerprint layer hashes the *resolved* value, so an
+        object-store run and a columnar run never share a cache slot even
+        though their outputs are byte-identical by contract.
         """
         if self.store != "auto":
             return self.store

@@ -11,8 +11,8 @@ The decomposition itself is always per region; ``shards`` only sets how
 many pool workers the region sub-scenarios fan out across.  That split is
 what makes ``shards=1`` and ``shards=4`` byte-identical *by construction*
 — the same sub-scenarios run either way, each deterministic from its own
-config — while remaining a cache key (like the flow kernel) so the parity
-stays checked rather than assumed.
+config — while remaining a cache key so the parity stays checked rather
+than assumed.
 
 Like :mod:`repro.vod.config`, this module is deliberately dependency-free
 (stdlib only) so :class:`ShardingConfig` is importable from the workload
@@ -57,10 +57,10 @@ class ShardingConfig:
     def resolve_shards(self) -> int:
         """The concrete fan-out "auto" means right now (an env indirection).
 
-        Mirrors :meth:`repro.core.config.SystemConfig.resolve_kernel`: the
-        fingerprint layer hashes the resolved value, so runs at different
-        widths land in different cache slots and their byte-parity stays a
-        *checked* contract (``tests/scale/``), not a cached assumption.
+        The fingerprint layer hashes the resolved value, so runs at
+        different widths land in different cache slots and their
+        byte-parity stays a *checked* contract (``tests/scale/``), not a
+        cached assumption.
         """
         if self.shards != "auto":
             return int(self.shards)

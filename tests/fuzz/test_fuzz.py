@@ -59,22 +59,6 @@ class TestRunSpec:
         assert a.completed_downloads == b.completed_downloads
         assert a.warnings == b.warnings
 
-    def test_numpy_kernel_smoke_seed_runs_clean(self):
-        spec = dataclasses.replace(generate(0), kernel="numpy")
-        result = run_spec(spec)
-        assert result.ok, f"{result.spec.label()}: {result.failure}"
-        assert result.completed_downloads > 0
-
-    def test_kernels_agree_on_fuzzed_scenario(self):
-        # The kernel is a pure solver swap: every observable outcome of a
-        # whole fuzzed run must be identical under both.
-        spec = generate(2)
-        a = run_spec(dataclasses.replace(spec, kernel="python"))
-        b = run_spec(dataclasses.replace(spec, kernel="numpy"))
-        assert a.ok and b.ok
-        assert a.completed_downloads == b.completed_downloads
-        assert a.warnings == b.warnings
-
     def test_adversarial_smoke_holds_strict_invariants(self):
         # An infested swarm with the defense engaged must stay invariant-
         # clean: quarantine eviction, reputation bounds, accounting

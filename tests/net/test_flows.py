@@ -7,13 +7,47 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.flows import Flow, FlowNetwork, Resource, _max_min_fair
+from repro.net.flows import (
+    UNCONSTRAINED_RATE, Flow, FlowNetwork, Resource, _max_min_fair,
+)
 from repro.net.sim import Simulator
 
 
 def make_net():
     sim = Simulator()
     return sim, FlowNetwork(sim)
+
+
+@st.composite
+def components(draw):
+    """A random settle component: flows sharing a pool of resources.
+
+    Draws the shapes that historically break allocators: shared
+    resources, capacity-less resources, per-flow caps at/below/above the
+    fair share, and flows crossing no resource at all.
+    """
+    n_res = draw(st.integers(min_value=1, max_value=10))
+    resources = []
+    for i in range(n_res):
+        capacity = draw(st.one_of(
+            st.none(),  # unconstrained resource: never a bottleneck
+            st.floats(min_value=0.5, max_value=5000.0,
+                      allow_nan=False, allow_infinity=False),
+        ))
+        resources.append(Resource(f"r{i}", capacity))
+    n_flows = draw(st.integers(min_value=1, max_value=40))
+    flows = []
+    for i in range(n_flows):
+        k = draw(st.integers(min_value=0, max_value=min(4, n_res)))
+        picked = draw(st.permutations(resources))[:k]
+        cap = draw(st.one_of(
+            st.none(),  # uncapped flow
+            st.floats(min_value=0.1, max_value=2000.0,
+                      allow_nan=False, allow_infinity=False),
+        ))
+        flows.append(Flow(i, tuple(picked), size=1e9, cap=cap,
+                          on_complete=None, meta=None, now=0.0))
+    return flows
 
 
 class TestResource:
@@ -248,6 +282,64 @@ class TestMaxMinProperties:
                 if load >= res.capacity * (1 - 1e-6):
                     saturated = True
             assert saturated
+
+    @given(components())
+    @settings(max_examples=200, deadline=None)
+    def test_max_min_certificate(self, flows):
+        """First-principles max-min fairness, caps and all: the allocation
+        is feasible, and no flow could be raised without lowering one that
+        is no faster — it sits at its cap, or nothing binds it at all, or
+        it crosses a saturated resource on which no flow is faster."""
+        rates = _max_min_fair(flows)
+        assert set(rates) == set(flows)
+
+        def slack(x):  # float residue of the freeze-round subtractions
+            return 1e-9 * x + 1e-9
+
+        load: dict[Resource, float] = {}
+        fastest: dict[Resource, float] = {}
+        for f in flows:
+            for res in f.resources:
+                if res.capacity is not None:
+                    load[res] = load.get(res, 0.0) + rates[f]
+                    fastest[res] = max(fastest.get(res, 0.0), rates[f])
+        for res, total in load.items():
+            assert total <= res.capacity + slack(res.capacity)
+
+        for f in flows:
+            rate = rates[f]
+            assert rate >= 0.0
+            if f.cap is not None:
+                assert rate <= f.cap
+                if rate == f.cap:
+                    continue
+            binding = [res for res in f.resources if res in load]
+            if f.cap is None and not binding:
+                assert rate == UNCONSTRAINED_RATE
+                continue
+            assert any(
+                load[res] >= res.capacity - slack(res.capacity)
+                and fastest[res] <= rate + slack(rate)
+                for res in binding
+            ), f"flow {f.flow_id} at {rate} could still grow"
+
+    def test_rates_do_not_depend_on_iteration_order(self):
+        """Why ``_waterfill`` sorts by flow id: r0 and r1 tie for the first
+        bottleneck, and whichever wins leaves the float residue of three
+        subtractions on the *other* one's lone flow.  Set iteration order
+        differs between the parent and pool workers; rates must not."""
+        _sim, net = make_net()
+        r0, r1 = Resource("r0", 0.7), Resource("r1", 0.7)
+        both = [Flow(i, (r0, r1), 1e9, None, None, None, 0.0) for i in range(3)]
+        on_r0 = Flow(3, (r0,), 1e9, None, None, None, 0.0)
+        on_r1 = Flow(4, (r1,), 1e9, None, None, None, 0.0)
+        # Lists stand in for sets whose iteration order we control.
+        r0_first = net._waterfill([on_r0, on_r1, *both])
+        r1_first = net._waterfill([on_r1, on_r0, *both])
+        assert r0_first == r1_first
+        # The tie is real: unsorted, the two orders disagree in the last ulp.
+        assert (_max_min_fair([on_r0, on_r1, *both])
+                != _max_min_fair([on_r1, on_r0, *both]))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(min_value=1, max_value=20), cap=st.floats(min_value=1.0, max_value=1e6))

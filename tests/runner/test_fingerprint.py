@@ -36,8 +36,6 @@ def _candidates(value, name):
     ``__post_init__`` validation accepts wins."""
     if name == "mode":  # constrained choice; 'auto' resolves before hashing
         return ["strict" if value != "strict" else "observe"]
-    if name == "kernel":  # constrained choice; 'auto' resolves before hashing
-        return ["python" if value != "python" else "numpy"]
     if name == "store":  # constrained choice; 'auto' resolves before hashing
         return ["object" if value != "object" else "columnar"]
     if name == "shards":  # positive int or 'auto' (resolves before hashing)
@@ -257,34 +255,8 @@ def test_auto_invariant_mode_resolves_through_env(monkeypatch):
     assert observe_fp == fingerprint_config(InvariantConfig(mode="observe"))
 
 
-def test_kernel_choice_is_a_cache_key():
-    # A numpy-settled run and a python-settled run are byte-identical by
-    # contract, but the fingerprint keys on configuration, not on trust:
-    # a kernel switch must miss the cache so parity stays *checked*.
-    from repro.core.config import SystemConfig
-
-    numpy_fp = fingerprint_config(SystemConfig(kernel="numpy"))
-    python_fp = fingerprint_config(SystemConfig(kernel="python"))
-    assert numpy_fp != python_fp
-
-
-def test_auto_kernel_resolves_through_env(monkeypatch):
-    # Same env-indirection contract as invariant mode: 'auto' hashes as
-    # whatever REPRO_KERNEL makes it mean at run time.
-    from repro.core.config import SystemConfig
-
-    auto = SystemConfig(kernel="auto")
-    monkeypatch.setenv("REPRO_KERNEL", "numpy")
-    numpy_fp = fingerprint_config(auto)
-    monkeypatch.setenv("REPRO_KERNEL", "python")
-    python_fp = fingerprint_config(auto)
-    assert numpy_fp != python_fp
-    assert numpy_fp == fingerprint_config(SystemConfig(kernel="numpy"))
-    assert python_fp == fingerprint_config(SystemConfig(kernel="python"))
-
-
 def test_auto_store_resolves_through_env(monkeypatch):
-    # Same env-indirection contract as kernel: the population store 'auto'
+    # Same env-indirection contract as invariant mode: the store 'auto'
     # hashes as whatever REPRO_POPULATION_STORE makes it mean at run time,
     # so an object-graph run never shares a slot with a columnar run.
     from repro.workload.population import PopulationConfig

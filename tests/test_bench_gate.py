@@ -63,8 +63,6 @@ class TestWallSeconds:
     def test_nested_production_block(self):
         assert wall_seconds({"batched": {"wall_seconds": 1.0},
                              "reference": {"wall_seconds": 9.0}}) == 1.0
-        assert wall_seconds({"numpy": {"wall_seconds": 0.5},
-                             "python": {"wall_seconds": 2.0}}) == 0.5
 
     def test_no_wall_metric(self):
         assert wall_seconds({"overhead_fraction": 0.01}) is None

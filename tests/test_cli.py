@@ -92,21 +92,11 @@ class TestPerfCommand:
         import json
 
         assert main(["perf", "--scale", "small", "--seed", "7",
-                     "--kernel", "python", "--json"]) == 0
+                     "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["kernel"] == "python"
         assert data["scale"] == "small"
         assert data["flow_waterfill_calls"] > 0
         assert data["wall_seconds"] >= 0
-
-    def test_perf_kernel_header_reports_resolved_kernel(self, capsys):
-        assert main(["perf", "--scale", "small", "--seed", "7",
-                     "--kernel", "numpy"]) == 0
-        assert "kernel=numpy" in capsys.readouterr().out
-
-    def test_perf_rejects_unknown_kernel(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf", "--kernel", "fortran"])
 
 
 class TestFaultsJSONFlag:

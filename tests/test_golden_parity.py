@@ -43,16 +43,3 @@ def test_goldens_are_store_independent(store, monkeypatch):
     monkeypatch.setenv("REPRO_POPULATION_STORE", store)
     expected = (GOLDEN_DIR / "exp_table1_small_seed42.txt").read_text()
     assert exp_table1.run("small", 42).text == expected
-
-
-@pytest.mark.parametrize("kernel", ["python", "numpy"])
-def test_goldens_are_kernel_independent(kernel, monkeypatch):
-    """Both water-filling kernels must reproduce the goldens exactly.
-
-    The goldens were rendered by the python reference; the vectorized
-    kernel's admission contract is bit-identical rates, so the same bytes
-    must come out whichever kernel the ``auto`` default resolves to.
-    """
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
-    expected = (GOLDEN_DIR / "exp_table1_small_seed42.txt").read_text()
-    assert exp_table1.run("small", 42).text == expected
