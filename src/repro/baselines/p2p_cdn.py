@@ -102,7 +102,9 @@ class Torrent:
         self.name = name
         self.size = float(size)
         self.downloads: dict[str, P2PDownload] = {}
-        self.seeders: set[P2PPeer] = set()
+        #: Insertion-ordered set (dict keys): iteration order feeds the RNG
+        #: shuffle and float sums, so it must not depend on the str hash seed.
+        self.seeders: dict[P2PPeer, None] = {}
 
     def members(self) -> list[P2PPeer]:
         """Everyone in the swarm (tracker view)."""
@@ -127,7 +129,7 @@ class PureP2PSwarm:
     def add_torrent(self, name: str, size: float, initial_seeders: list[P2PPeer]) -> Torrent:
         """Publish a torrent with its initial seeder set."""
         torrent = Torrent(name, size)
-        torrent.seeders.update(initial_seeders)
+        torrent.seeders.update(dict.fromkeys(initial_seeders))
         self.torrents[name] = torrent
         return torrent
 
@@ -154,7 +156,7 @@ class PureP2PSwarm:
             staying = []
             for when, torrent, peer in self._departures:
                 if when <= self.now:
-                    torrent.seeders.discard(peer)
+                    torrent.seeders.pop(peer, None)
                 else:
                     staying.append((when, torrent, peer))
             self._departures = staying
@@ -243,7 +245,7 @@ class PureP2PSwarm:
 
     def _on_complete(self, torrent: Torrent, download: P2PDownload) -> None:
         """A finished leecher seeds briefly, then churns away."""
-        torrent.seeders.add(download.peer)
+        torrent.seeders[download.peer] = None
         linger = self.rng.expovariate(1.0 / self.config.seed_linger_mean)
         departure = self.now + linger
         self._departures.append((departure, torrent, download.peer))

@@ -11,6 +11,13 @@ initial buffer is filled, consumes bytes at the video bitrate, and stalls
 
 QoE metrics exposed: startup delay, rebuffer count, total stall time — the
 quantities a LiveSky-style streaming study (paper §7) would measure.
+
+Cost model: the playback clock ticks every ``playback_tick_s`` for as long
+as the video plays, so a tick must not cost O(pieces).  The contiguous
+prefix is tracked by a lazy in-order cursor that only moves forward —
+valid because ``DownloadSession.received`` only grows and has exactly one
+writer (``deliver_pieces``, add-only).  Each piece is visited once per
+session; a steady-state tick is a set probe plus arithmetic.
 """
 
 from __future__ import annotations
@@ -77,6 +84,10 @@ class StreamingSession(DownloadSession):
         self.playback_finished_at: Optional[float] = None
         self._stall_since: Optional[float] = None
         self._tick_event = None
+        # In-order cursor (see contiguous_bytes): pieces [0, _prefix_pieces)
+        # are all in ``received`` and total _prefix_bytes.
+        self._prefix_pieces = 0
+        self._prefix_bytes = 0
 
     # ------------------------------------------------------------- lifecycle
 
@@ -136,10 +147,11 @@ class StreamingSession(DownloadSession):
         startup and recovery are fast; once the buffer is comfortable the
         normal offload policy applies.
         """
-        if self.buffered_seconds() < 2 * self.startup_buffer_s:
+        buffered = self.buffered_seconds()
+        if buffered < 2 * self.startup_buffer_s:
             if self.state == "active" and self.edge_conn is not None:
                 self.edge_conn.set_cap(None)
-                self._steal_stuck_head()
+                self._steal_stuck_head(buffered)
             return
         super()._backstop_tick()
         # The edge alone feeds the urgent window, so it must always outrun
@@ -150,28 +162,25 @@ class StreamingSession(DownloadSession):
                 and self.edge_cap is not None and self.edge_cap < floor):
             self.edge_conn.set_cap(floor)
 
-    def _steal_stuck_head(self) -> None:
+    def _steal_stuck_head(self, buffered: float) -> None:
         """Reassign imminent pieces to the edge when peers would stall them.
 
         Scans the next few missing pieces (the playback frontier); if any
         is in flight on a peer whose ETA is worse than the urgency budget,
         that connection is closed — its pieces requeue at the pool front,
         where the edge picks them up within a batch or two.  At most one
-        connection is stolen per tick to avoid churn storms.
+        connection is stolen per tick to avoid churn storms.  ``buffered``
+        is the caller's ``buffered_seconds()``: a tick reads the buffer
+        once, and nothing before the steal itself delivers a piece.
         """
         if self.state != "active" or self.edge_conn is None:
             return
         # Peer ETAs below come from live rates: settle pending mutations.
         self.system.flows.flush()
-        frontier: list[int] = []
-        for index in range(self.obj.num_pieces):
-            if index not in self.received:
-                frontier.append(index)
-                if len(frontier) >= URGENT_WINDOW_PIECES:
-                    break
+        frontier = self._frontier()
         if not frontier:
             return
-        budget = max(URGENCY_ETA_FLOOR, 0.25 * self.buffered_seconds())
+        budget = max(URGENCY_ETA_FLOOR, 0.25 * buffered)
         urgent = set(frontier)
         for conn in list(self.peer_conns):
             if conn.closed or conn.chunk is None:
@@ -187,7 +196,7 @@ class StreamingSession(DownloadSession):
                     self.edge_conn.pull_next()
                 return
 
-    def _rebalance_for_buffer(self) -> None:
+    def _rebalance_for_buffer(self, buffered: float) -> None:
         """Protect head-fetch bandwidth while the buffer is thin.
 
         The downlink is shared max-min across all connections; with dozens
@@ -201,7 +210,7 @@ class StreamingSession(DownloadSession):
                 if not c.closed and c.flow is not None and c.flow.active]
         if not live:
             return
-        thin = self.buffered_seconds() < 2 * self.startup_buffer_s
+        thin = buffered < 2 * self.startup_buffer_s
         down = self.peer.link.down_bps
         for conn in live:
             base = conn.uploader.upload_rate_cap()
@@ -215,13 +224,29 @@ class StreamingSession(DownloadSession):
     # -------------------------------------------------------------- playback
 
     def contiguous_bytes(self) -> int:
-        """Bytes of the contiguous verified prefix (what a player can use)."""
-        total = 0
-        for index in range(self.obj.num_pieces):
+        """Bytes of the contiguous verified prefix (what a player can use).
+
+        Amortised O(1): the cursor only moves forward over pieces that
+        arrived since the last call, so a session visits each piece once
+        however many ticks fire.  Contract: ``received`` only grows (one
+        writer, ``DownloadSession.deliver_pieces``, add-only).
+        """
+        received = self.received
+        while self._prefix_pieces in received:
+            self._prefix_bytes += self.obj.piece_size(self._prefix_pieces)
+            self._prefix_pieces += 1
+        return self._prefix_bytes
+
+    def _frontier(self) -> list[int]:
+        """The next ``URGENT_WINDOW_PIECES`` missing pieces, in play order."""
+        self.contiguous_bytes()  # bring the cursor up to date
+        frontier: list[int] = []
+        for index in range(self._prefix_pieces, self.obj.num_pieces):
             if index not in self.received:
-                break
-            total += self.obj.piece_size(index)
-        return total
+                frontier.append(index)
+                if len(frontier) >= URGENT_WINDOW_PIECES:
+                    break
+        return frontier
 
     def buffered_seconds(self) -> float:
         """Playable seconds ahead of the playhead."""
@@ -238,11 +263,12 @@ class StreamingSession(DownloadSession):
 
         prefix = self.contiguous_bytes()
         if self.state == "active":
-            self._rebalance_for_buffer()
+            buffered = self.buffered_seconds()
+            self._rebalance_for_buffer(buffered)
             # React to head-of-line stalls at playback-tick granularity —
             # a slow peer holding the next-to-play piece is stolen to the
             # edge before the buffer drains, not after.
-            self._steal_stuck_head()
+            self._steal_stuck_head(buffered)
         if not self.playing:
             threshold = (self.startup_buffer_s if self.playback_started_at is None
                          else self.rebuffer_resume_s)

@@ -24,7 +24,7 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
         "Figure 8: per-country contribution class (customer D)",
         ["country", "class"], rows,
     )
-    text += f"\n\ncensus: {dict(census)}"
+    text += f"\n\ncensus: {dict(sorted(census.items()))}"
     total = sum(census.values())
     return ExperimentOutput(
         name="fig8",

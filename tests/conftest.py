@@ -42,6 +42,17 @@ def _isolated_result_cache(tmp_path_factory):
         os.environ["REPRO_CACHE_DIR"] = previous
 
 
+def env_with_src(**overrides: str) -> dict[str, str]:
+    """``os.environ`` for a subprocess that must import this ``repro``."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture
 def rng() -> random.Random:
     """A deterministic RNG for tests."""

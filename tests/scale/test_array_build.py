@@ -17,7 +17,6 @@ what that must still guarantee —
 
 from __future__ import annotations
 
-import os
 import random
 import subprocess
 import sys
@@ -43,6 +42,7 @@ from repro.workload.devices import default_mix  # noqa: E402
 from repro.workload.population import build_population  # noqa: E402
 from repro.workload.scenario import run_scenario  # noqa: E402
 
+from tests.conftest import env_with_src  # noqa: E402
 from tests.scale.test_device_parity import DEVICE_ATTRS  # noqa: E402
 
 pytestmark = pytest.mark.scale
@@ -226,15 +226,5 @@ def test_a_scenario_imports_no_numpy_random_or_ma():
         "assert after == before, sorted(after - before)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=_env_with_src())
+                          text=True, env=env_with_src())
     assert done.returncode == 0, done.stderr
-
-
-def _env_with_src():
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env

@@ -14,6 +14,7 @@ regenerate with::
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,71 @@ def test_goldens_are_store_independent(store, monkeypatch):
     monkeypatch.setenv("REPRO_POPULATION_STORE", store)
     expected = (GOLDEN_DIR / "exp_table1_small_seed42.txt").read_text()
     assert exp_table1.run("small", 42).text == expected
+
+
+# --------------------------------------------------------------- streaming
+#
+# Table 1 and Fig 4 never start a stream.  These digests pin everything a
+# stream touches — every download record field (incl. ``startup_delay``,
+# ``rebuffer_events``, ``rebuffer_time``, ``watched_fraction``) and the
+# end-of-run counters — and were recorded at the commit *before* the
+# in-order prefix cursor replaced the per-tick piece scan in
+# ``core/streaming.py``.  Regenerate (only for an intentional modelling
+# change) with::
+#
+#     PYTHONPATH=src python -c "
+#     from tests.test_golden_parity import write_streaming_goldens
+#     write_streaming_goldens()"
+
+STREAMING_GOLDEN = GOLDEN_DIR / "vod_streaming_seed5.sha256"
+
+
+def _streaming_configs():
+    """The three tiny per-policy scenarios plus one that stalls and swarms.
+
+    The tiny ones are edge-fed and never rebuffer; ``busy`` (0.5 s) has
+    18 rebuffers and a fifth of its stream bytes from peers, so the
+    steal / rebalance / requeue paths are pinned too.
+    """
+    from repro.vod import VodConfig
+    from repro.workload import (
+        CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
+    )
+    from tests.vod.test_experiment import _tiny_vod_configs
+
+    named = {cfg.vod.policy: cfg for cfg in _tiny_vod_configs()}
+    named["busy"] = ScenarioConfig(
+        seed=5,
+        duration_days=1.0,
+        population=PopulationConfig(n_peers=200),
+        demand=DemandConfig(total_downloads=30, duration_days=1.0),
+        catalog=CatalogConfig(objects_per_provider=4),
+        vod=VodConfig(sessions=50, n_series=1, episodes_per_series=2,
+                      episode_minutes=10.0, policy="unrestricted"),
+    )
+    return named
+
+
+def _streaming_digest(config) -> str:
+    from repro.runner import run_scenario_artifact
+
+    artifact = run_scenario_artifact(config)
+    digest = hashlib.sha256()
+    for record in artifact.logstore.downloads:
+        digest.update(repr(tuple(vars(record).items())).encode())
+    digest.update(repr(sorted(artifact.stats.as_dict().items())).encode())
+    return digest.hexdigest()
+
+
+def write_streaming_goldens() -> None:
+    STREAMING_GOLDEN.write_text("".join(
+        f"{name} {_streaming_digest(cfg)}\n"
+        for name, cfg in _streaming_configs().items()))
+
+
+@pytest.mark.parametrize(
+    "name", ["unrestricted", "isp_local", "popularity_seeding", "busy"])
+def test_streaming_trace_digest_is_pinned(name):
+    expected = dict(line.split() for line in
+                    STREAMING_GOLDEN.read_text().splitlines())
+    assert _streaming_digest(_streaming_configs()[name]) == expected[name]
