@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.net.flows import Resource
-from repro.net.weighted import cumulative, pick_indices
+from repro.net.weighted import cumulative, pick_indices, raw_words, uniforms
 
 __all__ = ["AccessLink", "BroadbandTier", "BroadbandModel", "EdgeCapacityModel",
            "DEFAULT_BROADBAND_TIERS", "mbps"]
@@ -182,8 +182,8 @@ class BroadbandModel:
             return drawn[:, 0].astype(np.int32), mbps(drawn[:, 1]), mbps(drawn[:, 2])
         if (speed_multipliers <= 0).any():
             raise ValueError("speed multipliers must be positive")
-        r = self._rng.random
-        u = np.array([(r(), r(), r()) for _ in speed_multipliers])
+        n = len(speed_multipliers)
+        u = uniforms(raw_words(self._rng, 6 * n).reshape(n, 6))
         tier_i = pick_indices(self._cum_weights, u[:, 0])
 
         def speeds(ranges, uniforms):

@@ -20,10 +20,13 @@ the oracle):
   build in the oracle's exact ``getstate()`` (``system._peer_seq`` too).
   Every per-peer sampler is one uniform through an inverse CDF, so whole
   columns are mapped at once (``searchsorted`` over the models'
-  precomputed cumulative weights); draws stay scalar only where their
-  count varies (``choice`` rejection sampling, NAT misclassification,
-  device tiers).  No ``AccessLink``, ``Resource``, ``NATProfile`` or
-  ``Random`` is built per dormant peer.
+  precomputed cumulative weights), and the uniforms are formed a block at
+  a time from the stream's raw words (:mod:`repro.net.weighted`) — the
+  bundling ``choice``'s rejection sampling included.  Draws stay scalar
+  only where a drawn *value* decides how many follow (device tiers) or
+  the scalar loop is already the cheaper one (NAT: two uniforms a peer
+  and a rare ``choice``).  No ``AccessLink``, ``Resource``,
+  ``NATProfile`` or ``Random`` is built per dormant peer.
 * **GUIDs are lazy**: the first 128 bits of ``Random(peer_seed)``, derived
   on first read, so rows nothing asks about never pay for a ``Random``.
 * **Materialization is draw-free.**  The 64-bit seed object mode would
@@ -54,7 +57,9 @@ from repro.core.peer import PeerNode
 from repro.net.links import AccessLink
 from repro.net.flows import Resource
 from repro.net.nat import NATProfile, NATType
-from repro.net.weighted import pick_indices
+from repro.net.weighted import (
+    bits64, choice_records, pick_indices, raw_words, uniforms,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.content import ContentProvider
@@ -506,28 +511,35 @@ class ColumnarPopulationStore:
 def _drain_population_stream(rng: random.Random, m: int, n_providers: int, mix):
     """The population RNG's draws for ``m`` peers, in the oracle's order.
 
-    Scalar, because the draw count varies per peer (``choice`` rejection
-    sampling, the per-class NAT override).  Returns the bundling-provider
-    index per peer, the (broken, attacker, always-on) uniforms as an
-    ``(m, 3)`` array, the device-class index per peer, and the block rows
-    whose class forced always-on / an open NAT.
+    Per peer: the bundling provider — ``choice``, whose rejection sampling
+    takes a varying number of words — then the (broken, attacker, always-on)
+    uniforms, cut out of the raw word stream as variable-length records.
+    With a device mix the class drawn decides how many draws follow it, so
+    that case alone stays a scalar loop.  Returns the bundling-provider
+    index per peer, the three uniforms as an ``(m, 3)`` array, the
+    device-class index per peer, and the block rows whose class forced
+    always-on / an open NAT.
     """
+    if mix is None and not n_providers:
+        return [], uniforms(raw_words(rng, 6 * m).reshape(m, 6)), [], [], []
+    if mix is None:
+        provider, flags = zip(*choice_records(rng, m, n_providers, 6))
+        return (np.concatenate(provider), uniforms(np.concatenate(flags)),
+                [], [], [])
     r, choice, cps = rng.random, rng.choice, range(n_providers)
-    provider, uniforms, device, forced_on, opened = [], [], [], [], []
-    classes = mix.classes if mix is not None else ()
-    class_index = {cls.name: j for j, cls in enumerate(classes)}
+    provider, flags, device, forced_on, opened = [], [], [], [], []
+    class_index = {cls.name: j for j, cls in enumerate(mix.classes)}
     for row in range(m):
         if n_providers:
             provider.append(choice(cps))
-        uniforms.append((r(), r(), r()))
-        if classes:
-            cls = mix.pick(r())
-            device.append(class_index[cls.name])
-            if r() < cls.always_on_prob:
-                forced_on.append(row)
-            if cls.nat_open_prob is not None and r() < cls.nat_open_prob:
-                opened.append(row)
-    return provider, np.array(uniforms), device, forced_on, opened
+        flags.append((r(), r(), r()))
+        cls = mix.pick(r())
+        device.append(class_index[cls.name])
+        if r() < cls.always_on_prob:
+            forced_on.append(row)
+        if cls.nat_open_prob is not None and r() < cls.nat_open_prob:
+            opened.append(row)
+    return provider, np.array(flags), device, forced_on, opened
 
 
 def build_columnar_store(
@@ -576,7 +588,6 @@ def build_columnar_store(
     if mix is not None:
         store._device_classes = mix.classes
 
-    r, bits = sys_rng.random, sys_rng.getrandbits
     for start in range(0, n, _BLOCK):
         rows = slice(start, min(n, start + _BLOCK))
         m = rows.stop - start
@@ -584,24 +595,20 @@ def build_columnar_store(
             rng, m, len(providers), mix)
         # system.rng per peer: country, city, AS, upload default (only for
         # a bundled install), then the private-RNG seed.
-        if providers:
-            draws = [(r(), r(), r(), r(), bits(64)) for _ in range(m)]
-        else:
-            draws = [(r(), r(), r(), 0.0, bits(64)) for _ in range(m)]
-        *uniforms, seeds = zip(*draws)
-        u_country, u_city, u_as, u_upload = np.array(uniforms)
-        store.peer_seeds[rows] = np.array(seeds, dtype=np.uint64)
+        words = raw_words(sys_rng, (10 if providers else 8) * m).reshape(m, -1)
+        u = uniforms(words[:, :-2])
+        store.peer_seeds[rows] = bits64(words[:, -2:])[:, 0]
 
-        picked = pick_indices(world.cum_weights, u_country)
+        picked = pick_indices(world.cum_weights, u[:, 0])
         store.country_i[rows] = country_of[picked]
         city_i, as_i = store.city_i[rows], store.as_i[rows]  # views
         for g in np.flatnonzero(np.bincount(picked, minlength=len(countries))):
             at = np.flatnonzero(picked == g)
             country = countries[g]
             city_i[at] = cities_of[g][
-                pick_indices(country.city_cum_weights, u_city[at])]
+                pick_indices(country.city_cum_weights, u[at, 1])]
             as_i[at] = ases_of[g][pick_indices(
-                topology.eyeball_cum_weights(country.code), u_as[at])]
+                topology.eyeball_cum_weights(country.code), u[at, 2])]
         store.tz[rows] = tz_of[city_i]
 
         store.tier_i[rows], store.down_bps[rows], store.up_bps[rows] = \
@@ -612,7 +619,7 @@ def build_columnar_store(
 
         if providers:
             store.installed_cp[rows] = cp_code_of[provider]
-            store.uploads[rows] = u_upload < upload_rate_of[provider]
+            store.uploads[rows] = u[:, 3] < upload_rate_of[provider]
         store.corruption[rows] = np.where(
             flags[:, 0] < cfg.broken_fraction,
             cfg.broken_corruption_prob, default_corruption)

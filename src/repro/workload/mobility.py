@@ -78,6 +78,14 @@ class MobilityModel:
         Returns the class census (class name -> count).
         """
         census = {"stationary": 0, "commuter": 0, "roamer": 0, "traveler": 0}
+        cfg = self.config
+        if not (cfg.commuter_fraction or cfg.roamer_fraction
+                or cfg.traveler_fraction):
+            # Nobody can move, so the class draws (a uniform is two words)
+            # are taken in one call and no row is looked at.
+            census["stationary"] = population.peer_count()
+            self.rng.getrandbits(64 * census["stationary"])
+            return census
         for row, device in enumerate(population.column("device")):
             cls = self._draw_class(
                 device.mobility if device is not None else "default")

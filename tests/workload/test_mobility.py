@@ -33,6 +33,22 @@ class TestClasses:
             cfg.commuter_fraction, abs=0.04)
         assert census["stationary"] > 700
 
+    def test_nobody_can_move_takes_the_draws_in_one_call(self, system):
+        """All-zero fractions skip the per-peer loop; the census and the
+        stream's end state are the scalar loop's."""
+        population = make_population(system, 137)
+        still = MobilityConfig(commuter_fraction=0.0, roamer_fraction=0.0,
+                               traveler_fraction=0.0)
+        model, oracle = MobilityModel(system, still), MobilityModel(system, still)
+        oracle.rng.setstate(model.rng.getstate())
+        pending = system.sim.pending_count()
+        census = model.apply(population, 5.0)
+        assert {oracle._draw_class() for _ in range(137)} == {"stationary"}
+        assert census == {"stationary": 137, "commuter": 0, "roamer": 0,
+                          "traveler": 0}
+        assert model.rng.getstate() == oracle.rng.getstate()
+        assert not model.classes and system.sim.pending_count() == pending
+
     def test_invalid_fractions_rejected(self):
         with pytest.raises(ValueError):
             MobilityConfig(commuter_fraction=0.9, roamer_fraction=0.2)
