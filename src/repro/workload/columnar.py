@@ -28,7 +28,9 @@ the oracle):
   and a rare ``choice``).  No ``AccessLink``, ``Resource``,
   ``NATProfile`` or ``Random`` is built per dormant peer.
 * **GUIDs are lazy**: the first 128 bits of ``Random(peer_seed)``, derived
-  on first read, so rows nothing asks about never pay for a ``Random``.
+  on first read, so rows nothing asks about never pay for a ``Random`` —
+  ``Population.always_on`` included, which is a set *view* over the flag
+  column.
 * **Materialization is draw-free.**  The 64-bit seed object mode would
   have fed each peer's private RNG is recorded per row; materializing
   replays ``random.Random(seed)`` through the GUID draw and hands the
@@ -48,6 +50,7 @@ the oracle):
 from __future__ import annotations
 
 import random
+from collections.abc import Set
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
@@ -294,6 +297,38 @@ class _TzView(Mapping):
         return len(self._store)
 
 
+class _AlwaysOnView(Set):
+    """GUIDs of the always-on rows, served from the flag column.
+
+    ``len`` counts flags; iterating derives the flagged rows' GUIDs and a
+    membership test goes through the store's GUID index — so a run that
+    never asks (no set-up pass does) seeds no ``Random`` for it.
+    """
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: "ColumnarPopulationStore"):
+        self._store = store
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return set(it)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._store.always_on))
+
+    def __iter__(self):
+        guids = self._store.guids
+        return (guids[i] for i in np.flatnonzero(self._store.always_on).tolist())
+
+    def __contains__(self, guid) -> bool:
+        store = self._store
+        try:
+            return bool(store.always_on[store.index_of(guid)])
+        except KeyError:
+            return False
+
+
 class ColumnarPopulationStore:
     """The packed installed base: columns, handles, materialized nodes."""
 
@@ -358,6 +393,9 @@ class ColumnarPopulationStore:
 
     def tz_view(self) -> _TzView:
         return _TzView(self)
+
+    def always_on_view(self) -> _AlwaysOnView:
+        return _AlwaysOnView(self)
 
     def device_at(self, i: int):
         """Row ``i``'s :class:`DeviceClass`, or None without a tier mix."""

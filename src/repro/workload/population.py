@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -123,7 +124,9 @@ class Population:
     peers: list[PeerNode]
     #: Local-midnight offset (seconds) per peer, derived from longitude.
     tz_offset: dict[str, float]
-    always_on: set[str]
+    #: GUIDs of the always-on installs: a ``set`` in object mode, a set
+    #: view over the store's flag column otherwise.
+    always_on: Set[str]
     #: Corporate LAN sites, keyed by site id (§5.3 extension).
     sites: dict[str, "LanSite"] = None  # type: ignore[assignment]
     #: The columnar store behind ``peers`` (None in object mode).
@@ -264,8 +267,7 @@ def build_population(
         population = Population(
             peers=store.peers_view(),
             tz_offset=store.tz_view(),
-            always_on={store.guids[i]
-                       for i in store.always_on.nonzero()[0].tolist()},
+            always_on=store.always_on_view(),
             store=store,
         )
     else:

@@ -10,7 +10,8 @@ what that must still guarantee —
   without providers, device tiers, a session cap, corporate sites, a
   degenerate broadband tier and frequent NAT misclassification;
 * a population-wide set-up hands out a handle only for rows it schedules
-  something for, and derives a GUID only for always-on rows;
+  something for, and derives no GUID at all (``Population.always_on`` is a
+  view over the flag column that derives them when read);
 * running a scenario pulls neither ``numpy.random`` nor ``numpy.ma`` into
   the process (each costs megabytes of RSS the small workloads notice).
 """
@@ -130,6 +131,15 @@ def test_array_build_equals_the_object_oracle(**shape):
                  "device", "asn"):
         assert pop_c.column(attr) == pop_o.column(attr), attr
     assert pop_c.always_on == pop_o.always_on
+    assert pop_o.always_on == pop_c.always_on
+    assert len(pop_c.always_on) == len(pop_o.always_on)
+    assert sorted(pop_c.always_on) == sorted(pop_o.always_on)
+    assert [n.guid in pop_c.always_on for n in nodes] \
+        == [n.guid in pop_o.always_on for n in nodes]
+    assert "no-such-guid" not in pop_c.always_on
+    everyone = {n.guid for n in nodes}
+    assert everyone - pop_c.always_on == everyone - pop_o.always_on
+    assert pop_c.always_on & everyone == pop_o.always_on
     assert set(pop_c.sites) == set(pop_o.sites)
     assert sys_c.stats().as_dict() == sys_o.stats().as_dict()
 
@@ -203,11 +213,19 @@ def test_setup_touches_only_the_rows_it_schedules():
     assert cap <= len(scheduled) < cap + 0.05 * n_peers
     assert set(store._handles) == scheduled
 
+    def derived():
+        return {row for row, guid in enumerate(store.guids._cache)
+                if guid is not None}
+
+    # Nothing in set-up reads a GUID: booting a handle does not need one,
+    # and counting the always-on set reads the flag column.
     always_on = set(store.always_on.nonzero()[0].tolist())
-    derived = {row for row, guid in enumerate(store.guids._cache)
-               if guid is not None}
-    assert derived == always_on
-    assert 0 < len(derived) < 0.25 * n_peers
+    assert 0 < len(result.population.always_on) == len(always_on) \
+        < 0.25 * n_peers
+    assert derived() == set()
+    # Iterating the view derives the flagged rows' GUIDs and no others.
+    assert len(set(result.population.always_on)) == len(always_on)
+    assert derived() == always_on
 
 
 def test_a_scenario_imports_no_numpy_random_or_ma():
