@@ -109,11 +109,12 @@ class DemandGenerator:
         if len(shares) < len(providers):
             shares += [shares[-1]] * (len(providers) - len(shares))
 
+        cdfs: dict[float, list[float]] = {}
         for _ in range(cfg.total_downloads):
             provider = self.rng.choices(providers, weights=shares, k=1)[0]
             obj = self._sample_object(provider.cp_code)
             region = self._sample_region(provider.region_mix)
-            t = self._sample_arrival_time(region, horizon)
+            t = self._sample_arrival_time(region, horizon, cdfs)
             self.system.sim.schedule_at(
                 t, lambda o=obj, r=region: self._on_arrival(o, r)
             )
@@ -131,11 +132,20 @@ class DemandGenerator:
             return "Europe"
         return self.rng.choices(regions, weights=weights, k=1)[0]
 
-    def _sample_arrival_time(self, region: str, horizon: float) -> float:
-        """Inverse-CDF sample from the diurnal rate curve for a region."""
+    def _sample_arrival_time(self, region: str, horizon: float,
+                             cdfs: dict[float, list[float]] | None = None) -> float:
+        """Inverse-CDF sample from the diurnal rate curve for a region.
+
+        ``cdfs`` keeps the curves built so far for this ``horizon``, by
+        timezone offset, so a schedule builds each once.
+        """
         tz = self.config.region_tz.get(region, 0.0)
-        # Piecewise-constant rate at hourly resolution over the horizon.
-        cdf = _diurnal_cdf(horizon, tz)
+        if cdfs is None:
+            cdfs = {}
+        if tz not in cdfs:
+            # Piecewise-constant rate at hourly resolution over the horizon.
+            cdfs[tz] = _diurnal_cdf(horizon, tz)
+        cdf = cdfs[tz]
         u = self.rng.random() * cdf[-1]
         idx = bisect.bisect_left(cdf, u)
         lo = idx * 3600.0

@@ -235,19 +235,20 @@ class Population:
         return self.store.column(name)
 
     def _session_row(self, i: int):
-        """(peer, tz_offset, always_on, device) of install ``i``."""
+        """(tz_offset, always_on, device) of install ``i``, off the columns:
+        a row whose sessions all fall outside the run gets no handle."""
         store = self.store
         if store is None:
             p = self.peers[i]
-            return p, self.tz_offset[p.guid], p.guid in self.always_on, p.device
-        return (store.handle(i), float(store.tz[i]), bool(store.always_on[i]),
-                store.device_at(i))
+            return self.tz_offset[p.guid], p.guid in self.always_on, p.device
+        return float(store.tz[i]), bool(store.always_on[i]), store.device_at(i)
 
 
 def build_population(
     system: NetSessionSystem,
     providers: list[ContentProvider],
     config: PopulationConfig | None = None,
+    duration_days: float | None = None,
 ) -> Population:
     """Create peers and schedule their daily online sessions.
 
@@ -255,6 +256,11 @@ def build_population(
     weighted by that provider's share of downloads — so the Table 4
     upload-default mix emerges naturally.  The two stores consume the RNG
     streams identically; everything after this call is store-agnostic.
+
+    ``duration_days`` is the length of the run being set up: session events
+    dated after it are still drawn — the population stream ends where it
+    always did — but not pushed onto the event heap.  None pushes every
+    day of the 40-day session horizon.
     """
     cfg = config if config is not None else PopulationConfig()
     rng = random.Random(system.rng.getrandbits(64))
@@ -301,7 +307,9 @@ def build_population(
             peers=peers, tz_offset=tz_offset, always_on=always_on)
 
     _assign_corporate_sites(population, cfg, rng)
-    _schedule_sessions(system, population, cfg, rng)
+    _schedule_sessions(
+        system, population, cfg, rng,
+        until=math.inf if duration_days is None else duration_days * DAY)
     system.device_mix = cfg.device
     if cfg.device is not None:
         weights = cfg.device.rank_weights()
@@ -350,6 +358,7 @@ def _schedule_sessions(
     population: Population,
     cfg: PopulationConfig,
     rng: random.Random,
+    until: float,
 ) -> None:
     """Schedule boot/shutdown cycles for every (scheduled) peer.
 
@@ -357,7 +366,8 @@ def _schedule_sessions(
     (with jitter) and shut down after a sampled uptime; a small per-day skip
     probability models days the machine stays off.  With
     ``active_peer_cap`` set, a seeded uniform subset of that size gets
-    schedules and the rest stay dormant until demand boots them.
+    schedules and the rest stay dormant until demand boots them.  Events
+    dated after ``until`` (the end of the run) are drawn but not pushed.
     """
     sim = system.sim
     count = population.peer_count()
@@ -365,32 +375,41 @@ def _schedule_sessions(
     if cfg.active_peer_cap is not None and cfg.active_peer_cap < count:
         scheduled = sorted(rng.sample(scheduled, cfg.active_peer_cap))
     uptime_mean = cfg.mean_daily_uptime_hours * 3600.0
+    peers = population.peers
     for index in scheduled:
-        peer, tz, is_always_on, device = population._session_row(index)
+        tz, is_always_on, device = population._session_row(index)
         if is_always_on:
-            sim.schedule(rng.uniform(0, 3600.0), peer.boot)
+            sim.schedule(rng.uniform(0, 3600.0), peers[index].boot)
             continue
         if device is None:
-            _schedule_peer_days(system, peer, tz, uptime_mean, rng)
+            _schedule_peer_days(sim, peers, index, tz, uptime_mean, rng, until)
         else:
             # Class-driven availability: a mobile install keeps short,
             # frequently skipped sessions; a settop box sits in between.
             _schedule_peer_days(
-                system, peer, tz, device.uptime_hours_mean * 3600.0, rng,
-                skip_prob=device.daily_skip_prob)
+                sim, peers, index, tz, device.uptime_hours_mean * 3600.0,
+                rng, until, skip_prob=device.daily_skip_prob)
 
 
 def _schedule_peer_days(
-    system: NetSessionSystem,
-    peer: PeerNode,
+    sim,
+    peers,
+    row: int,
     tz_offset: float,
     uptime_mean: float,
     rng: random.Random,
+    until: float,
     *,
     horizon_days: int = 40,
     skip_prob: float = 0.12,
 ) -> None:
-    sim = system.sim
+    """Draw ``horizon_days`` of sessions; push the events up to ``until``.
+
+    The draws do not depend on ``until``, so the stream ends in the same
+    state however long the run is; an event dated exactly ``until`` still
+    fires, and a session straddling it boots without a shutdown queued.
+    ``peers[row]`` is resolved only for a day that pushes something.
+    """
     for day in range(horizon_days):
         if rng.random() < skip_prob:
             continue  # machine stays off today
@@ -401,8 +420,11 @@ def _schedule_peer_days(
             continue
         uptime = max(1800.0, rng.expovariate(1.0 / uptime_mean))
         uptime = min(uptime, 23.0 * 3600.0)
-        sim.schedule_at(start, peer.boot)
-        sim.schedule_at(start + uptime, peer.go_offline)
+        if start <= until:
+            peer = peers[row]
+            sim.schedule_at(start, peer.boot)
+            if start + uptime <= until:
+                sim.schedule_at(start + uptime, peer.go_offline)
 
 
 def diurnal_rate(t: float, tz_offset: float = 0.0) -> float:

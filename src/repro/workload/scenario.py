@@ -15,6 +15,7 @@ scale-stable; EXPERIMENTS.md records the comparison.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -152,13 +153,16 @@ def seed_warm_caches(
     catalog: Catalog,
     copies_per_peer: float,
     rng: random.Random,
+    duration_days: float | None = None,
 ) -> int:
     """Pre-populate caches with popularity-weighted copies of p2p objects.
 
     Models the installed base at the start of the trace window: peers who
     downloaded popular content *before* the trace began and still cache it.
     Registration with the control plane happens naturally at each peer's
-    first login.  Returns the number of copies seeded.
+    first login.  Returns the number of copies seeded.  A copy's retention
+    timer is drawn either way but only pushed if it can fire within
+    ``duration_days`` (None: always pushed).
     """
     p2p_objects = catalog.p2p_objects()
     if not p2p_objects or copies_per_peer <= 0:
@@ -175,6 +179,8 @@ def seed_warm_caches(
     saturation_cap = 0.6
     seeded_per_obj: dict[str, int] = {}
     seeded = 0
+    retention = system.config.client.cache_retention
+    until = math.inf if duration_days is None else duration_days * DAY
     for _ in range(total):
         obj = rng.choices(p2p_objects, weights=weights, k=1)[0]
         # Holders of a provider's content are mostly that provider's own
@@ -193,11 +199,9 @@ def seed_warm_caches(
             continue  # storage-poor tier already at its budget
         seeded_per_obj[obj.cid] = seeded_per_obj.get(obj.cid, 0) + 1
         peer.cache[obj.cid] = CacheEntry(cid=obj.cid, completed_at=0.0)
-        retention = system.config.client.cache_retention
-        system.sim.schedule(
-            rng.uniform(0.3, 1.0) * retention,
-            lambda p=peer, c=obj.cid: p._evict(c),
-        )
+        evict_in = rng.uniform(0.3, 1.0) * retention
+        if system.sim.now + evict_in <= until:
+            system.sim.schedule(evict_in, lambda p=peer, c=obj.cid: p._evict(c))
         seeded += 1
     return seeded
 
@@ -234,13 +238,14 @@ def run_scenario(
     for obj in catalog.objects:
         system.publish(obj)
 
-    population = build_population(system, catalog.providers, cfg.population)
+    population = build_population(system, catalog.providers, cfg.population,
+                                  cfg.duration_days)
     if cfg.upload_rate_override is not None:
         population.override_upload_settings(
             random.Random(cfg.seed ^ 0x0FF), cfg.upload_rate_override
         )
     seed_warm_caches(system, population, catalog, cfg.warm_copies_per_peer,
-                     random.Random(cfg.seed ^ 0x5EED))
+                     random.Random(cfg.seed ^ 0x5EED), cfg.duration_days)
 
     if cfg.adversary is not None:
         # After warm caches (so stale-advertiser peers have something to go
