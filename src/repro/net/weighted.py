@@ -6,13 +6,10 @@ model precomputes with :func:`cumulative`.  :func:`pick_indices` is that
 bisection over a column of already-drawn uniforms, so the array-native
 build lands on exactly the entries the scalar samplers (the oracle) would.
 
-The uniforms themselves come through :func:`raw_words`: a block of the
-stream's raw 32-bit Mersenne-Twister outputs taken in one C call, from
-which :func:`uniforms`, :func:`bits64` and :func:`choice_records` form what
-``random()``, ``getrandbits(64)`` and ``choice``'s rejection sampling would
-have returned word by word.  The stream is only ever *advanced* — no state
-is copied out or set, ``gauss_next`` is untouched, ``numpy.random`` is not
-imported — so it ends exactly where the scalar calls would leave it.
+The uniforms come a block at a time: :func:`raw_words` takes the stream's
+next 32-bit outputs in one C call, and the functions after it form what
+``random()``, ``getrandbits(64)`` and ``choice`` would have returned.  The
+stream is only ever *advanced*, so it ends where the scalar calls leave it.
 """
 
 from __future__ import annotations
@@ -38,12 +35,8 @@ def pick_indices(cum_weights, uniforms) -> "np.ndarray":
 
 
 def raw_words(rng, n: int) -> "np.ndarray":
-    """The next ``n`` 32-bit outputs of ``rng``, consumed, as a uint32 array.
-
-    ``getrandbits(32 * n)`` is one C loop over exactly those outputs, least
-    significant word first; ``getrandbits(k)`` for ``k <= 32`` is a word's
-    top ``k`` bits (``words >> (32 - k)``).
-    """
+    """The next ``n`` 32-bit outputs of ``rng``, consumed: ``getrandbits(32 *
+    n)`` is one C loop over exactly those, least significant word first."""
     return np.frombuffer(
         rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
 
@@ -64,32 +57,25 @@ def choice_records(rng, m: int, n: int, tail: int):
     """``m`` times ``rng.choice`` over ``n`` items then ``tail`` more words.
 
     CPython's ``choice`` draws ``getrandbits(n.bit_length())`` until the
-    value is below ``n``, so a record's length varies and where it starts
-    depends on the record before it.  Per block of words the accept test is
-    made at every position at once, and the records are then walked in
-    order, one lookup each.  Yields ``(picks, tails)`` chunks: the chosen
-    index and the ``tail`` words of each record.  A round draws no more
-    words than the records still missing are certain to use, so the stream
-    is never ahead of the scalar order.
+    value is below ``n``, so a record's start depends on the one before it:
+    the accept test is made at every position of a block at once, then the
+    records are walked in order.  Yields ``(picks, tails)`` chunks; a round
+    draws no more words than the missing records are certain to use.
     """
     shift, least = 32 - n.bit_length(), 1 + tail
     words = np.empty(0, dtype=np.uint32)
     while m:
-        words = np.concatenate(
-            (words, raw_words(rng, max(1, least * m - len(words)))))
-        size = len(words)
-        # Per position, where a record starting there would end: its first
-        # accepted word (none in the block: ``size``) plus the tail.
+        more = raw_words(rng, max(1, least * m - len(words)))
+        words, size = np.concatenate((words, more)), len(words) + len(more)
+        # Per position, where a record starting there ends (none: past size).
         hit = np.where((words >> shift) < n, np.arange(size), size)
         nxt = memoryview(np.minimum.accumulate(hit[::-1])[::-1] + least)
         ends, s = [], 0
-        while s < size:
+        while s < size and nxt[s] <= size:
             s = nxt[s]
             ends.append(s)
-        if s > size:  # the last record runs past the block
-            ends.pop()
         ends = np.array(ends, dtype=np.intp)
         yield (words[ends - least] >> shift,
                words[ends[:, None] + np.arange(-tail, 0)])
         m -= len(ends)
-        words = words[ends[-1] if len(ends) else 0:]
+        words = words[s:]

@@ -20,17 +20,14 @@ the oracle):
   build in the oracle's exact ``getstate()`` (``system._peer_seq`` too).
   Every per-peer sampler is one uniform through an inverse CDF, so whole
   columns are mapped at once (``searchsorted`` over the models'
-  precomputed cumulative weights), and the uniforms are formed a block at
-  a time from the stream's raw words (:mod:`repro.net.weighted`) — the
-  bundling ``choice``'s rejection sampling included.  Draws stay scalar
-  only where a drawn *value* decides how many follow (device tiers) or
-  the scalar loop is already the cheaper one (NAT: two uniforms a peer
-  and a rare ``choice``).  No ``AccessLink``, ``Resource``,
-  ``NATProfile`` or ``Random`` is built per dormant peer.
+  precomputed cumulative weights) from uniforms formed a block at a time
+  out of the stream's raw words (:mod:`repro.net.weighted`).  Draws stay
+  scalar only where a drawn *value* decides how many follow (device
+  tiers) or the scalar loop is the cheaper one (NAT).  No ``AccessLink``,
+  ``Resource``, ``NATProfile`` or ``Random`` is built per dormant peer.
 * **GUIDs are lazy**: the first 128 bits of ``Random(peer_seed)``, derived
-  on first read, so rows nothing asks about never pay for a ``Random`` —
-  ``Population.always_on`` included, which is a set *view* over the flag
-  column.
+  on first read, so rows nothing asks about never pay for a ``Random``
+  (``Population.always_on`` is a set *view* over the flag column).
 * **Materialization is draw-free.**  The 64-bit seed object mode would
   have fed each peer's private RNG is recorded per row; materializing
   replays ``random.Random(seed)`` through the GUID draw and hands the
@@ -298,21 +295,16 @@ class _TzView(Mapping):
 
 
 class _AlwaysOnView(Set):
-    """GUIDs of the always-on rows, served from the flag column.
-
-    ``len`` counts flags; iterating derives the flagged rows' GUIDs and a
-    membership test goes through the store's GUID index — so a run that
-    never asks (no set-up pass does) seeds no ``Random`` for it.
-    """
+    """GUIDs of the always-on rows, off the flag column: ``len`` counts
+    flags, iterating derives the flagged rows' GUIDs, ``in`` goes through
+    the store's GUID index — a run that never asks seeds no ``Random``."""
 
     __slots__ = ("_store",)
 
     def __init__(self, store: "ColumnarPopulationStore"):
         self._store = store
 
-    @classmethod
-    def _from_iterable(cls, it):
-        return set(it)
+    _from_iterable = staticmethod(set)  # what ``view & other`` etc. build
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._store.always_on))
@@ -549,21 +541,19 @@ class ColumnarPopulationStore:
 def _drain_population_stream(rng: random.Random, m: int, n_providers: int, mix):
     """The population RNG's draws for ``m`` peers, in the oracle's order.
 
-    Per peer: the bundling provider — ``choice``, whose rejection sampling
-    takes a varying number of words — then the (broken, attacker, always-on)
-    uniforms, cut out of the raw word stream as variable-length records.
-    With a device mix the class drawn decides how many draws follow it, so
-    that case alone stays a scalar loop.  Returns the bundling-provider
-    index per peer, the three uniforms as an ``(m, 3)`` array, the
-    device-class index per peer, and the block rows whose class forced
-    always-on / an open NAT.
+    Per peer the bundling provider (``choice``: a varying number of words)
+    then the (broken, attacker, always-on) uniforms, cut out of the raw
+    word stream; scalar only with a device mix, where the class drawn
+    decides how many draws follow.  Returns the provider index per peer,
+    the uniforms as an ``(m, 3)`` array, the device-class index per peer,
+    and the block rows whose class forced always-on / an open NAT.
     """
-    if mix is None and not n_providers:
-        return [], uniforms(raw_words(rng, 6 * m).reshape(m, 6)), [], [], []
     if mix is None:
-        provider, flags = zip(*choice_records(rng, m, n_providers, 6))
-        return (np.concatenate(provider), uniforms(np.concatenate(flags)),
-                [], [], [])
+        if not n_providers:
+            return [], uniforms(raw_words(rng, 6 * m).reshape(m, 6)), [], [], []
+        provider, flags = map(np.concatenate,
+                              zip(*choice_records(rng, m, n_providers, 6)))
+        return provider, uniforms(flags), [], [], []
     r, choice, cps = rng.random, rng.choice, range(n_providers)
     provider, flags, device, forced_on, opened = [], [], [], [], []
     class_index = {cls.name: j for j, cls in enumerate(mix.classes)}

@@ -134,14 +134,10 @@ class DemandGenerator:
 
     def _sample_arrival_time(self, region: str, horizon: float,
                              cdfs: dict[float, list[float]] | None = None) -> float:
-        """Inverse-CDF sample from the diurnal rate curve for a region.
-
-        ``cdfs`` keeps the curves built so far for this ``horizon``, by
-        timezone offset, so a schedule builds each once.
-        """
+        """Inverse-CDF sample from the diurnal rate curve for a region;
+        ``cdfs`` keeps this ``horizon``'s curves by timezone offset."""
         tz = self.config.region_tz.get(region, 0.0)
-        if cdfs is None:
-            cdfs = {}
+        cdfs = {} if cdfs is None else cdfs
         if tz not in cdfs:
             # Piecewise-constant rate at hourly resolution over the horizon.
             cdfs[tz] = _diurnal_cdf(horizon, tz)

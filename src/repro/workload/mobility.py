@@ -81,8 +81,7 @@ class MobilityModel:
         cfg = self.config
         if not (cfg.commuter_fraction or cfg.roamer_fraction
                 or cfg.traveler_fraction):
-            # Nobody can move, so the class draws (a uniform is two words)
-            # are taken in one call and no row is looked at.
+            # Nobody can move: take the class draws (two words each) at once.
             census["stationary"] = population.peer_count()
             self.rng.getrandbits(64 * census["stationary"])
             return census

@@ -124,8 +124,7 @@ class Population:
     peers: list[PeerNode]
     #: Local-midnight offset (seconds) per peer, derived from longitude.
     tz_offset: dict[str, float]
-    #: GUIDs of the always-on installs: a ``set`` in object mode, a set
-    #: view over the store's flag column otherwise.
+    #: A ``set`` in object mode, else a view over the store's flag column.
     always_on: Set[str]
     #: Corporate LAN sites, keyed by site id (§5.3 extension).
     sites: dict[str, "LanSite"] = None  # type: ignore[assignment]
@@ -235,8 +234,7 @@ class Population:
         return self.store.column(name)
 
     def _session_row(self, i: int):
-        """(tz_offset, always_on, device) of install ``i``, off the columns:
-        a row whose sessions all fall outside the run gets no handle."""
+        """(tz_offset, always_on, device) of install ``i``; makes no handle."""
         store = self.store
         if store is None:
             p = self.peers[i]
@@ -256,11 +254,8 @@ def build_population(
     weighted by that provider's share of downloads — so the Table 4
     upload-default mix emerges naturally.  The two stores consume the RNG
     streams identically; everything after this call is store-agnostic.
-
-    ``duration_days`` is the length of the run being set up: session events
-    dated after it are still drawn — the population stream ends where it
-    always did — but not pushed onto the event heap.  None pushes every
-    day of the 40-day session horizon.
+    Session events dated after ``duration_days`` (the length of the run)
+    are drawn but not pushed; None pushes the whole 40-day horizon.
     """
     cfg = config if config is not None else PopulationConfig()
     rng = random.Random(system.rng.getrandbits(64))
@@ -309,7 +304,7 @@ def build_population(
     _assign_corporate_sites(population, cfg, rng)
     _schedule_sessions(
         system, population, cfg, rng,
-        until=math.inf if duration_days is None else duration_days * DAY)
+        math.inf if duration_days is None else duration_days * DAY)
     system.device_mix = cfg.device
     if cfg.device is not None:
         weights = cfg.device.rank_weights()
@@ -367,7 +362,7 @@ def _schedule_sessions(
     probability models days the machine stays off.  With
     ``active_peer_cap`` set, a seeded uniform subset of that size gets
     schedules and the rest stay dormant until demand boots them.  Events
-    dated after ``until`` (the end of the run) are drawn but not pushed.
+    dated after ``until`` are drawn but not pushed.
     """
     sim = system.sim
     count = population.peer_count()
@@ -403,13 +398,9 @@ def _schedule_peer_days(
     horizon_days: int = 40,
     skip_prob: float = 0.12,
 ) -> None:
-    """Draw ``horizon_days`` of sessions; push the events up to ``until``.
-
-    The draws do not depend on ``until``, so the stream ends in the same
-    state however long the run is; an event dated exactly ``until`` still
-    fires, and a session straddling it boots without a shutdown queued.
-    ``peers[row]`` is resolved only for a day that pushes something.
-    """
+    """Draw ``horizon_days`` of sessions whatever ``until`` is (the stream
+    must end in the same state for any run length); push the events dated
+    up to and including ``until``, resolving ``peers[row]`` only for those."""
     for day in range(horizon_days):
         if rng.random() < skip_prob:
             continue  # machine stays off today

@@ -160,9 +160,8 @@ def seed_warm_caches(
     Models the installed base at the start of the trace window: peers who
     downloaded popular content *before* the trace began and still cache it.
     Registration with the control plane happens naturally at each peer's
-    first login.  Returns the number of copies seeded.  A copy's retention
-    timer is drawn either way but only pushed if it can fire within
-    ``duration_days`` (None: always pushed).
+    first login.  Returns the number of copies seeded.  A retention timer
+    that cannot fire within ``duration_days`` is drawn but not pushed.
     """
     p2p_objects = catalog.p2p_objects()
     if not p2p_objects or copies_per_peer <= 0:

@@ -188,8 +188,14 @@ def test_object_and_columnar_stores_agree_under_the_bound():
     assert runs[0].system.stats().as_dict() == runs[1].system.stats().as_dict()
 
 
-def test_shard_width_still_does_not_change_the_trace():
-    a1, a4 = (run_scenario_artifact(dataclasses.replace(
-        tiny_scenario(), sharding=ShardingConfig(shards=shards)))
-        for shards in (1, 4))
+def test_sharded_runs_keep_width_parity_and_the_oracle_records():
+    sharded = {shards: dataclasses.replace(
+        tiny_scenario(), sharding=ShardingConfig(shards=shards))
+        for shards in (1, 4)}
+    a1, a4 = (run_scenario_artifact(cfg) for cfg in sharded.values())
     assert trace_digest(a1) == trace_digest(a4)
+    with unbounded():  # shards=1 runs its regions in this process
+        oracle = run_scenario_artifact(sharded[1])
+    assert records(a1) == records(oracle)
+    stats, oracle_stats = a1.stats.as_dict(), oracle.stats.as_dict()
+    assert {key for key in stats if stats[key] != oracle_stats[key]} == HEAP_KEYS
