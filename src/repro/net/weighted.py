@@ -65,8 +65,9 @@ def choice_records(rng, m: int, n: int, tail: int):
     shift, least = 32 - n.bit_length(), 1 + tail
     words = np.empty(0, dtype=np.uint32)
     while m:
-        more = raw_words(rng, max(1, least * m - len(words)))
-        words, size = np.concatenate((words, more)), len(words) + len(more)
+        words = np.concatenate(
+            (words, raw_words(rng, max(1, least * m - len(words)))))
+        size = len(words)
         # Per position, where a record starting there ends (none: past size).
         hit = np.where((words >> shift) < n, np.arange(size), size)
         nxt = memoryview(np.minimum.accumulate(hit[::-1])[::-1] + least)

@@ -57,9 +57,8 @@ from repro.core.peer import PeerNode
 from repro.net.links import AccessLink
 from repro.net.flows import Resource
 from repro.net.nat import NATProfile, NATType
-from repro.net.weighted import (
-    bits64, choice_records, pick_indices, raw_words, uniforms,
-)
+from repro.net.weighted import (bits64, choice_records, pick_indices,
+                                raw_words, uniforms)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.content import ContentProvider
