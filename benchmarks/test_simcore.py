@@ -1,8 +1,8 @@
 """Sim-core benchmarks: the batched allocation engine vs the reference.
 
-Two workloads, both run under the batched (default) and the reference
-per-mutation settlement policy (``SystemConfig.flow_batching=False`` /
-``FlowNetwork(batching=False)``):
+Two workloads, both run under the batched engine (the only one ``src/``
+ships) and the reference per-mutation engine, the test-only subclass
+``tests/net/reference_engine.PerMutationFlowNetwork``:
 
 * a **swarm-burst microbenchmark** driving a raw :class:`FlowNetwork`
   with the exact pattern the engine targets — same-timestamp bursts of
@@ -23,11 +23,11 @@ from __future__ import annotations
 import gc
 import random
 import time
+from unittest import mock
 
 import pytest
 
 from benchmarks._results import record_results
-from repro.core.config import SystemConfig
 from repro.faults.spec import EdgeBrownout, LinkDegradation, PeerChurnStorm
 from repro.net.flows import FlowNetwork, Resource
 from repro.net.links import mbps
@@ -36,6 +36,7 @@ from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig, run_scenario,
 )
 from repro.workload.devices import desktop_only
+from tests.net.reference_engine import PerMutationFlowNetwork
 
 #: Collected by the tests, dumped once at module teardown.
 RESULTS: dict[str, dict] = {}
@@ -64,7 +65,7 @@ def _record(name: str, batched, reference) -> None:
 # ------------------------------------------------------------- swarm bursts
 
 
-def _run_swarm_burst(batching: bool):
+def _run_swarm_burst(engine=FlowNetwork):
     """A raw-FlowNetwork swarm: bursty churn plus capacity waves.
 
     Every 20 s one event aborts up to ``aborts`` flows, starts ``starts``,
@@ -76,7 +77,7 @@ def _run_swarm_burst(batching: bool):
     """
     n, horizon, starts, aborts, caps = 120, 3600.0, 10, 6, 8
     sim = Simulator()
-    net = FlowNetwork(sim, batching=batching)
+    net = engine(sim)
     rng = random.Random(0xBEEF)
     downs, ups = [], []
     for i in range(n):
@@ -125,8 +126,8 @@ def _run_swarm_burst(batching: bool):
 
 def test_swarm_burst_batching():
     """Burst-heavy swarm: batching must at least halve water-filling work."""
-    b_wall, b_stats = _run_swarm_burst(batching=True)
-    r_wall, r_stats = _run_swarm_burst(batching=False)
+    b_wall, b_stats = _run_swarm_burst()
+    r_wall, r_stats = _run_swarm_burst(PerMutationFlowNetwork)
     _record("swarm_burst", (b_wall, b_stats), (r_wall, r_stats))
 
     # Identical workload, identical outcome under both policies.
@@ -163,11 +164,10 @@ _FAULTS = tuple(
 )
 
 
-def _scenario_config(batching: bool) -> ScenarioConfig:
+def _scenario_config() -> ScenarioConfig:
     return ScenarioConfig(
         seed=7,
         duration_days=0.5,
-        system=SystemConfig(flow_batching=batching),
         population=PopulationConfig(n_peers=300),
         demand=DemandConfig(total_downloads=400, duration_days=0.5),
         catalog=CatalogConfig(objects_per_provider=12),
@@ -175,9 +175,10 @@ def _scenario_config(batching: bool) -> ScenarioConfig:
     )
 
 
-def _run_scenario_mode(batching: bool):
+def _run_scenario_mode(engine=FlowNetwork):
     started = time.perf_counter()
-    result = run_scenario(_scenario_config(batching))
+    with mock.patch("repro.core.system.FlowNetwork", engine):
+        result = run_scenario(_scenario_config())
     wall = time.perf_counter() - started
     stats = result.system.stats()
     flat = dict(stats.flows.as_dict())
@@ -195,8 +196,8 @@ def test_scenario_batching():
     microbenchmark's — the 2x acceptance bar is asserted there; here we
     require parity and a strict reduction in both invocations and time.
     """
-    b_wall, b_stats = _run_scenario_mode(batching=True)
-    r_wall, r_stats = _run_scenario_mode(batching=False)
+    b_wall, b_stats = _run_scenario_mode()
+    r_wall, r_stats = _run_scenario_mode(PerMutationFlowNetwork)
     _record("workload_faults", (b_wall, b_stats), (r_wall, r_stats))
 
     # Both engines must simulate the same run.
@@ -225,7 +226,7 @@ def _swarm_burst_wall(*, audited: bool, rounds: int = 3) -> float:
         sim = Simulator()
         if audited:
             sim.set_audit_hook(lambda: None, every_events=20_000)
-        net = FlowNetwork(sim, batching=True)
+        net = FlowNetwork(sim)
         rng = random.Random(0xBEEF)
         res = [Resource(f"p{i}", mbps(rng.uniform(4.0, 40.0)))
                for i in range(120)]
@@ -274,7 +275,7 @@ def test_reputation_overhead_scenario():
     the stressor (connection churn means many reports and many queries).
     """
     def run_mode(defense: bool) -> float:
-        config = _scenario_config(batching=True)
+        config = _scenario_config()
         config = ScenarioConfig(**{
             **config.__dict__,
             "system": config.system.with_defense(enabled=defense),
@@ -324,8 +325,7 @@ def test_device_tier_assignment_overhead():
         for provider in catalog.providers:
             system.register_provider(provider)
         cfg = PopulationConfig(
-            n_peers=20_000, store="columnar",
-            device=desktop_only() if tiered else None)
+            n_peers=20_000, device=desktop_only() if tiered else None)
         # The build schedules ~1M session events; fence the collector so
         # a GC pause landing in one arm doesn't masquerade as overhead.
         gc.collect()
@@ -368,7 +368,7 @@ def test_audit_observe_overhead_scenario():
     clean while it's at it.
     """
     def run_mode(mode: str):
-        config = _scenario_config(batching=True)
+        config = _scenario_config()
         config = ScenarioConfig(**{
             **config.__dict__,
             "system": config.system.with_invariants(mode=mode),

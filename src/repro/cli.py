@@ -240,11 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     scale_cmd.add_argument("--days", type=float, default=3.0,
                            help="trace length in days (default: 3.0)")
     scale_cmd.add_argument("--seed", type=int, default=42)
-    scale_cmd.add_argument("--shards", default="auto", metavar="N",
+    scale_cmd.add_argument("--shards", default="2", metavar="N",
                            help="region-shard pool width: an integer, "
-                                "'auto' (REPRO_SHARDS or 2), or 'off' for "
-                                "the classic unsharded trace "
-                                "(default: auto)")
+                                "or 'off' for the classic unsharded "
+                                "trace (default: 2)")
     scale_cmd.add_argument("--strict", action="store_true",
                            help="run every shard with the invariant "
                                 "sanitizer in strict mode")
@@ -467,21 +466,21 @@ def _run_faults(args) -> int:
     return 0
 
 
-def _run_vod(args) -> int:
+def _run_sweep(module_name: str, label: str, args) -> int:
     from repro.experiments import planned_configs
     from repro.experiments.common import configure_runner, prefetch
-    from repro.experiments.exp_vod_policies import run
     from repro.runner import default_jobs
 
+    run = importlib.import_module(f"repro.experiments.{module_name}").run
     configure_runner(
         jobs=args.jobs if args.jobs is not None else default_jobs(),
         cache=_resolve_cache(args),
     )
-    # Same discipline as ``run``: fan the per-policy scenarios out across
+    # Same discipline as ``run``: fan the per-cell scenarios out across
     # the pool, then render serially — stdout is byte-identical for every
     # --jobs value, and timing goes to stderr.
     started = time.time()
-    prefetch(planned_configs("exp_vod_policies", args.scale, args.seed))
+    prefetch(planned_configs(module_name, args.scale, args.seed))
     output = run(args.scale, args.seed)
     if args.json_report:
         print(json.dumps(
@@ -491,34 +490,7 @@ def _run_vod(args) -> int:
         ))
     else:
         print(output.text)
-    print(f"# vod: {time.time() - started:.1f}s", file=sys.stderr)
-    return 0
-
-
-def _run_devices(args) -> int:
-    from repro.experiments import planned_configs
-    from repro.experiments.common import configure_runner, prefetch
-    from repro.experiments.exp_device_tiers import run
-    from repro.runner import default_jobs
-
-    configure_runner(
-        jobs=args.jobs if args.jobs is not None else default_jobs(),
-        cache=_resolve_cache(args),
-    )
-    # Same discipline as ``vod``: per-cell scenarios fan out across the
-    # pool, the table renders serially — byte-identical at any --jobs.
-    started = time.time()
-    prefetch(planned_configs("exp_device_tiers", args.scale, args.seed))
-    output = run(args.scale, args.seed)
-    if args.json_report:
-        print(json.dumps(
-            {"name": output.name, "scale": args.scale, "seed": args.seed,
-             "metrics": output.metrics},
-            indent=2, sort_keys=True,
-        ))
-    else:
-        print(output.text)
-    print(f"# devices: {time.time() - started:.1f}s", file=sys.stderr)
+    print(f"# {label}: {time.time() - started:.1f}s", file=sys.stderr)
     return 0
 
 
@@ -528,14 +500,14 @@ def _run_scale(args) -> int:
     from repro.experiments.exp_scale import record_curve, run_curve
 
     if args.shards == "off":
-        shards: int | str | None = None
-    elif args.shards == "auto":
-        shards = "auto"
+        shards: int | None = None
     else:
         try:
             shards = int(args.shards)
+            if shards < 1:
+                raise ValueError
         except ValueError:
-            print(f"--shards must be an integer, 'auto', or 'off'; "
+            print(f"--shards must be a positive integer or 'off'; "
                   f"got {args.shards!r}", file=sys.stderr)
             return 2
     output, results = run_curve(args.peers, seed=args.seed, days=args.days,
@@ -609,10 +581,10 @@ def main(argv: list[str] | None = None) -> int:
                                 cache=_resolve_cache(args))
 
     if args.command == "vod":
-        return _run_vod(args)
+        return _run_sweep("exp_vod_policies", "vod", args)
 
     if args.command == "devices":
-        return _run_devices(args)
+        return _run_sweep("exp_device_tiers", "devices", args)
 
     if args.command == "perf":
         return _run_perf(args.scale, args.seed,

@@ -340,12 +340,6 @@ class SystemConfig:
     #: to a pure infrastructure CDN (used for the edge-only baseline and the
     #: total-control-plane-failure scenario of §3.8).
     p2p_globally_enabled: bool = True
-    #: Rate-allocation settlement policy.  True (default) coalesces
-    #: same-timestamp mutation bursts into one water-filling pass per
-    #: simulator event; False restores the per-mutation reference engine
-    #: (kept for the equivalence tests and perf benchmarks — the two
-    #: policies produce identical rate trajectories).
-    flow_batching: bool = True
 
     def resolve_kernel(self) -> str:
         """Always ``"python"``: there is one water-filling kernel.

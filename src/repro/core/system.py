@@ -285,7 +285,7 @@ class NetSessionSystem:
         self.config = config if config is not None else SystemConfig()
         self.rng = random.Random(seed)
         self.sim = Simulator()
-        self.flows = FlowNetwork(self.sim, batching=self.config.flow_batching)
+        self.flows = FlowNetwork(self.sim)
         #: Fleet-wide control-channel robustness counters; every peer's
         #: :class:`~repro.core.control.channel.ControlChannel` feeds it.
         self.channel_stats = ControlChannelStats()

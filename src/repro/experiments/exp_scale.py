@@ -54,7 +54,7 @@ def scale_config(
     *,
     seed: int = 42,
     days: float = 3.0,
-    shards: int | str | None = "auto",
+    shards: int | None = 2,
     strict: bool = False,
 ) -> ScenarioConfig:
     """The lean scaling scenario for one population size.
@@ -77,7 +77,7 @@ def scale_config(
             invariants=invariants,
         ),
         population=PopulationConfig(
-            n_peers=n_peers, store="columnar", active_peer_cap=cap,
+            n_peers=n_peers, active_peer_cap=cap,
         ),
         demand=DemandConfig(total_downloads=downloads, duration_days=days),
         catalog=CatalogConfig(objects_per_provider=20),
@@ -104,7 +104,7 @@ def run_point(
     *,
     seed: int = 42,
     days: float = 3.0,
-    shards: int | str | None = "auto",
+    shards: int | None = 2,
     strict: bool = False,
 ) -> dict:
     """Run one curve point and return its bench entry."""
@@ -118,7 +118,7 @@ def run_point(
         artifact = run_scenario_artifact(cfg)
         downloads = len(artifact.logstore.downloads)
         logins = len(artifact.logstore.logins)
-        width = cfg.sharding.resolve_shards()
+        width = cfg.sharding.shards
         regions = len(artifact.sharding["regions"])
     else:
         from repro.workload import run_scenario
@@ -147,7 +147,7 @@ def run_curve(
     *,
     seed: int = 42,
     days: float = 3.0,
-    shards: int | str | None = "auto",
+    shards: int | None = 2,
     strict: bool = False,
 ) -> tuple[ExperimentOutput, dict]:
     """Run every point and render the peers-vs-wall table.

@@ -63,7 +63,6 @@ class FuzzSpec:
     #: fault-injected impairment).
     channel_latency: float = 0.0
     channel_loss: float = 0.0
-    flow_batching: bool = True
     #: Edge egress cap in Mbit/s, or None for overprovisioned.
     edge_egress_mbps: Optional[float] = None
     #: Mid-run peer churn: this many (offline, online) round trips.
@@ -105,7 +104,7 @@ class FuzzSpec:
         fault = self.fault_scenario or "none"
         return (f"seed={self.seed} peers={self.n_seeders}+{self.n_downloaders} "
                 f"obj={self.n_objects}x{self.object_mb}MB fault={fault} "
-                f"loss={self.channel_loss:.2f} batching={self.flow_batching}")
+                f"loss={self.channel_loss:.2f}")
 
 
 @dataclass
@@ -148,7 +147,12 @@ def generate(seed: int) -> FuzzSpec:
         fault_duration=rng.uniform(600.0, 3600.0),
         channel_latency=rng.choice((0.0, 0.0, 0.05, 0.25)),
         channel_loss=rng.choice((0.0, 0.0, 0.02, 0.10)),
-        flow_batching=rng.random() < 0.8,
+    )
+    # The retired settlement-policy coin drew here; burn its draw so every
+    # field below keeps the value the same seed has always produced.
+    rng.random()
+    spec = replace(
+        spec,
         edge_egress_mbps=rng.choice((None, None, 500.0, 2000.0)),
         churn_events=rng.randint(0, 6),
         pause_resume_events=rng.randint(0, 6),
@@ -183,7 +187,6 @@ def _build_config(spec: FuzzSpec) -> SystemConfig:
         invariants=InvariantConfig(
             mode="strict", every_events=spec.every_events
         ),
-        flow_batching=spec.flow_batching,
         edge_egress_mbps=spec.edge_egress_mbps,
         defense=DefenseConfig(enabled=spec.defense),
     )
@@ -371,7 +374,6 @@ def _run_sharded_mini_scenario(spec: FuzzSpec) -> None:
         system=SystemConfig(
             invariants=InvariantConfig(mode="strict",
                                        every_events=spec.every_events),
-            flow_batching=spec.flow_batching,
             defense=DefenseConfig(enabled=spec.defense),
         ),
         population=PopulationConfig(
@@ -436,8 +438,6 @@ def _candidates(spec: FuzzSpec) -> list[FuzzSpec]:
         out.append(replace(spec, pause_resume_events=0))
     if spec.channel_loss or spec.channel_latency:
         out.append(replace(spec, channel_loss=0.0, channel_latency=0.0))
-    if not spec.flow_batching:
-        out.append(replace(spec, flow_batching=True))
     if spec.edge_egress_mbps is not None:
         out.append(replace(spec, edge_egress_mbps=None))
     if spec.n_objects > 1:

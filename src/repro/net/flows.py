@@ -37,10 +37,10 @@ and runs one water-filling over their union.  Settlement is triggered
   (:meth:`FlowNetwork.flush` is idempotent and O(1) when clean).
 
 Because settlement happens at the same simulated timestamp as the mutations
-it coalesces, the resulting rate trajectories are identical to the
-per-mutation engine's — ``batching=False`` restores the per-mutation
-behaviour and is kept as the reference for the equivalence test-suite and
-the ``benchmarks/test_simcore.py`` baseline.
+it coalesces, the resulting rate trajectories are identical to those of an
+engine that settles after every mutation.  That engine is the test-only
+subclass in ``tests/net/reference_engine.py``: the reference for the
+equivalence test-suite and the ``benchmarks/test_simcore.py`` baseline.
 """
 
 from __future__ import annotations
@@ -235,16 +235,10 @@ class FlowNetwork:
     The network owns a completion heap inside the simulator: whenever rates
     change, new completion times are computed and stale heap entries are
     invalidated lazily via per-flow version counters.
-
-    ``batching`` selects the settlement policy: ``True`` (default) coalesces
-    same-timestamp mutation bursts into one settlement pass per simulator
-    event; ``False`` settles after every mutation (the reference engine the
-    equivalence tests and benchmarks compare against).
     """
 
-    def __init__(self, sim: Simulator, *, batching: bool = True):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.batching = batching
         self._next_id = 0
         self.active_flows: set[Flow] = set()
         # (completion_time, flow_id, version, flow) — lazy invalidation
@@ -372,8 +366,7 @@ class FlowNetwork:
         settles each event's burst); the context manager extends the same
         coalescing to mutation bursts issued *outside* the loop — a fault
         being applied from driver code, a peer re-capping all its upload
-        flows.  Nests safely.  In ``batching=False`` reference mode it is a
-        no-op: every mutation still settles immediately.
+        flows.  Nests safely.
         """
         self._batch_depth += 1
         try:
@@ -416,9 +409,6 @@ class FlowNetwork:
         self._maybe_settle()
 
     def _maybe_settle(self) -> None:
-        if not self.batching:
-            self.flush()
-            return
         if self._batch_depth == 0 and not self.sim.in_event:
             self.flush()
 
@@ -568,6 +558,18 @@ class FlowNetwork:
         self._completion_event = self.sim.schedule(delay, self._on_completion_tick)
 
     def _on_completion_tick(self) -> None:
+        # The completion burst defers like any other: the freed capacity,
+        # the flows the callbacks below start, and any teardowns they
+        # trigger all settle in this event's single settlement pass.
+        # Callbacks never observe stale rates — every live-rate reader
+        # flushes first.
+        for flow in self._retire_finished():
+            if flow.on_complete is not None:
+                flow.on_complete(flow)
+
+    def _retire_finished(self) -> list[Flow]:
+        """Detach every flow due now, dirtying the flows that shared a
+        constrained resource with one; callbacks are the caller's to fire."""
         now = self.sim.now
         finished: list[Flow] = []
         while self._completions:
@@ -601,17 +603,7 @@ class FlowNetwork:
             if f.active:
                 self._dirty.setdefault(f)
         self._need_schedule = True
-        if not self.batching:
-            self.flush()
-        # In batched mode even the completion burst defers: the freed
-        # capacity, the flows the callbacks below start, and any teardowns
-        # they trigger all settle in this event's single settlement pass.
-        # Callbacks never observe stale rates — every live-rate reader
-        # flushes first.
-
-        for flow in finished:
-            if flow.on_complete is not None:
-                flow.on_complete(flow)
+        return finished
 
 
 def _max_min_fair(

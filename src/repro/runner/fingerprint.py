@@ -67,18 +67,12 @@ def canonicalize(obj: object) -> object:
             f.name: canonicalize(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
         }
-        # ``auto`` settings are env-var indirections (REPRO_INVARIANTS,
-        # REPRO_POPULATION_STORE, REPRO_SHARDS): resolve them so the
-        # fingerprint captures the behaviour, not the indirection.
+        # The ``auto`` invariant mode is an env-var indirection
+        # (REPRO_INVARIANTS): resolve it so the fingerprint captures the
+        # behaviour, not the indirection.
         resolve = getattr(obj, "resolve_mode", None)
         if "mode" in fields and callable(resolve):
             fields["mode"] = resolve()
-        resolve_store = getattr(obj, "resolve_store", None)
-        if "store" in fields and callable(resolve_store):
-            fields["store"] = resolve_store()
-        resolve_shards = getattr(obj, "resolve_shards", None)
-        if "shards" in fields and callable(resolve_shards):
-            fields["shards"] = resolve_shards()
         return {
             "__class__": f"{cls.__module__}.{cls.__qualname__}",
             "fields": fields,

@@ -338,7 +338,7 @@ def merge_shard_artifacts(
 
     sharding_record = {
         "regions": [region for region, _ in shards],
-        "shards": cfg.sharding.resolve_shards(),
+        "shards": cfg.sharding.shards,
         "peers_per_region": {
             region: art.config.population.n_peers for region, art in shards
         },
@@ -376,7 +376,7 @@ def merge_shard_artifacts(
 
 
 def run_sharded_artifact(cfg: ScenarioConfig) -> ScenarioArtifact:
-    """Factor, fan out at the resolved width, merge, reconcile.
+    """Factor, fan out at the configured width, merge, reconcile.
 
     The entry point :func:`repro.runner.artifact.run_scenario_artifact`
     dispatches here when ``config.sharding`` is set; callers never invoke
@@ -387,8 +387,8 @@ def run_sharded_artifact(cfg: ScenarioConfig) -> ScenarioArtifact:
         (sub, region, cfg.extra_territories, cfg.seed)
         for region, sub in pairs
     ]
-    width = cfg.sharding.resolve_shards()
-    artifacts = parallel_map(_run_region_shard, payloads, jobs=width)
+    artifacts = parallel_map(
+        _run_region_shard, payloads, jobs=cfg.sharding.shards)
     return merge_shard_artifacts(
         cfg, [(region, art) for (region, _), art in zip(pairs, artifacts)]
     )

@@ -93,10 +93,11 @@ class VodDemandGenerator:
         mix = self.catalog.provider.region_mix
         regions = list(mix.keys())
         shares = list(mix.values())
+        cdfs: dict[str, list[float]] = {}
         for _ in range(cfg.sessions):
             episode = self._sample_episode()
             region = self.rng.choices(regions, weights=shares, k=1)[0]
-            t = self._sample_arrival_time(region, horizon)
+            t = self._sample_arrival_time(region, horizon, cdfs)
             self.system.sim.schedule_at(
                 t, lambda e=episode, r=region: self._on_arrival(e, r)
             )
@@ -105,19 +106,24 @@ class VodDemandGenerator:
     def _sample_episode(self) -> Episode:
         return self.rng.choices(self._episodes, weights=self._weights, k=1)[0]
 
-    def _sample_arrival_time(self, region: str, horizon: float) -> float:
-        """Inverse-CDF sample from the prime-time curve for ``region``."""
-        cfg = self.config
-        tz = _REGION_TZ.get(region, 0.0)
-        hours = max(1, int(horizon // _HOUR))
-        cdf: list[float] = []
-        total = 0.0
-        for h in range(hours):
-            total += prime_time_rate(
-                h * _HOUR, tz, peak_hour=cfg.prime_peak_hour,
-                sharpness=cfg.prime_sharpness, floor=cfg.offpeak_floor,
-            )
-            cdf.append(total)
+    def _sample_arrival_time(self, region: str, horizon: float,
+                             cdfs: dict[str, list[float]] | None = None) -> float:
+        """Inverse-CDF sample from the prime-time curve for ``region``;
+        ``cdfs`` keeps this ``horizon``'s curves by region."""
+        cdfs = {} if cdfs is None else cdfs
+        if region not in cdfs:
+            cfg = self.config
+            tz = _REGION_TZ.get(region, 0.0)
+            hours = max(1, int(horizon // _HOUR))
+            cdf = cdfs[region] = []
+            total = 0.0
+            for h in range(hours):
+                total += prime_time_rate(
+                    h * _HOUR, tz, peak_hour=cfg.prime_peak_hour,
+                    sharpness=cfg.prime_sharpness, floor=cfg.offpeak_floor,
+                )
+                cdf.append(total)
+        cdf = cdfs[region]
         u = self.rng.random() * cdf[-1]
         idx = bisect.bisect_left(cdf, u)
         lo = idx * _HOUR

@@ -10,8 +10,8 @@ real ``PeerNode`` only for peers something actually touches: a boot, a
 download, a fault token, an adversary assignment.
 
 Equivalence contract (enforced byte-for-byte by ``tests/scale/``; the
-object-mode build — ``create_peer`` plus ``build_population``'s loop — is
-the oracle):
+object-mode build — ``create_peer`` in a loop, kept as
+``tests/scale/conftest.build_object_population`` — is the oracle):
 
 * **Per-stream order, not per-peer interleaving.**  The build touches four
   separate ``random.Random`` objects — ``system.rng``, the broadband and

@@ -11,22 +11,17 @@ user is logged in (§3.4), so sessions track the user's computer-use day —
 long daily sessions with a diurnal phase per timezone, unlike the short
 sessions of launch-on-demand p2p clients.
 
-Two interchangeable stores back the population (``PopulationConfig.store``):
-
-* ``object`` — the original eager graph: one :class:`PeerNode` per install.
-* ``columnar`` — a struct-of-arrays store with lazy materialization
-  (:mod:`repro.workload.columnar`), byte-for-byte equivalent by contract
-  (``tests/scale/``) and the only store that reaches paper-scale
-  populations (§4.1's tens of millions).
-
-``auto`` resolves through ``REPRO_POPULATION_STORE`` and is a cache key
-once resolved.
+One store backs the population: struct-of-arrays with lazy materialization
+(:mod:`repro.workload.columnar`), the only one that reaches paper-scale
+populations (§4.1's tens of millions).  The eager graph it replaced — one
+:class:`PeerNode` per install — is its byte-for-byte oracle in
+``tests/scale/``; that and hand-built populations reach :class:`Population`
+as a plain list (``store=None``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from collections.abc import Set
 from dataclasses import dataclass
@@ -36,14 +31,12 @@ from repro.core.content import ContentProvider
 from repro.core.peer import PeerNode
 from repro.core.system import NetSessionSystem
 from repro.net.lan import LanSite
-from repro.net.nat import NATProfile, NATType
+from repro.workload.columnar import build_columnar_store
 from repro.workload.devices import DeviceMixConfig
 
 __all__ = ["PopulationConfig", "Population", "build_population", "diurnal_rate"]
 
 DAY = 24 * 3600.0
-
-_STORES = ("auto", "object", "columnar")
 
 
 @dataclass(frozen=True)
@@ -66,11 +59,6 @@ class PopulationConfig:
     corporate_fraction: float = 0.0
     #: Site size range (machines per office), inclusive.
     site_size_range: tuple[int, int] = (8, 40)
-    #: Population store: "object" (eager PeerNode graph), "columnar"
-    #: (struct-of-arrays + lazy materialization), or "auto" (resolve
-    #: through the ``REPRO_POPULATION_STORE`` env var; columnar default).
-    #: The two stores are byte-for-byte equivalent (``tests/scale/``).
-    store: str = "auto"
     #: When set, only this many peers (a seeded uniform subset) get daily
     #: online-session schedules; the rest stay dormant until demand or a
     #: fault touches them.  Million-peer scenarios need it — scheduling
@@ -79,8 +67,8 @@ class PopulationConfig:
     active_peer_cap: int | None = None
     #: Device-tier mix (smartrouter/mobile/settop heterogeneity).  None —
     #: the default — draws nothing and keeps every golden byte-identical;
-    #: a :class:`DeviceMixConfig` adds three class draws per peer in both
-    #: stores (class pick, always-on override, optional NAT override).
+    #: a :class:`DeviceMixConfig` adds three class draws per peer (class
+    #: pick, always-on override, optional NAT override).
     device: DeviceMixConfig | None = None
 
     def __post_init__(self):
@@ -90,23 +78,14 @@ class PopulationConfig:
             raise ValueError("broken_fraction must be in [0, 1]")
         if not 0 < self.mean_daily_uptime_hours <= 24:
             raise ValueError("mean_daily_uptime_hours must be in (0, 24]")
-        if self.store not in _STORES:
-            raise ValueError(f"store must be one of {_STORES}, got {self.store!r}")
         if self.active_peer_cap is not None and self.active_peer_cap <= 0:
             raise ValueError("active_peer_cap must be positive (or None)")
 
     def resolve_store(self) -> str:
-        """The concrete store "auto" means right now (an env indirection).
-
-        The fingerprint layer hashes the *resolved* value, so an
-        object-store run and a columnar run never share a cache slot even
-        though their outputs are byte-identical by contract.
-        """
-        if self.store != "auto":
-            return self.store
-        env = os.environ.get("REPRO_POPULATION_STORE", "").strip().lower()
-        if env in ("object", "columnar"):
-            return env
+        """Always ``"columnar"``: there is one store.  Kept only because
+        ``benchmarks/perf/harness.resolved_modes()`` reports it and a PR may
+        not change the benchmark it is measured with; nothing under ``src/``
+        calls it.  Goes with ROADMAP item 1b."""
         return "columnar"
 
 
@@ -114,9 +93,9 @@ class PopulationConfig:
 class Population:
     """The installed base plus per-peer session schedules.
 
-    ``peers`` is a list of :class:`PeerNode` in object mode, or a sequence
-    view of lazy handles over the columnar store — both support ``len``,
-    indexing, and iteration.  Prefer :meth:`iter_peers` /
+    ``peers`` is a sequence view of lazy handles over the columnar store, or
+    (hand-built, ``store=None``) a list of :class:`PeerNode` — both support
+    ``len``, indexing, and iteration.  Prefer :meth:`iter_peers` /
     :meth:`sample_peers` in workload code: they spell out the contract that
     a full scan must not materialize anyone.
     """
@@ -124,11 +103,11 @@ class Population:
     peers: list[PeerNode]
     #: Local-midnight offset (seconds) per peer, derived from longitude.
     tz_offset: dict[str, float]
-    #: A ``set`` in object mode, else a view over the store's flag column.
+    #: A view over the store's flag column (a ``set`` when hand-built).
     always_on: Set[str]
     #: Corporate LAN sites, keyed by site id (§5.3 extension).
     sites: dict[str, "LanSite"] = None  # type: ignore[assignment]
-    #: The columnar store behind ``peers`` (None in object mode).
+    #: The columnar store behind ``peers`` (None when hand-built).
     store: object = None
 
     def __post_init__(self):
@@ -252,55 +231,30 @@ def build_population(
 
     Each peer is attributed to the provider it first installed from,
     weighted by that provider's share of downloads — so the Table 4
-    upload-default mix emerges naturally.  The two stores consume the RNG
-    streams identically; everything after this call is store-agnostic.
-    Session events dated after ``duration_days`` (the length of the run)
-    are drawn but not pushed; None pushes the whole 40-day horizon.
+    upload-default mix emerges naturally.  Session events dated after
+    ``duration_days`` (the length of the run) are drawn but not pushed;
+    None pushes the whole 40-day horizon.
     """
     cfg = config if config is not None else PopulationConfig()
     rng = random.Random(system.rng.getrandbits(64))
 
-    if cfg.resolve_store() == "columnar":
-        from repro.workload.columnar import build_columnar_store
+    store = build_columnar_store(system, providers, cfg, rng)
+    system.population_store = store
+    population = Population(
+        peers=store.peers_view(),
+        tz_offset=store.tz_view(),
+        always_on=store.always_on_view(),
+        store=store,
+    )
+    _finish_population(system, population, cfg, rng, duration_days)
+    return population
 
-        store = build_columnar_store(system, providers, cfg, rng)
-        system.population_store = store
-        population = Population(
-            peers=store.peers_view(),
-            tz_offset=store.tz_view(),
-            always_on=store.always_on_view(),
-            store=store,
-        )
-    else:
-        peers: list[PeerNode] = []
-        tz_offset: dict[str, float] = {}
-        always_on: set[str] = set()
 
-        for _ in range(cfg.n_peers):
-            installed_from = rng.choice(providers) if providers else None
-            peer = system.create_peer(installed_from=installed_from)
-            if rng.random() < cfg.broken_fraction:
-                peer.piece_corruption_prob = cfg.broken_corruption_prob
-            if rng.random() < cfg.attacker_fraction:
-                peer.accounting_attacker = True
-            peers.append(peer)
-            # Local solar time from longitude: 15 degrees per hour.
-            tz_offset[peer.guid] = (peer.city.lon / 15.0) * 3600.0
-            if rng.random() < cfg.always_on_fraction:
-                always_on.add(peer.guid)
-            if cfg.device is not None:
-                cls = cfg.device.pick(rng.random())
-                peer.device = cls
-                if rng.random() < cls.always_on_prob:
-                    always_on.add(peer.guid)
-                if cls.nat_open_prob is not None \
-                        and rng.random() < cls.nat_open_prob:
-                    peer.nat_profile = NATProfile(
-                        true_type=NATType.OPEN, reported_type=NATType.OPEN)
-
-        population = Population(
-            peers=peers, tz_offset=tz_offset, always_on=always_on)
-
+def _finish_population(system: NetSessionSystem, population: Population,
+                       cfg: PopulationConfig, rng: random.Random,
+                       duration_days: float | None) -> None:
+    """Everything after the peers exist; store-agnostic, so the eager
+    oracle in ``tests/scale/`` ends its build with the same call."""
     _assign_corporate_sites(population, cfg, rng)
     _schedule_sessions(
         system, population, cfg, rng,
@@ -311,7 +265,6 @@ def build_population(
         if weights is not None:
             for cn in system.control.all_cns:
                 cn.device_rank_weights = weights
-    return population
 
 
 def _assign_corporate_sites(population: Population, cfg: PopulationConfig,

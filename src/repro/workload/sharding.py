@@ -21,7 +21,6 @@ layer without dragging in the runner.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 __all__ = ["ShardingConfig"]
@@ -36,35 +35,22 @@ class ShardingConfig:
     single-trace run; nothing about an unsharded scenario changes).
     """
 
-    #: Process-pool fan-out for the region sub-scenarios: a positive int,
-    #: or "auto" to resolve through the ``REPRO_SHARDS`` env var (2 when
-    #: unset).  Output bytes are invariant to this knob by construction.
-    shards: int | str = "auto"
+    #: Process-pool fan-out for the region sub-scenarios: a positive int.
+    #: Output bytes are invariant to this knob by construction.
+    shards: int = 2
     #: Run the cross-region flow-reconciliation pass after the merge and
     #: record its import/export matrix in ``ScenarioArtifact.sharding``.
     reconcile: bool = True
 
     def __post_init__(self):
-        if isinstance(self.shards, str):
-            if self.shards != "auto":
-                raise ValueError(
-                    f"shards must be a positive int or 'auto', got {self.shards!r}")
-        elif not isinstance(self.shards, int) or isinstance(self.shards, bool) \
+        if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
                 or self.shards < 1:
             raise ValueError(
-                f"shards must be a positive int or 'auto', got {self.shards!r}")
+                f"shards must be a positive int, got {self.shards!r}")
 
     def resolve_shards(self) -> int:
-        """The concrete fan-out "auto" means right now (an env indirection).
-
-        The fingerprint layer hashes the resolved value, so runs at
-        different widths land in different cache slots and their
-        byte-parity stays a *checked* contract (``tests/scale/``), not a
-        cached assumption.
-        """
-        if self.shards != "auto":
-            return int(self.shards)
-        env = os.environ.get("REPRO_SHARDS", "").strip()
-        if env.isdigit() and int(env) >= 1:
-            return int(env)
-        return 2
+        """Always ``self.shards``: the width is a plain field.  Kept only
+        because ``benchmarks/perf/harness`` calls it and a PR may not change
+        the benchmark it is measured with; nothing under ``src/`` calls it.
+        Goes with ROADMAP item 1b."""
+        return self.shards

@@ -1,8 +1,9 @@
 """Batched settlement vs the reference per-mutation engine.
 
-The batched engine (``FlowNetwork(batching=True)``, the default) defers
+The batched engine (``FlowNetwork``, the only one ``src/`` ships) defers
 settlement of same-timestamp mutation bursts to one pass per simulator
-event; the reference engine settles after every mutation.  Within a
+event; the reference engine (``tests/net/reference_engine.py``) settles
+after every mutation.  Within a
 timestamp no simulated time passes, so the two must produce *identical*
 trajectories — these tests assert that, exactly, over randomized
 workloads, and pin the golden-seed experiment output.
@@ -16,6 +17,8 @@ import pytest
 
 from repro.net.flows import FlowNetwork, Resource
 from repro.net.sim import Simulator
+
+from tests.net.reference_engine import PerMutationFlowNetwork
 
 MBPS = 1e6 / 8.0
 
@@ -63,9 +66,9 @@ def _build_schedule(seed: int, n_peers: int = 24, n_events: int = 50):
     return links, events
 
 
-def _run_engine(links, events, *, batching: bool):
+def _run_engine(links, events, engine=FlowNetwork):
     sim = Simulator()
-    net = FlowNetwork(sim, batching=batching)
+    net = engine(sim)
     downs = [Resource(f"p{i}/down", d) for i, (d, _) in enumerate(links)]
     ups = [Resource(f"p{i}/up", u) for i, (_, u) in enumerate(links)]
     flows: list = []
@@ -100,8 +103,8 @@ def test_randomized_schedules_identical(seed):
     pinned separately in ``tests/test_golden_parity.py``.
     """
     links, events = _build_schedule(seed)
-    net_b, flows_b = _run_engine(links, events, batching=True)
-    net_r, flows_r = _run_engine(links, events, batching=False)
+    net_b, flows_b = _run_engine(links, events)
+    net_r, flows_r = _run_engine(links, events, PerMutationFlowNetwork)
 
     assert len(flows_b) == len(flows_r)
     for got, want in zip(flows_b, flows_r):
@@ -124,7 +127,7 @@ def test_burst_settles_once_per_event():
     """One event's worth of mutations costs one settlement, not N."""
     links, _ = _build_schedule(0, n_peers=8)
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 100.0)
 
     def burst():
@@ -139,7 +142,7 @@ def test_burst_settles_once_per_event():
 
 def test_reference_settles_per_mutation():
     sim = Simulator()
-    net = FlowNetwork(sim, batching=False)
+    net = PerMutationFlowNetwork(sim)
     shared = Resource("shared", 100.0)
 
     def burst():
@@ -151,12 +154,32 @@ def test_reference_settles_per_mutation():
     assert net.stats.reallocations == 10
 
 
+def test_reference_settles_before_completion_callbacks():
+    """The second half of the per-mutation policy: freed capacity is
+    re-shared before a finished flow's callback runs (the batched engine
+    leaves it dirty until the event ends)."""
+    seen = {}
+    for engine in (FlowNetwork, PerMutationFlowNetwork):
+        sim = Simulator()
+        net = engine(sim)
+        shared = Resource("shared", 100.0)
+        survivor = net.start_flow([shared], 1e6)
+        net.start_flow(
+            [shared], 50.0,
+            on_complete=lambda f, net=net, engine=engine: seen.__setitem__(
+                engine, (survivor.rate, bool(net._dirty))))
+        sim.run(until=2.0)
+        assert survivor.rate == 100.0
+    assert seen[FlowNetwork] == (50.0, True)
+    assert seen[PerMutationFlowNetwork] == (100.0, False)
+
+
 # ------------------------------------------------------------ batch() / flush
 
 
 def test_batch_context_defers_settlement():
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 100.0)
     with net.batch():
         flows = [net.start_flow([shared], 1e6) for _ in range(5)]
@@ -169,7 +192,7 @@ def test_batch_context_defers_settlement():
 
 def test_outside_event_settles_immediately():
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 100.0)
     flow = net.start_flow([shared], 1e6)
     assert flow.rate == pytest.approx(100.0)
@@ -179,7 +202,7 @@ def test_outside_event_settles_immediately():
 def test_flush_on_read_inside_event():
     """An in-event reader can force settlement with an explicit flush()."""
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 100.0)
     seen = []
 
@@ -195,7 +218,7 @@ def test_flush_on_read_inside_event():
 
 def test_nested_batches_settle_at_outermost_exit():
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 100.0)
     with net.batch():
         net.start_flow([shared], 1e6)
@@ -210,7 +233,7 @@ def test_nested_batches_settle_at_outermost_exit():
 
 def test_utilization_matches_recomputed_sum():
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 100.0)
     flows = [net.start_flow([shared], 1e9, cap=float(10 * (i + 1)))
              for i in range(3)]
@@ -223,7 +246,7 @@ def test_utilization_matches_recomputed_sum():
 
 def test_utilization_zero_after_all_flows_end():
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 100.0)
     flow = net.start_flow([shared], 1e6)
     net.abort_flow(flow)
@@ -234,7 +257,7 @@ def test_utilization_zero_after_all_flows_end():
 def test_heap_skips_unchanged_rates():
     """Mutating one capped flow must not re-push the whole component."""
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 1000.0)
     for _ in range(20):
         net.start_flow([shared], 1e9, cap=10.0)
@@ -247,7 +270,7 @@ def test_heap_skips_unchanged_rates():
 
 def test_heap_compaction_bounds_stale_entries():
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     shared = Resource("shared", 1000.0)
     flows = [net.start_flow([shared], 1e12) for _ in range(80)]
     # Repeated cap churn re-rates every flow, staling old heap entries.
@@ -262,7 +285,7 @@ def test_heap_compaction_bounds_stale_entries():
 def test_completion_burst_settles_in_one_pass():
     """Flows finishing at the same instant settle (and fire) together."""
     sim = Simulator()
-    net = FlowNetwork(sim, batching=True)
+    net = FlowNetwork(sim)
     done = []
     for i in range(4):
         res = Resource(f"r{i}", 100.0)

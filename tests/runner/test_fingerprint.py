@@ -36,10 +36,6 @@ def _candidates(value, name):
     ``__post_init__`` validation accepts wins."""
     if name == "mode":  # constrained choice; 'auto' resolves before hashing
         return ["strict" if value != "strict" else "observe"]
-    if name == "store":  # constrained choice; 'auto' resolves before hashing
-        return ["object" if value != "object" else "columnar"]
-    if name == "shards":  # positive int or 'auto' (resolves before hashing)
-        return [4 if value != 4 else 2]
     if name == "active_peer_cap":  # Optional[int]; None = every peer active
         return [1000]
     if isinstance(value, bool):
@@ -253,36 +249,6 @@ def test_auto_invariant_mode_resolves_through_env(monkeypatch):
     assert strict_fp != observe_fp
     assert strict_fp == fingerprint_config(InvariantConfig(mode="strict"))
     assert observe_fp == fingerprint_config(InvariantConfig(mode="observe"))
-
-
-def test_auto_store_resolves_through_env(monkeypatch):
-    # Same env-indirection contract as invariant mode: the store 'auto'
-    # hashes as whatever REPRO_POPULATION_STORE makes it mean at run time,
-    # so an object-graph run never shares a slot with a columnar run.
-    from repro.workload.population import PopulationConfig
-
-    auto = PopulationConfig(store="auto")
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "object")
-    object_fp = fingerprint_config(auto)
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "columnar")
-    columnar_fp = fingerprint_config(auto)
-    assert object_fp != columnar_fp
-    assert object_fp == fingerprint_config(PopulationConfig(store="object"))
-    assert columnar_fp == fingerprint_config(PopulationConfig(store="columnar"))
-
-
-def test_auto_shards_resolves_through_env(monkeypatch):
-    # 'auto' shard width is an env indirection (REPRO_SHARDS): the
-    # fingerprint hashes the resolved width so byte-parity across widths
-    # stays a checked contract, never a cache hit.
-    auto = ShardingConfig(shards="auto")
-    monkeypatch.setenv("REPRO_SHARDS", "1")
-    one_fp = fingerprint_config(auto)
-    monkeypatch.setenv("REPRO_SHARDS", "4")
-    four_fp = fingerprint_config(auto)
-    assert one_fp != four_fp
-    assert one_fp == fingerprint_config(ShardingConfig(shards=1))
-    assert four_fp == fingerprint_config(ShardingConfig(shards=4))
 
 
 # ------------------------------------------------------- cache namespacing

@@ -44,6 +44,7 @@ from repro.workload.population import build_population  # noqa: E402
 from repro.workload.scenario import run_scenario  # noqa: E402
 
 from tests.conftest import env_with_src  # noqa: E402
+from tests.scale.conftest import BUILDERS  # noqa: E402
 from tests.scale.test_device_parity import DEVICE_ATTRS  # noqa: E402
 
 pytestmark = pytest.mark.scale
@@ -72,7 +73,7 @@ def _build(store, seed, n_peers, with_providers, device, cap, corporate,
         for provider in providers:
             system.register_provider(provider)
     cfg = PopulationConfig(
-        store=store, n_peers=n_peers, device=device, active_peer_cap=cap,
+        n_peers=n_peers, device=device, active_peer_cap=cap,
         corporate_fraction=corporate, attacker_fraction=0.1,
         broken_fraction=0.1)
     created = []
@@ -84,7 +85,7 @@ def _build(store, seed, n_peers, with_providers, device, cap, corporate,
 
     with mock.patch.object(random, "Random", Recording), \
             mock.patch.object(columnar, "_BLOCK", BLOCK):
-        population = build_population(system, providers, cfg)
+        population = BUILDERS[store](system, providers, cfg)
     # build_population's first act is seeding the population stream.
     return system, population, created[0]
 
@@ -163,7 +164,7 @@ def test_array_build_equals_the_object_oracle(**shape):
 def test_nat_profiles_are_interned_by_value():
     system = NetSessionSystem(seed=4)
     population = build_population(
-        system, [], PopulationConfig(store="columnar", n_peers=3000))
+        system, [], PopulationConfig(n_peers=3000))
     store = population.store
     types = len(system.nat_model.types)
     assert len(store._nats.objects) <= types * types + 1

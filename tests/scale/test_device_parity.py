@@ -26,7 +26,7 @@ from repro.runner import run_scenario_artifact  # noqa: E402
 from repro.workload.devices import PRESET_MIXES, default_mix  # noqa: E402
 
 from tests.scale.conftest import (  # noqa: E402
-    build_store_world, tiny_scenario, trace_digest,
+    build_store_world, object_store_oracle, tiny_scenario, trace_digest,
 )
 from tests.scale.test_columnar_equivalence import DORMANT_ATTRS  # noqa: E402
 
@@ -113,10 +113,9 @@ def _tiered(**overrides):
     )
 
 
-def test_tiered_trace_is_store_independent(monkeypatch):
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "object")
-    obj = run_scenario_artifact(_tiered())
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "columnar")
+def test_tiered_trace_is_store_independent():
+    with object_store_oracle():
+        obj = run_scenario_artifact(_tiered())
     col = run_scenario_artifact(_tiered())
     assert trace_digest(obj) == trace_digest(col)
     # The artifact's device record (census + guid→class) agrees too.

@@ -74,7 +74,7 @@ class TestFaultsOnDormantPeers:
         monkeypatch.setenv("REPRO_INVARIANTS", "strict")
         cfg = tiny_scenario(
             seed=9,
-            population=PopulationConfig(n_peers=120, store="columnar"),
+            population=PopulationConfig(n_peers=120),
             faults=(
                 RegionPartition(
                     "partition", start=2 * HOUR, duration=3 * HOUR,
@@ -93,7 +93,7 @@ class TestFaultsOnDormantPeers:
         monkeypatch.setenv("REPRO_INVARIANTS", "strict")
         cfg = tiny_scenario(
             seed=9,
-            population=PopulationConfig(n_peers=120, store="columnar"),
+            population=PopulationConfig(n_peers=120),
             faults=(
                 AdversarialInfestation(
                     "infest", start=1 * HOUR, duration=6 * HOUR,
@@ -112,7 +112,7 @@ class TestFaultsOnDormantPeers:
         monkeypatch.setenv("REPRO_INVARIANTS", "strict")
         cfg = tiny_scenario(
             seed=21,
-            population=PopulationConfig(n_peers=120, store="columnar"),
+            population=PopulationConfig(n_peers=120),
             adversary=AdversaryConfig(fraction=0.15),
             system=SystemConfig(defense=DefenseConfig(enabled=True)),
         )
@@ -132,9 +132,7 @@ class TestActivePeerCap:
         cfg = tiny_scenario(
             seed=13,
             duration_days=0.25,
-            population=PopulationConfig(
-                n_peers=200, store="columnar", active_peer_cap=20
-            ),
+            population=PopulationConfig(n_peers=200, active_peer_cap=20),
             demand=DemandConfig(total_downloads=40, duration_days=0.25),
         )
         result = run_scenario(cfg)

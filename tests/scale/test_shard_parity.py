@@ -3,9 +3,10 @@
 Two independence properties close the loop on the tentpole:
 
 * **Store independence** — the flagship experiments render byte-identical
-  text whether the population lives in the object graph or the columnar
-  store.  ``store`` resolves into the config fingerprint, so the two runs
-  can share one memo without colliding.
+  text whether the population lives in the object graph (the
+  ``tests/scale`` oracle, patched in) or the columnar store.  The oracle
+  is invisible to the config fingerprint, so the memo is cleared between
+  the two sides.
 * **Width independence** — a region-sharded scenario produces the same
   value-canonical trace whether its shards run in-process (``shards=1``)
   or fanned across a process pool (``shards=4``), and whichever store the
@@ -22,7 +23,9 @@ from repro.experiments import common, exp_fig4, exp_table1, exp_vod_policies
 from repro.runner import Orchestrator, run_scenario_artifact
 from repro.workload.sharding import ShardingConfig
 
-from tests.scale.conftest import tiny_scenario, trace_digest
+from tests.scale.conftest import (
+    object_store_oracle, tiny_scenario, trace_digest,
+)
 
 pytestmark = pytest.mark.scale
 
@@ -43,10 +46,10 @@ def fresh_memo(monkeypatch):
     # the tier-1 wall clock.
     pytest.param(exp_vod_policies, marks=pytest.mark.slow),
 ])
-def test_experiment_text_is_store_independent(module, fresh_memo, monkeypatch):
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "object")
-    object_text = module.run("small", 42).text
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "columnar")
+def test_experiment_text_is_store_independent(module, fresh_memo):
+    with object_store_oracle():
+        object_text = module.run("small", 42).text
+    fresh_memo.clear()  # same fingerprint: the columnar side must be cold
     columnar_text = module.run("small", 42).text
     assert columnar_text == object_text
 
@@ -75,10 +78,9 @@ def test_shard_reconciliation_is_clean():
     ) == art.config.population.n_peers
 
 
-def test_sharded_run_is_store_independent(monkeypatch):
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "object")
-    obj = run_scenario_artifact(_sharded(2))
-    monkeypatch.setenv("REPRO_POPULATION_STORE", "columnar")
+def test_sharded_run_is_store_independent():
+    with object_store_oracle():  # forked shard workers inherit the patch
+        obj = run_scenario_artifact(_sharded(2))
     col = run_scenario_artifact(_sharded(2))
     assert trace_digest(obj) == trace_digest(col)
 

@@ -19,7 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import exp_fig4, exp_table1
+from repro.experiments import common, exp_fig4, exp_table1
+from repro.runner import Orchestrator
+
+from tests.scale.conftest import object_store_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -35,15 +38,23 @@ def test_small_scale_output_is_byte_identical(module, golden):
 
 @pytest.mark.parametrize("store", ["object", "columnar"])
 def test_goldens_are_store_independent(store, monkeypatch):
-    """Both population stores must reproduce the goldens exactly.
+    """Both population builds must reproduce the goldens exactly.
 
-    The goldens were rendered by the eager object-graph population; the
-    columnar store's contract is byte-identical traces, so the same bytes
-    must come out whichever store the ``auto`` default resolves to.
+    The goldens were rendered by the eager object-graph population (now
+    the ``tests/scale`` oracle); the columnar store's contract is
+    byte-identical traces, so the same bytes must come out of either.
+    The oracle is invisible to the config fingerprint, so its run gets a
+    private memo.
     """
-    monkeypatch.setenv("REPRO_POPULATION_STORE", store)
     expected = (GOLDEN_DIR / "exp_table1_small_seed42.txt").read_text()
-    assert exp_table1.run("small", 42).text == expected
+    if store == "columnar":
+        assert exp_table1.run("small", 42).text == expected
+        return
+    memo: dict = {}
+    monkeypatch.setattr(common, "_ARTIFACTS", memo)
+    monkeypatch.setattr(common, "_RUNNER", Orchestrator(memory=memo))
+    with object_store_oracle():
+        assert exp_table1.run("small", 42).text == expected
 
 
 # --------------------------------------------------------------- streaming

@@ -115,3 +115,52 @@ class TestGenerator:
             for _ in range(20):
                 t = gen._sample_arrival_time(region, horizon)
                 assert 0.0 <= t < horizon
+
+
+class TestArrivalCurveIsBuiltOncePerRegion:
+    """``schedule_all`` keeps one prime-time CDF per region; sampling with
+    no cache (a rebuild per session, as every session used to pay) is the
+    oracle."""
+
+    HORIZON = 3 * DAY
+
+    def _generator(self, times):
+        from types import SimpleNamespace
+
+        from repro.vod import build_vod_catalog
+
+        config = VodConfig(sessions=120)
+        catalog = build_vod_catalog(random.Random("t"), config)
+        system = SimpleNamespace(sim=SimpleNamespace(
+            schedule_at=lambda t, callback: times.append(t)))
+        population = SimpleNamespace(iter_peers=lambda: iter(()))
+        return VodDemandGenerator(system, population, catalog, config, seed=3)
+
+    def test_same_arrival_times_as_the_per_call_rebuild(self):
+        got: list[float] = []
+        self._generator(got).schedule_all(self.HORIZON)
+
+        oracle = self._generator([])
+        mix = oracle.catalog.provider.region_mix
+        want = []
+        for _ in range(oracle.config.sessions):
+            oracle._sample_episode()
+            region = oracle.rng.choices(
+                list(mix), weights=list(mix.values()), k=1)[0]
+            want.append(oracle._sample_arrival_time(region, self.HORIZON))
+        assert got == want
+        assert len(set(got)) > 100
+
+    def test_rate_calls_are_bounded_by_regions_times_hours(self, monkeypatch):
+        import repro.vod.demand as demand_mod
+
+        calls = []
+        real = demand_mod.prime_time_rate
+        monkeypatch.setattr(
+            demand_mod, "prime_time_rate",
+            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        gen = self._generator([])
+        gen.schedule_all(self.HORIZON)
+        regions = len(gen.catalog.provider.region_mix)
+        assert 0 < len(calls) <= regions * 72
+        assert len(calls) < gen.config.sessions * 72
