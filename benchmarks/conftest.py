@@ -1,18 +1,14 @@
-"""Benchmark fixtures: pre-warmed scenario caches.
+"""Benchmark suite configuration: the ``bench`` marker.
 
-Every benchmark regenerates one of the paper's tables or figures from a
-synthetic trace.  The trace itself is built once per scale (session scope)
-so that each benchmark's measured time is dominated by its analysis, and
-the printed output is the table/series the paper reports.
+The paper-shape checks of every experiment live in
+``tests/test_experiments.py``; this directory holds the performance
+benchmarks (``test_simcore``, ``test_vod``, ``test_runner``) and the
+``benchmarks/perf`` harness.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.experiments.common import standard_result
-
-SEED = 42
 
 
 def pytest_collection_modifyitems(items):
@@ -24,26 +20,3 @@ def pytest_collection_modifyitems(items):
     """
     for item in items:
         item.add_marker(pytest.mark.bench)
-
-
-@pytest.fixture(scope="session")
-def small_scale():
-    """Pre-warm the small-scale trace shared by most benchmarks."""
-    standard_result("small", SEED)
-    return "small"
-
-
-@pytest.fixture(scope="session")
-def mobility_scale():
-    """Pre-warm the mobility/cloning-focused trace."""
-    standard_result("mobility", SEED)
-    return "mobility"
-
-
-def run_experiment(benchmark, module, scale, seed=SEED):
-    """Benchmark an experiment runner once and print its paper-style output."""
-    out = benchmark.pedantic(module.run, args=(scale, seed),
-                             rounds=1, iterations=1)
-    print()
-    print(out.text)
-    return out

@@ -2,8 +2,9 @@
 """Re-run the paper's full measurement study on a synthetic trace.
 
 Generates one trace (like the paper's October 2012 log set) and prints
-every table and figure of the evaluation — the same runners the benchmark
-suite uses.  This is how EXPERIMENTS.md is produced.
+every table and figure of the evaluation — the same runners ``repro run``
+and the shape checks in ``tests/test_experiments.py`` use.  This is how
+EXPERIMENTS.md is produced.
 
 Run:  python examples/measurement_study.py [--scale small|standard|mobility]
 
@@ -15,10 +16,7 @@ import importlib
 import sys
 import time
 
-from repro.experiments import ALL_EXPERIMENTS
-
-#: Experiments whose default scale is the mobility-focused trace.
-MOBILITY_EXPERIMENTS = {"exp_mobility", "exp_fig12"}
+from repro.experiments import ALL_EXPERIMENTS, effective_scale
 
 
 def main() -> int:
@@ -40,7 +38,7 @@ def main() -> int:
 
     for name in chosen:
         module = importlib.import_module(f"repro.experiments.{name}")
-        scale = "mobility" if name in MOBILITY_EXPERIMENTS else args.scale
+        scale = effective_scale(name, args.scale)
         started = time.time()
         output = module.run(scale, args.seed)
         took = time.time() - started

@@ -9,7 +9,10 @@ Commands
     ``--jobs N`` fans the scenario runs out across a process pool (the
     tables render serially afterwards, so output is byte-identical for
     every job count); ``--cache-dir``/``--no-cache`` control the on-disk
-    result cache.
+    result cache.  ``--json`` prints one JSON list instead, one
+    ``{name, scale, seed, metrics}`` object per experiment (for CI
+    artifacts, e.g. the ``exp_vod_policies`` and ``exp_device_tiers``
+    sweeps).
 ``study``
     Run the whole measurement study (all experiments).  Takes the same
     ``--jobs``/``--cache-dir``/``--no-cache`` flags as ``run``.
@@ -24,18 +27,6 @@ Commands
     deterministic: the same ``--scenario``/``--seed`` pair prints
     byte-identical output on every run — and the same bytes again from a
     pool worker.
-``vod``
-    Run the VoD serving-policy sweep (``exp_vod_policies``): the catch-up-TV
-    streaming workload under every serving policy plus the infra-only
-    baseline.  Takes the same ``--jobs``/``--cache-dir``/``--no-cache``
-    flags as ``run`` (scenarios fan out across the pool, the table renders
-    serially, so stdout is byte-identical for every job count);
-    ``--json`` emits the metrics as JSON for CI artifacts.
-``devices``
-    Run the device-tier sweep (``exp_device_tiers``): the heterogeneous
-    smartrouter/mobile/settop population vs the homogeneous baseline, with
-    class-aware ranking, reputation tie-breaks, and operator placement on
-    the router fleet.  Same runner flags and JSON mode as ``vod``.
 ``perf``
     Run the standard scenario once and print the simulator/allocation
     counters (:class:`~repro.core.system.SystemStats`); with ``--profile``,
@@ -70,7 +61,7 @@ Examples
     python -m repro trace --out ./trace --scale small
     python -m repro faults --scenario control_plane_blackout --seed 42
     python -m repro faults --all --jobs 4
-    python -m repro vod --scale small --jobs 2 --json
+    python -m repro run exp_vod_policies --scale small --jobs 2 --json
     python -m repro perf --scale small --profile
     python -m repro audit --scale small
     python -m repro audit --scenario rolling_upgrade --strict
@@ -89,9 +80,6 @@ import sys
 import time
 
 from repro.experiments import ALL_EXPERIMENTS
-
-#: Experiments that default to the mobility-focused trace.
-MOBILITY_EXPERIMENTS = {"exp_mobility", "exp_fig12"}
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
@@ -147,8 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiments", nargs="+", metavar="EXPERIMENT")
     _add_scale(run)
     _add_runner_opts(run)
-    run.add_argument("--perf", action="store_true",
-                     help="print perf counters for each scenario after the tables")
+    output = run.add_mutually_exclusive_group()
+    output.add_argument("--perf", action="store_true",
+                        help="print perf counters for each scenario after the tables")
+    output.add_argument("--json", action="store_true", dest="json_report",
+                        help="emit the experiments' metrics as one JSON list "
+                             "(for CI artifacts)")
 
     study = sub.add_parser("study", help="run the full measurement study")
     _add_scale(study)
@@ -180,23 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "library order")
     faults.add_argument("--json", action="store_true", dest="json_report",
                         help="emit the drill report as JSON (for CI artifacts)")
-
-    vod = sub.add_parser(
-        "vod", help="run the VoD serving-policy sweep (QoE vs ISP transit)"
-    )
-    _add_scale(vod)
-    _add_runner_opts(vod)
-    vod.add_argument("--json", action="store_true", dest="json_report",
-                     help="emit the policy metrics as JSON (for CI artifacts)")
-
-    devices = sub.add_parser(
-        "devices",
-        help="run the device-tier sweep (smartrouter capture, ranking shift)",
-    )
-    _add_scale(devices)
-    _add_runner_opts(devices)
-    devices.add_argument("--json", action="store_true", dest="json_report",
-                         help="emit the tier metrics as JSON (for CI artifacts)")
 
     perf = sub.add_parser(
         "perf", help="run the standard scenario and print perf counters"
@@ -265,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_experiments(names: list[str], scale: str, seed: int, *,
-                     perf: bool = False, jobs: int | None = None,
-                     cache=None) -> int:
-    from repro.experiments import planned_configs
+                     perf: bool = False, json_report: bool = False,
+                     jobs: int | None = None, cache=None) -> int:
+    from repro.experiments import effective_scale, planned_configs
     from repro.experiments.common import configure_runner, prefetch
     from repro.runner import default_jobs
 
@@ -284,20 +259,26 @@ def _run_experiments(names: list[str], scale: str, seed: int, *,
     # so stdout is byte-identical for every --jobs value.
     plan = []
     for name in names:
-        effective = "mobility" if name in MOBILITY_EXPERIMENTS else scale
-        plan.extend(planned_configs(name, effective, seed))
+        plan.extend(planned_configs(name, effective_scale(name, scale), seed))
     prefetch(plan)
 
+    reports = []
     for name in names:
         module = importlib.import_module(f"repro.experiments.{name}")
-        effective = "mobility" if name in MOBILITY_EXPERIMENTS else scale
+        effective = effective_scale(name, scale)
         started = time.time()
         output = module.run(effective, seed)
-        print(f"\n# {name}  (scale={effective})")
-        print(output.text)
+        if json_report:
+            reports.append({"name": output.name, "scale": effective,
+                            "seed": seed, "metrics": output.metrics})
+        else:
+            print(f"\n# {name}  (scale={effective})")
+            print(output.text)
         # Wall-clock goes to stderr: timing must never perturb the
         # byte-parity of the rendered study.
         print(f"# {name}: {time.time() - started:.1f}s", file=sys.stderr)
+    if json_report:
+        print(json.dumps(reports, indent=2, sort_keys=True))
     if perf:
         _print_cached_perf()
     return 0
@@ -466,34 +447,6 @@ def _run_faults(args) -> int:
     return 0
 
 
-def _run_sweep(module_name: str, label: str, args) -> int:
-    from repro.experiments import planned_configs
-    from repro.experiments.common import configure_runner, prefetch
-    from repro.runner import default_jobs
-
-    run = importlib.import_module(f"repro.experiments.{module_name}").run
-    configure_runner(
-        jobs=args.jobs if args.jobs is not None else default_jobs(),
-        cache=_resolve_cache(args),
-    )
-    # Same discipline as ``run``: fan the per-cell scenarios out across
-    # the pool, then render serially — stdout is byte-identical for every
-    # --jobs value, and timing goes to stderr.
-    started = time.time()
-    prefetch(planned_configs(module_name, args.scale, args.seed))
-    output = run(args.scale, args.seed)
-    if args.json_report:
-        print(json.dumps(
-            {"name": output.name, "scale": args.scale, "seed": args.seed,
-             "metrics": output.metrics},
-            indent=2, sort_keys=True,
-        ))
-    else:
-        print(output.text)
-    print(f"# {label}: {time.time() - started:.1f}s", file=sys.stderr)
-    return 0
-
-
 def _run_scale(args) -> int:
     from pathlib import Path
 
@@ -572,19 +525,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         return _run_experiments(args.experiments, args.scale, args.seed,
-                                perf=args.perf, jobs=args.jobs,
-                                cache=_resolve_cache(args))
+                                perf=args.perf, json_report=args.json_report,
+                                jobs=args.jobs, cache=_resolve_cache(args))
 
     if args.command == "study":
         return _run_experiments(list(ALL_EXPERIMENTS), args.scale, args.seed,
                                 perf=args.perf, jobs=args.jobs,
                                 cache=_resolve_cache(args))
-
-    if args.command == "vod":
-        return _run_sweep("exp_vod_policies", "vod", args)
-
-    if args.command == "devices":
-        return _run_sweep("exp_device_tiers", "devices", args)
 
     if args.command == "perf":
         return _run_perf(args.scale, args.seed,

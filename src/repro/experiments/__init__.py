@@ -12,7 +12,8 @@ from repro.experiments.common import (
 )
 
 __all__ = ["ExperimentOutput", "standard_config", "standard_result",
-           "scenario_result", "planned_configs", "ALL_EXPERIMENTS"]
+           "scenario_result", "planned_configs", "effective_scale",
+           "ALL_EXPERIMENTS"]
 
 #: Importable names of all experiment modules, for the run-everything example.
 ALL_EXPERIMENTS = [
@@ -25,6 +26,18 @@ ALL_EXPERIMENTS = [
     "exp_fault_matrix", "exp_blackout_recovery", "exp_vod_policies",
     "exp_adversarial_resilience", "exp_device_tiers",
 ]
+
+#: The §6.2 analyses: they need the long, mobility-heavy trace.
+_MOBILITY_EXPERIMENTS = {"exp_mobility", "exp_fig12"}
+
+
+def effective_scale(name: str, scale: str) -> str:
+    """The scale experiment ``name`` runs at when ``scale`` is asked for.
+
+    The mobility experiments always run on the ``mobility`` trace; every
+    other experiment runs at the requested scale.
+    """
+    return "mobility" if name in _MOBILITY_EXPERIMENTS else scale
 
 
 def planned_configs(name: str, scale: str, seed: int) -> list:

@@ -16,7 +16,7 @@ memory-only default.
 
 Scales:
 
-* ``small``  — seconds; used by the benchmark suite;
+* ``small``  — seconds; used by the shape checks in the test suite;
 * ``standard`` — the calibrated flagship run (~1 min) used for
   EXPERIMENTS.md numbers;
 * ``mobility`` — small population but long trace with mobility/cloning

@@ -9,7 +9,7 @@ streaming engine, assembled by :func:`~repro.vod.engine.attach_vod`.
 
 QoE and ISP-impact metrics for the resulting traces live in
 :mod:`repro.analysis.qoe`; the policy sweep is ``exp_vod_policies``
-(``python -m repro vod``).
+(``python -m repro run exp_vod_policies``).
 """
 
 from repro.vod.catalog import (

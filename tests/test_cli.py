@@ -25,9 +25,9 @@ class TestParser:
 class TestCommands:
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in ALL_EXPERIMENTS:
-            assert name in out
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == ALL_EXPERIMENTS  # each name once, in order
 
     def test_run_unknown_experiment_fails(self, capsys):
         assert main(["run", "exp_nonsense"]) == 2
@@ -193,20 +193,39 @@ class TestFaultsAllFlag:
         assert [d["scenario"] for d in data] == ["dn_wipe", "cn_flap"]
 
 
-class TestVodCommand:
-    def test_parser_accepts_the_sweep_flags(self):
+class TestRunJsonFlag:
+    def test_parser_accepts_the_json_flag(self):
         args = build_parser().parse_args(
-            ["vod", "--scale", "small", "--seed", "7", "--jobs", "2",
-             "--json"])
-        assert args.command == "vod"
-        assert args.scale == "small"
-        assert args.seed == 7
+            ["run", "exp_vod_policies", "--json", "--jobs", "2"])
+        assert args.command == "run"
+        assert args.experiments == ["exp_vod_policies"]
         assert args.jobs == 2
         assert args.json_report
 
-    def test_vod_scale_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["vod", "--scale", "galactic"])
+    @pytest.mark.parametrize("command", ["vod", "devices"])
+    def test_retired_sweep_commands_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scale", "small"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_json_with_perf_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "exp_offload", "--json", "--perf"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_json_lists_one_object_per_experiment(self, capsys):
+        import json
+
+        assert main(["run", "exp_offload", "exp_table1", "--scale", "small",
+                     "--jobs", "1", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in report] == ["offload", "table1"]
+        for entry in report:
+            assert set(entry) == {"name", "scale", "seed", "metrics"}
+            assert (entry["scale"], entry["seed"]) == ("small", 42)
+            assert entry["metrics"]
 
     @pytest.mark.slow
     def test_json_report_is_byte_stable_across_pool_widths(
@@ -221,16 +240,17 @@ class TestVodCommand:
             memo: dict = {}
             monkeypatch.setattr(common, "_ARTIFACTS", memo)
             monkeypatch.setattr(common, "_RUNNER", Orchestrator(memory=memo))
-            assert main(["vod", "--scale", "small", "--jobs", str(jobs),
-                         "--json", "--cache-dir", str(tmp_path / cache)]) == 0
+            assert main(["run", "exp_vod_policies", "--scale", "small",
+                         "--jobs", str(jobs), "--json",
+                         "--cache-dir", str(tmp_path / cache)]) == 0
             return capsys.readouterr().out
 
         serial = cold_run(1, "serial")
         pooled = cold_run(4, "pooled")
         assert pooled == serial
         report = json.loads(serial)
-        assert report["name"] == "vod_policies"
-        assert report["metrics"]["unrestricted_peak_transit_bytes"] > 0
+        assert report[0]["name"] == "vod_policies"
+        assert report[0]["metrics"]["unrestricted_peak_transit_bytes"] > 0
 
 
 class TestAuditCommand:
