@@ -127,6 +127,13 @@ def generate(seed: int) -> FuzzSpec:
 
     The RNG stream is independent of every system RNG (string-seeded like
     the control channel's), so spec generation never perturbs a run.
+
+    Fields draw in declaration order (``every_events`` is not drawn),
+    newest at the bottom, so a newly fuzzable field leaves every older
+    field of a seed where it was.  The stream was bumped once, when the
+    draws of two retired knobs (the settlement-policy coin and a
+    three-way switch) were dropped: every field after ``channel_loss``
+    re-drew then.
     """
     rng = random.Random(f"repro-fuzz:{seed}")
     fault = None
@@ -134,7 +141,7 @@ def generate(seed: int) -> FuzzSpec:
         fault = rng.choice(scenario_names())
     duration_hours = rng.uniform(2.0, 10.0)
     fault_at = rng.uniform(300.0, 0.4 * duration_hours * 3600.0)
-    spec = FuzzSpec(
+    return FuzzSpec(
         seed=seed,
         n_seeders=rng.randint(2, 14),
         n_downloaders=rng.randint(2, 14),
@@ -147,28 +154,13 @@ def generate(seed: int) -> FuzzSpec:
         fault_duration=rng.uniform(600.0, 3600.0),
         channel_latency=rng.choice((0.0, 0.0, 0.05, 0.25)),
         channel_loss=rng.choice((0.0, 0.0, 0.02, 0.10)),
-    )
-    # The retired settlement-policy coin drew here; burn its draw so every
-    # field below keeps the value the same seed has always produced.
-    rng.random()
-    spec = replace(
-        spec,
         edge_egress_mbps=rng.choice((None, None, 500.0, 2000.0)),
         churn_events=rng.randint(0, 6),
         pause_resume_events=rng.randint(0, 6),
-        # Newer fields draw last, newest at the bottom: every older field
-        # above keeps the exact value the same seed produced before the
-        # newer knob was fuzzable.
         vod_streams=rng.choice((0, 0, 0, 2, 4)),
         vod_policy=rng.choice(
             (None, "unrestricted", "isp_local", "popularity_seeding")
         ),
-    )
-    # A retired three-way knob drew here; burn its draw so every field
-    # below keeps the value the same seed has always produced.
-    rng.choice(range(3))
-    return replace(
-        spec,
         adversary_fraction=rng.choice((0.0, 0.0, 0.0, 0.15, 0.3)),
         adversary_profile=rng.choice((None, None) + _PROFILES),
         defense=rng.random() < 0.5,

@@ -157,6 +157,10 @@ class GeoDatabase:
         """Like :meth:`lookup` but returns None for unknown addresses."""
         return self._records.get(ip)
 
+    def items(self):
+        """Every ``(ip, record)`` pair, in registration order."""
+        return self._records.items()
+
     def __len__(self) -> int:
         return len(self._records)
 

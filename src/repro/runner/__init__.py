@@ -1,10 +1,12 @@
 """repro.runner — deterministic process-parallel experiment orchestration.
 
-Four pieces, layered:
+Six pieces, layered:
 
 * :mod:`~repro.runner.fingerprint` — content hashes for configs and code;
 * :mod:`~repro.runner.artifact` — the picklable scenario projection that
   crosses process and disk boundaries;
+* :mod:`~repro.runner.digest` — what "the same trace" means: a record
+  digest (what the analysis reads) and an event digest (the counters);
 * :mod:`~repro.runner.cache` — the on-disk, namespace-versioned result
   cache (``.repro-cache/``, managed by ``repro cache``);
 * :mod:`~repro.runner.orchestrator` — fingerprint-deduplicated scheduling
@@ -21,6 +23,7 @@ from repro.runner.artifact import (
     ScenarioArtifact, artifact_from_result, run_scenario_artifact,
 )
 from repro.runner.cache import DEFAULT_CACHE_DIR, CacheEntry, ResultCache
+from repro.runner.digest import event_digest, record_digest
 from repro.runner.fingerprint import (
     CACHE_SCHEMA_VERSION, cache_namespace, canonicalize, code_fingerprint,
     fingerprint_config,
@@ -33,6 +36,7 @@ from repro.runner.sharding import (
 __all__ = [
     "ScenarioArtifact", "artifact_from_result", "run_scenario_artifact",
     "CacheEntry", "ResultCache", "DEFAULT_CACHE_DIR",
+    "event_digest", "record_digest",
     "CACHE_SCHEMA_VERSION", "cache_namespace", "canonicalize",
     "code_fingerprint", "fingerprint_config",
     "Orchestrator", "parallel_map", "default_jobs",

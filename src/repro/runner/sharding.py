@@ -331,7 +331,7 @@ def merge_shard_artifacts(
         logstore.downloads.extend(art.logstore.downloads)
         logstore.logins.extend(art.logstore.logins)
         logstore.registrations.extend(art.logstore.registrations)
-        for ip, record in art.geodb._records.items():
+        for ip, record in art.geodb.items():
             geodb.register(ip, record)
         timeline.extend(art.timeline)
         violations.extend(art.violations)

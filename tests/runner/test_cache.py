@@ -8,7 +8,10 @@ import pickle
 
 import pytest
 
-from repro.runner import ResultCache, cache_namespace, fingerprint_config
+from repro.runner import (
+    ResultCache, cache_namespace, event_digest, fingerprint_config,
+    record_digest,
+)
 
 pytestmark = pytest.mark.runner
 
@@ -16,22 +19,6 @@ pytestmark = pytest.mark.runner
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
-
-
-def _deep_equal(a, b) -> bool:
-    """Artifact equality via the analysis-facing surface."""
-    return (
-        a.fingerprint == b.fingerprint
-        and a.config == b.config
-        and a.stats.as_dict() == b.stats.as_dict()
-        and len(a.logstore.downloads) == len(b.logstore.downloads)
-        and [ (r.outcome, r.peer_bytes, r.total_bytes)
-              for r in a.logstore.downloads ]
-            == [ (r.outcome, r.peer_bytes, r.total_bytes)
-                 for r in b.logstore.downloads ]
-        and a.mobility_census == b.mobility_census
-        and a.violations == b.violations
-    )
 
 
 class TestRoundTrip:
@@ -43,7 +30,12 @@ class TestRoundTrip:
         loaded = cache.get(tiny_artifact.fingerprint)
         assert loaded is not None
         assert loaded is not tiny_artifact  # a real disk round trip
-        assert _deep_equal(loaded, tiny_artifact)
+        assert loaded.fingerprint == tiny_artifact.fingerprint
+        assert loaded.config == tiny_artifact.config
+        assert record_digest(loaded) == record_digest(tiny_artifact)
+        assert event_digest(loaded) == event_digest(tiny_artifact)
+        assert loaded.timeline == tiny_artifact.timeline
+        assert loaded.violations == tiny_artifact.violations
 
     def test_fingerprint_matches_config(self, cache, tiny_artifact):
         assert tiny_artifact.fingerprint == fingerprint_config(

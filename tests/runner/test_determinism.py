@@ -17,7 +17,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runner import fingerprint_config, parallel_map, run_scenario_artifact
+from repro.runner import (
+    event_digest, fingerprint_config, parallel_map, record_digest,
+    run_scenario_artifact,
+)
 from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
 )
@@ -25,20 +28,6 @@ from repro.workload import (
 pytestmark = pytest.mark.runner
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
-
-
-def _surface(artifact) -> tuple:
-    """Everything the analysis layer reads, as a comparable value."""
-    return (
-        artifact.fingerprint,
-        artifact.stats.as_dict(),
-        tuple((r.outcome, r.peer_bytes, r.total_bytes, r.started_at)
-              for r in artifact.logstore.downloads),
-        artifact.mobility_census,
-        artifact.finalized_downloads,
-        artifact.timeline,
-        artifact.violations,
-    )
 
 
 small_configs = st.builds(
@@ -64,9 +53,12 @@ def test_worker_run_equals_in_process_run(config):
     in_process = run_scenario_artifact(config)
     # Two pool workers run the same config independently; both must agree
     # with the parent byte-for-byte on the whole analysis surface.
-    workers = parallel_map(run_scenario_artifact, [config, config], jobs=2)
-    assert _surface(workers[0]) == _surface(in_process)
-    assert _surface(workers[1]) == _surface(in_process)
+    for worker in parallel_map(run_scenario_artifact, [config, config], jobs=2):
+        assert worker.fingerprint == in_process.fingerprint
+        assert record_digest(worker) == record_digest(in_process)
+        assert event_digest(worker) == event_digest(in_process)
+        assert worker.timeline == in_process.timeline
+        assert worker.violations == in_process.violations
 
 
 def _pollute_global_rngs() -> None:

@@ -4,17 +4,13 @@ The contract under test: the columnar population store and the region
 sharder are pure *representation* changes — every byte of trace output is
 identical to the object-graph, single-process seed implementation.  That
 implementation lives here (:func:`build_object_population`): it is the
-oracle, not something a user can select.  The other helpers canonicalize a
-scenario's output into a digest that ignores representation (object
-identity, pickle memoization, dict iteration quirks) and captures values
-only.
+oracle, not something a user can select.  "Identical" is the two halves of
+:mod:`repro.runner.digest`: records by value, counters by value.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import pickle
 import random
 from unittest import mock
 
@@ -116,24 +112,3 @@ def tiny_scenario(seed: int = 5, **overrides) -> ScenarioConfig:
         catalog=CatalogConfig(objects_per_provider=6),
     )
     return dataclasses.replace(base, **overrides) if overrides else base
-
-
-def trace_digest(artifact) -> str:
-    """Value-canonical digest of everything the analysis layer reads.
-
-    Records are hashed one at a time: a whole-list pickle would also hash
-    the object-sharing structure (in-process runs intern strings across
-    records; pool workers don't), which is representation, not value.
-    """
-    h = hashlib.sha256()
-    store = artifact.logstore
-    for records in (store.downloads, store.logins, store.registrations):
-        for rec in records:
-            h.update(pickle.dumps(rec))
-    for ip, record in sorted(artifact.geodb._records.items()):
-        h.update(pickle.dumps((ip, record)))
-    h.update(pickle.dumps(artifact.stats.as_dict()))
-    h.update(pickle.dumps(sorted(artifact.mobility_census.items())))
-    h.update(pickle.dumps(sorted(artifact.cloning_census.items())))
-    h.update(pickle.dumps(artifact.finalized_downloads))
-    return h.hexdigest()

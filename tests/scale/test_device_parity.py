@@ -22,11 +22,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.runner import run_scenario_artifact  # noqa: E402
+from repro.runner import (  # noqa: E402
+    event_digest, record_digest, run_scenario_artifact,
+)
 from repro.workload.devices import PRESET_MIXES, default_mix  # noqa: E402
 
 from tests.scale.conftest import (  # noqa: E402
-    build_store_world, object_store_oracle, tiny_scenario, trace_digest,
+    build_store_world, object_store_oracle, tiny_scenario,
 )
 from tests.scale.test_columnar_equivalence import DORMANT_ATTRS  # noqa: E402
 
@@ -117,7 +119,8 @@ def test_tiered_trace_is_store_independent():
     with object_store_oracle():
         obj = run_scenario_artifact(_tiered())
     col = run_scenario_artifact(_tiered())
-    assert trace_digest(obj) == trace_digest(col)
+    assert record_digest(obj) == record_digest(col)
+    assert event_digest(obj) == event_digest(col)
     # The artifact's device record (census + guid→class) agrees too.
     assert obj.devices == col.devices
     assert obj.devices["census"]

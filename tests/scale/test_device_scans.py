@@ -14,11 +14,11 @@ import random
 
 import pytest
 
-from repro.runner import run_scenario_artifact
+from repro.runner import event_digest, record_digest, run_scenario_artifact
 from repro.workload.devices import default_mix, router_heavy
 from repro.workload.sharding import ShardingConfig
 
-from tests.scale.conftest import build_store_world, tiny_scenario, trace_digest
+from tests.scale.conftest import build_store_world, tiny_scenario
 
 pytestmark = pytest.mark.scale
 
@@ -91,7 +91,8 @@ def _tiered_sharded(shards: int):
 def test_shard_width_does_not_change_the_tiered_trace():
     a1 = run_scenario_artifact(_tiered_sharded(1))
     a4 = run_scenario_artifact(_tiered_sharded(4))
-    assert trace_digest(a1) == trace_digest(a4)
+    assert record_digest(a1) == record_digest(a4)
+    assert event_digest(a1) == event_digest(a4)
     # Device records merge across shards: same census, same class map.
     assert a1.devices["census"] == a4.devices["census"]
     assert a1.devices["classes"] == a4.devices["classes"]

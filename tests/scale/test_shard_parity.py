@@ -20,12 +20,12 @@ import dataclasses
 import pytest
 
 from repro.experiments import common, exp_fig4, exp_table1, exp_vod_policies
-from repro.runner import Orchestrator, run_scenario_artifact
+from repro.runner import (
+    Orchestrator, event_digest, record_digest, run_scenario_artifact,
+)
 from repro.workload.sharding import ShardingConfig
 
-from tests.scale.conftest import (
-    object_store_oracle, tiny_scenario, trace_digest,
-)
+from tests.scale.conftest import object_store_oracle, tiny_scenario
 
 pytestmark = pytest.mark.scale
 
@@ -61,7 +61,8 @@ def _sharded(shards: int):
 def test_shard_width_does_not_change_the_trace():
     a1 = run_scenario_artifact(_sharded(1))
     a4 = run_scenario_artifact(_sharded(4))
-    assert trace_digest(a1) == trace_digest(a4)
+    assert record_digest(a1) == record_digest(a4)
+    assert event_digest(a1) == event_digest(a4)
     # Only the execution-width bookkeeping may differ.
     assert a1.sharding["shards"] == 1 and a4.sharding["shards"] == 4
     assert a1.sharding["regions"] == a4.sharding["regions"]
@@ -82,7 +83,8 @@ def test_sharded_run_is_store_independent():
     with object_store_oracle():  # forked shard workers inherit the patch
         obj = run_scenario_artifact(_sharded(2))
     col = run_scenario_artifact(_sharded(2))
-    assert trace_digest(obj) == trace_digest(col)
+    assert record_digest(obj) == record_digest(col)
+    assert event_digest(obj) == event_digest(col)
 
 
 def test_sharded_and_unsharded_agree_on_totals():

@@ -14,13 +14,14 @@ regenerate with::
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import common, exp_fig4, exp_table1
-from repro.runner import Orchestrator
+from repro.runner import (
+    Orchestrator, event_digest, record_digest, run_scenario_artifact,
+)
 
 from tests.scale.conftest import object_store_oracle
 
@@ -59,13 +60,13 @@ def test_goldens_are_store_independent(store, monkeypatch):
 
 # --------------------------------------------------------------- streaming
 #
-# Table 1 and Fig 4 never start a stream.  These digests pin everything a
-# stream touches — every download record field (incl. ``startup_delay``,
-# ``rebuffer_events``, ``rebuffer_time``, ``watched_fraction``) and the
-# end-of-run counters — and were recorded at the commit *before* the
-# in-order prefix cursor replaced the per-tick piece scan in
-# ``core/streaming.py``.  Regenerate (only for an intentional modelling
-# change) with::
+# Table 1 and Fig 4 never start a stream.  Each line is ``name record
+# event``: the two halves of :mod:`repro.runner.digest`.  The record column
+# pins every record field a stream touches (``startup_delay``,
+# ``rebuffer_events``, ``rebuffer_time``, ``watched_fraction``, ...); the
+# event column pins the end-of-run counters.  A change that only moves
+# counters re-records the event column alone.  Regenerate (only for an
+# intentional change, and say which column moved) with::
 #
 #     PYTHONPATH=src python -c "
 #     from tests.test_golden_parity import write_streaming_goldens
@@ -100,26 +101,20 @@ def _streaming_configs():
     return named
 
 
-def _streaming_digest(config) -> str:
-    from repro.runner import run_scenario_artifact
-
+def _halves(config) -> list[str]:
     artifact = run_scenario_artifact(config)
-    digest = hashlib.sha256()
-    for record in artifact.logstore.downloads:
-        digest.update(repr(tuple(vars(record).items())).encode())
-    digest.update(repr(sorted(artifact.stats.as_dict().items())).encode())
-    return digest.hexdigest()
+    return [record_digest(artifact), event_digest(artifact)]
 
 
 def write_streaming_goldens() -> None:
     STREAMING_GOLDEN.write_text("".join(
-        f"{name} {_streaming_digest(cfg)}\n"
+        " ".join([name, *_halves(cfg)]) + "\n"
         for name, cfg in _streaming_configs().items()))
 
 
 @pytest.mark.parametrize(
     "name", ["unrestricted", "isp_local", "popularity_seeding", "busy"])
 def test_streaming_trace_digest_is_pinned(name):
-    expected = dict(line.split() for line in
-                    STREAMING_GOLDEN.read_text().splitlines())
-    assert _streaming_digest(_streaming_configs()[name]) == expected[name]
+    expected = {name: halves for name, *halves in
+                map(str.split, STREAMING_GOLDEN.read_text().splitlines())}
+    assert _halves(_streaming_configs()[name]) == expected[name]

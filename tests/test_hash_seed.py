@@ -1,15 +1,18 @@
-"""Experiment text must not depend on ``PYTHONHASHSEED``.
+"""Experiment text and traces must not depend on ``PYTHONHASHSEED``.
 
 ``Torrent.seeders`` was a ``set`` of peers hashed by name (a str hash), and
 ``exp_fig8`` printed a ``Counter`` in first-seen order of a set walk: both
-leaked the interpreter's hash seed into rendered numbers.  The hash seed is
-fixed at interpreter start, so each check runs in fresh subprocesses.
+leaked the interpreter's hash seed into rendered numbers.  A scenario's
+record and event digests must hold still across hash seeds too.  The hash
+seed is fixed at interpreter start, so each check runs in fresh
+subprocesses.
 """
 
 from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,9 +63,19 @@ print(exp_fig8.run("small", 42).text)
 """
 
 
+#: Print both halves of a scenario's trace digest (``repro.runner.digest``)
+#: for the ``config`` that ``{setup}`` defines.
+_HALVES = """
+from repro.runner import event_digest, record_digest, run_scenario_artifact
+{setup}
+artifact = run_scenario_artifact(config)
+print(record_digest(artifact), event_digest(artifact))
+"""
+
+
 def _stdout(argv: list[str], hash_seed: int) -> str:
     done = subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True,
+                          text=True, cwd=Path(__file__).resolve().parents[1],
                           env=env_with_src(PYTHONHASHSEED=str(hash_seed)))
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -72,6 +85,20 @@ def test_swarm_and_fig8_cores_ignore_the_hash_seed():
     a, b = (_stdout(["-c", _CORE], seed) for seed in (0, 1))
     assert "peers_half" in a and "leech11" in a
     assert a == b
+
+
+@pytest.mark.parametrize("setup", [
+    pytest.param("from tests.scale.conftest import tiny_scenario\n"
+                 "config = tiny_scenario()", id="tiny"),
+    pytest.param("from tests.test_golden_parity import _streaming_configs\n"
+                 "config = _streaming_configs()['busy']",
+                 marks=pytest.mark.slow, id="streaming-busy"),
+])
+def test_trace_digests_ignore_the_hash_seed(setup):
+    script = _HALVES.format(setup=setup)
+    outputs = {_stdout(["-c", script], seed) for seed in (0, 1, 2)}
+    assert len(outputs) == 1
+    assert len(outputs.pop().split()) == 2
 
 
 @pytest.mark.slow

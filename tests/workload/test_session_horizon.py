@@ -18,7 +18,7 @@ import pytest
 
 import repro.workload.scenario as scenario_mod
 from repro.net.sim import Simulator
-from repro.runner import run_scenario_artifact
+from repro.runner import event_digest, record_digest, run_scenario_artifact
 from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
 )
@@ -26,9 +26,7 @@ from repro.workload.population import DAY, _schedule_peer_days
 from repro.workload.scenario import run_scenario
 from repro.workload.sharding import ShardingConfig
 
-from tests.scale.conftest import (
-    object_store_oracle, tiny_scenario, trace_digest,
-)
+from tests.scale.conftest import object_store_oracle, tiny_scenario
 
 #: The only ``stats.as_dict()`` keys the push bound may move.
 HEAP_KEYS = {"sim_heap_pushes", "pending_events"}
@@ -61,24 +59,18 @@ def unbounded():
         yield
 
 
-def records(result) -> dict[str, list[dict]]:
-    store = result.logstore
-    return {kind: [vars(r) for r in getattr(store, kind)]
-            for kind in ("downloads", "logins", "registrations")}
-
-
 @pytest.mark.parametrize("days", [3.0, 7.0])
 def test_bounded_setup_matches_the_unbounded_oracle(days):
     cfg = small_scenario(days)
-    bounded = run_scenario(cfg)
+    bounded = run_scenario_artifact(cfg)
     with unbounded():
-        oracle = run_scenario(cfg)
+        oracle = run_scenario_artifact(cfg)
 
-    got, expected = records(bounded), records(oracle)
-    assert len(got["downloads"]) > 50 and len(got["logins"]) > 100
-    assert got == expected
+    store = bounded.logstore
+    assert len(store.downloads) > 50 and len(store.logins) > 100
+    assert record_digest(bounded) == record_digest(oracle)
 
-    stats, oracle_stats = (r.system.stats().as_dict() for r in (bounded, oracle))
+    stats, oracle_stats = (r.stats.as_dict() for r in (bounded, oracle))
     moved = {key for key in oracle_stats if stats[key] != oracle_stats[key]}
     assert moved == HEAP_KEYS
     for key in HEAP_KEYS:
@@ -185,10 +177,10 @@ def test_draws_do_not_depend_on_the_bound():
 
 def test_object_and_columnar_stores_agree_under_the_bound():
     with object_store_oracle():
-        runs = [run_scenario(small_scenario(3.0))]
-    runs.append(run_scenario(small_scenario(3.0)))
-    assert records(runs[0]) == records(runs[1])
-    assert runs[0].system.stats().as_dict() == runs[1].system.stats().as_dict()
+        obj = run_scenario_artifact(small_scenario(3.0))
+    col = run_scenario_artifact(small_scenario(3.0))
+    assert record_digest(obj) == record_digest(col)
+    assert event_digest(obj) == event_digest(col)
 
 
 def test_sharded_runs_keep_width_parity_and_the_oracle_records():
@@ -196,9 +188,10 @@ def test_sharded_runs_keep_width_parity_and_the_oracle_records():
         tiny_scenario(), sharding=ShardingConfig(shards=shards))
         for shards in (1, 4)}
     a1, a4 = (run_scenario_artifact(cfg) for cfg in sharded.values())
-    assert trace_digest(a1) == trace_digest(a4)
+    assert record_digest(a1) == record_digest(a4)
+    assert event_digest(a1) == event_digest(a4)
     with unbounded():  # shards=1 runs its regions in this process
         oracle = run_scenario_artifact(sharded[1])
-    assert records(a1) == records(oracle)
+    assert record_digest(a1) == record_digest(oracle)
     stats, oracle_stats = a1.stats.as_dict(), oracle.stats.as_dict()
     assert {key for key in stats if stats[key] != oracle_stats[key]} == HEAP_KEYS
