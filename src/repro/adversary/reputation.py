@@ -168,10 +168,6 @@ class ReputationEngine:
         """Key for ``select_peers(rank_key=...)``: decayed score, higher first."""
         return lambda reg: self.score(reg.guid, now)
 
-    def state(self, guid: str) -> str:
-        entry = self.peers.get(guid)
-        return GOOD if entry is None else entry.state
-
     # ------------------------------------------------------------ aggregation
 
     def ingest_report(self, report: "UsageReport", now: float) -> None:

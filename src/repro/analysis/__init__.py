@@ -30,7 +30,7 @@ from repro.analysis.report import (
     human_bytes, pct, render_comparison, render_series, render_table,
 )
 from repro.analysis.stats import (
-    bin_index, cdf_points, gini, log_bins, mean, percentile, weighted_fraction,
+    cdf_points, mean, percentile,
 )
 from repro.analysis.traffic import (
     locality_shares,
@@ -68,7 +68,6 @@ __all__ = [
     "build_secondary_guid_graphs", "classify_graph", "figure12_pattern_census",
     "qoe_summary", "streamed_records", "peak_hour_transit",
     "peak_transit_total",
-    "cdf_points", "percentile", "mean", "log_bins", "bin_index",
-    "weighted_fraction", "gini",
+    "cdf_points", "percentile", "mean",
     "render_table", "render_series", "render_comparison", "pct", "human_bytes",
 ]

@@ -50,16 +50,6 @@ class OffloadSummary:
     median_peer_efficiency: float
     byte_weighted_efficiency: float
 
-    def rows(self) -> list[tuple[str, float]]:
-        """(label, value) rows for reporting."""
-        return [
-            ("p2p-enabled file fraction", self.p2p_file_fraction),
-            ("p2p-enabled byte share", self.p2p_byte_share),
-            ("mean peer efficiency", self.mean_peer_efficiency),
-            ("median peer efficiency", self.median_peer_efficiency),
-            ("byte-weighted peer efficiency", self.byte_weighted_efficiency),
-        ]
-
 
 def offload_summary(logs: LogStore) -> OffloadSummary:
     """Compute the §5.1 statistics from completed downloads.

@@ -44,18 +44,6 @@ class MobilitySummary:
     beyond_10km: float
     mean_new_connections_per_minute: float
 
-    def rows(self) -> list[tuple[str, float]]:
-        """(label, value) rows for reporting."""
-        return [
-            ("GUIDs observed", self.guids),
-            ("single AS", self.one_as),
-            ("two ASes", self.two_as),
-            (">2 ASes", self.more_as),
-            ("within 10 km", self.within_10km),
-            ("beyond 10 km", self.beyond_10km),
-            ("new connections/min", self.mean_new_connections_per_minute),
-        ]
-
 
 def mobility_summary(logs: LogStore, geodb: GeoDatabase) -> MobilitySummary:
     """Compute the mobility statistics from login records + geolocation."""

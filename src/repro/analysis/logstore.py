@@ -24,7 +24,6 @@ class LogStore:
         self.downloads: list[DownloadRecord] = []
         self.logins: list[LoginRecord] = []
         self.registrations: list[RegistrationRecord] = []
-        self._downloads_by_cid: dict[str, list[DownloadRecord]] | None = None
         self._logins_by_guid: dict[str, list[LoginRecord]] | None = None
         self._registrations_by_cid: dict[str, list[RegistrationRecord]] | None = None
 
@@ -33,7 +32,6 @@ class LogStore:
     def add_download(self, record: DownloadRecord) -> None:
         """Append a download record (CN-side, at download end)."""
         self.downloads.append(record)
-        self._downloads_by_cid = None
 
     def add_login(self, record: LoginRecord) -> None:
         """Append a login record (CN-side, at connection open)."""
@@ -46,15 +44,6 @@ class LogStore:
         self._registrations_by_cid = None
 
     # ---------------------------------------------------------------- reads
-
-    def downloads_by_cid(self) -> dict[str, list[DownloadRecord]]:
-        """Download records grouped by content id."""
-        if self._downloads_by_cid is None:
-            grouped: dict[str, list[DownloadRecord]] = defaultdict(list)
-            for rec in self.downloads:
-                grouped[rec.cid].append(rec)
-            self._downloads_by_cid = dict(grouped)
-        return self._downloads_by_cid
 
     def logins_by_guid(self) -> dict[str, list[LoginRecord]]:
         """Login records grouped by GUID, in append (time) order."""

@@ -1,4 +1,4 @@
-"""Statistical helpers shared by the analyses: CDFs, binning, percentiles.
+"""Statistical helpers shared by the analyses: CDFs, percentiles, means.
 
 Small, dependency-light utilities so every figure module computes its
 series the same way.  All functions are pure and operate on plain Python
@@ -7,15 +7,11 @@ sequences (numpy is used internally where it pays).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "cdf_points", "percentile", "log_bins", "bin_index", "mean",
-    "weighted_fraction", "gini",
-]
+__all__ = ["cdf_points", "percentile", "mean"]
 
 
 def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
@@ -48,65 +44,3 @@ def mean(values: Iterable[float]) -> float:
         total += v
         count += 1
     return total / count if count else 0.0
-
-
-def log_bins(low: float, high: float, per_decade: int = 4) -> list[float]:
-    """Logarithmically spaced bin edges covering [low, high].
-
-    The returned edges start at or below ``low`` and end at or above
-    ``high``; useful for the paper's log-x CDFs and scatter aggregations.
-    """
-    if low <= 0 or high < low:
-        raise ValueError(f"invalid log-bin range [{low}, {high}]")
-    if per_decade <= 0:
-        raise ValueError("per_decade must be positive")
-    start = math.floor(math.log10(low) * per_decade)
-    stop = math.ceil(math.log10(high) * per_decade)
-    return [10 ** (k / per_decade) for k in range(start, stop + 1)]
-
-
-def bin_index(edges: Sequence[float], value: float) -> int:
-    """Index of the bin (between consecutive edges) containing ``value``.
-
-    Values below the first edge map to bin 0; values at or above the last
-    edge map to the final bin.
-    """
-    if len(edges) < 2:
-        raise ValueError("need at least two edges")
-    for i in range(1, len(edges)):
-        if value < edges[i]:
-            return i - 1
-    return len(edges) - 2
-
-
-def weighted_fraction(pairs: Iterable[tuple[float, float]]) -> float:
-    """Sum(numerator) / sum(denominator) over (numerator, denominator) pairs.
-
-    Used for byte-weighted ratios like overall peer efficiency.  Returns
-    0.0 when the denominator is zero.
-    """
-    num = 0.0
-    den = 0.0
-    for n, d in pairs:
-        num += n
-        den += d
-    return num / den if den else 0.0
-
-
-def gini(values: Sequence[float]) -> float:
-    """Gini coefficient of a non-negative distribution (0 = equal, →1 = skewed).
-
-    Used to characterise the inter-AS upload concentration ("2% of ASes sent
-    90% of the bytes", Figure 9b).
-    """
-    if not values:
-        return 0.0
-    arr = np.sort(np.asarray(values, dtype=float))
-    if np.any(arr < 0):
-        raise ValueError("gini requires non-negative values")
-    total = arr.sum()
-    if total == 0:
-        return 0.0
-    n = len(arr)
-    index = np.arange(1, n + 1)
-    return float((2.0 * np.sum(index * arr) / (n * total)) - (n + 1) / n)

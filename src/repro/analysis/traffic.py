@@ -45,14 +45,6 @@ class TrafficMatrix:
     #: download ended) — excluded from the matrix, counted for honesty.
     unresolved_bytes: int = 0
 
-    def uploaded_by(self, asn: int) -> int:
-        """Inter-AS bytes sent by an AS to other ASes."""
-        return sum(v for (a, _b), v in self.inter_as.items() if a == asn)
-
-    def downloaded_by(self, asn: int) -> int:
-        """Inter-AS bytes received by an AS from other ASes."""
-        return sum(v for (a, b), v in self.inter_as.items() if b == asn)
-
     def per_as_uploads(self) -> dict[int, int]:
         """Inter-AS bytes uploaded, for every observed AS (zeros included)."""
         out = {asn: 0 for asn in self.observed_ases}

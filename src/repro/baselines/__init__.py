@@ -1,13 +1,13 @@
 """Baselines: the two ends of the CDN design space (paper §2.1).
 
-* :func:`make_infrastructure_cdn` — pure infrastructure delivery (NetSession
-  with peer assist switched off);
+* :func:`infrastructure_cost` — the byte split of pure infrastructure
+  delivery (NetSession with ``p2p_globally_enabled=False``);
 * :class:`PureP2PSwarm` — a BitTorrent-like pure peer-to-peer CDN with
   tit-for-tat incentives and no backstop.
 """
 
 from repro.baselines.infra_cdn import (
-    InfraCostReport, infrastructure_cost, make_infrastructure_cdn,
+    InfraCostReport, infrastructure_cost,
 )
 from repro.baselines.managed_swarm import ManagedSwarmConfig, ManagedSwarmSystem
 from repro.baselines.p2p_cdn import (
@@ -15,7 +15,7 @@ from repro.baselines.p2p_cdn import (
 )
 
 __all__ = [
-    "make_infrastructure_cdn", "infrastructure_cost", "InfraCostReport",
+    "infrastructure_cost", "InfraCostReport",
     "PureP2PSwarm", "P2PConfig", "P2PPeer", "P2PDownload", "Torrent",
     "ManagedSwarmSystem", "ManagedSwarmConfig",
 ]

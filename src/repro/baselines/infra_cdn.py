@@ -14,22 +14,8 @@ from dataclasses import dataclass
 
 from repro.analysis.logstore import LogStore
 from repro.analysis.records import OUTCOME_COMPLETED
-from repro.core.config import SystemConfig
-from repro.core.system import NetSessionSystem
 
-__all__ = ["make_infrastructure_cdn", "InfraCostReport", "infrastructure_cost"]
-
-
-def make_infrastructure_cdn(
-    config: SystemConfig | None = None,
-    **system_kwargs,
-) -> NetSessionSystem:
-    """A NetSession deployment with peer assist switched off system-wide."""
-    from dataclasses import replace
-
-    cfg = config if config is not None else SystemConfig()
-    cfg = replace(cfg, p2p_globally_enabled=False)
-    return NetSessionSystem(cfg, **system_kwargs)
+__all__ = ["InfraCostReport", "infrastructure_cost"]
 
 
 @dataclass

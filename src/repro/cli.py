@@ -374,17 +374,12 @@ def _run_audit(args) -> int:
                      f"seed={args.seed})")
         else:
             from repro.experiments.common import standard_config
-            from repro.workload import run_scenario
+            from repro.runner import run_scenario_artifact
 
             config = standard_config(args.scale, args.seed)
             config = replace(config,
                              system=config.system.with_invariants(**overrides))
-            result = run_scenario(config)
-            auditor = result.system.auditor
-            audit = {
-                **auditor.stats().as_dict(),
-                "violations": [v.as_dict() for v in auditor.report()],
-            }
+            audit = run_scenario_artifact(config).audit_report()
             title = (f"invariant audit  (scale={args.scale}, "
                      f"seed={args.seed})")
     except InvariantViolationError as exc:

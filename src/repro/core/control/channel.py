@@ -627,12 +627,6 @@ class ControlChannel:
         self.consecutive_failures = 0
         self._connecting = False
 
-    def degraded_for(self, now: float) -> float:
-        """Seconds the current degraded period has lasted (0.0 if healthy)."""
-        if self.degraded_since is None:
-            return 0.0
-        return now - self.degraded_since
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<ControlChannel peer={self.peer.guid[:8]} {self.state} "

@@ -92,9 +92,6 @@ class ConnectionNode:
         #: non-zero selection weights.  Composes with the reputation rank
         #: (class dominates, score breaks ties).  None = class-blind.
         self.device_rank_weights = None
-        #: Candidates returned on the *first* query per (guid, cid) — feeds
-        #: the Figure 6 field of the download record.
-        self.first_query_counts: dict[tuple[str, str], int] = {}
 
     # ----------------------------------------------------------------- login
 
@@ -186,7 +183,10 @@ class ConnectionNode:
 
         Verifies the edge-issued authorization token first (§3.5: tokens
         prevent users from obtaining content from peers that they are not
-        authorized to get from the infrastructure).
+        authorized to get from the infrastructure).  The CN keeps no
+        per-download state: Figure 6's "peers initially returned" is the
+        size of the first response, recorded by the requesting
+        :class:`~repro.core.swarm.DownloadSession`.
         """
         if not self.alive:
             raise ConnectionError(f"CN {self.name} is down")
@@ -252,19 +252,11 @@ class ConnectionNode:
         for reg in selected:
             dn.rotate_to_end(cid, reg.guid)
 
-        key = (peer.guid, cid)
-        if key not in self.first_query_counts:
-            self.first_query_counts[key] = len(selected)
-
         candidates = tuple(
             PeerCandidate(guid=r.guid, ip="", asn=r.asn, nat_type=r.nat_reported)
             for r in selected
         )
         return PeerQueryResponse(cid=cid, candidates=candidates)
-
-    def pop_first_query_count(self, guid: str, cid: str) -> int:
-        """Retrieve (and clear) the Figure 6 counter for a finished download."""
-        return self.first_query_counts.pop((guid, cid), 0)
 
     # ------------------------------------------------------------ accounting
 

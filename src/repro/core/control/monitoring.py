@@ -65,7 +65,3 @@ class MonitoringService:
                     (report.timestamp, f"report rate >= {self.alert_threshold}/window")
                 )
                 self._last_alert_at = report.timestamp
-
-    def total_reports(self) -> int:
-        """All reports ever ingested."""
-        return sum(self.counts.values())

@@ -114,14 +114,6 @@ class ControlPlane:
             return self.rng.choice(anywhere)
         return None
 
-    def login(self, peer: "PeerNode") -> ConnectionNode | None:
-        """Open a peer's persistent connection; returns its CN (or None)."""
-        cn = self.cn_for(peer)
-        if cn is None:
-            return None
-        cn.login(peer, self.sim.now)
-        return cn
-
     # -------------------------------------------------------------- failures
 
     def fail_cn(self, cn: ConnectionNode) -> int:
@@ -226,20 +218,6 @@ class ControlPlane:
             )
         ]
         return self.schedule_reconnects(stranded)
-
-    def rolling_restart(self) -> int:
-        """Restart every CN and DN in a short timeframe (§3.8 software push).
-
-        Models the production practice: nodes go down one at a time, peers
-        reconnect, DNs are repopulated by RE-ADD.  Returns total reconnects.
-        """
-        reconnects = 0
-        for dn in self.all_dns:
-            self.fail_dn(dn, recover=True)
-        for cn in self.all_cns:
-            reconnects += self.fail_cn(cn)
-            cn.recover()
-        return reconnects
 
     def _refill_tokens(self) -> None:
         now = self.sim.now

@@ -66,7 +66,7 @@ class EdgeServer:
     """One edge server: an egress capacity plus byte-serving logs."""
 
     #: Egress assumed for an unconstrained server when a brownout needs a
-    #: concrete baseline to scale from (matches EdgeCapacityModel's default).
+    #: concrete baseline to scale from (a well-provisioned 10 Gbit/s server).
     ASSUMED_EGRESS_MBPS = 10_000.0
 
     def __init__(self, name: str, network_region: str, egress_mbps: float | None):
@@ -89,10 +89,6 @@ class EdgeServer:
             raise ValueError(f"cannot serve negative bytes: {nbytes}")
         key = (guid, cid)
         self.served_bytes[key] = self.served_bytes.get(key, 0) + int(nbytes)
-
-    def total_served(self) -> int:
-        """All bytes this server has delivered."""
-        return sum(self.served_bytes.values())
 
     @property
     def browned_out(self) -> bool:

@@ -44,17 +44,12 @@ class PlacementConfig:
     #: Device class the operator steers prefetches toward (the always-on
     #: smartrouter fleet, typically).  None keeps the class-blind scan.
     prefer_class: str | None = None
-    #: With ``prefer_class`` set: True places *only* on that class (strict
-    #: operator carve-out); False prefers it but falls back to anyone.
-    restrict_to_class: bool = False
 
     def __post_init__(self):
         if self.interval <= 0:
             raise ValueError("interval must be positive")
         if self.copies_target <= 0:
             raise ValueError("copies_target must be positive")
-        if self.restrict_to_class and self.prefer_class is None:
-            raise ValueError("restrict_to_class requires prefer_class")
 
 
 class PredictivePlacer:
@@ -142,10 +137,8 @@ class PredictivePlacer:
         """An idle, online, upload-enabled peer in ``region`` lacking ``obj``.
 
         With ``prefer_class`` set, a peer of that device class wins over
-        the first eligible peer of any other class; ``restrict_to_class``
-        drops the fallback entirely (operator-controlled smartrouter
-        placement — §5.2's missing feature, scoped to the fleet the
-        operator actually controls).
+        the first eligible peer of any other class (operator-steered
+        smartrouter placement — §5.2's missing feature).
         """
         prefer = self.config.prefer_class
         fallback = None
@@ -159,6 +152,6 @@ class PredictivePlacer:
             ):
                 if prefer is None or peer.device_class == prefer:
                     return peer
-                if fallback is None and not self.config.restrict_to_class:
+                if fallback is None:
                     fallback = peer
         return fallback

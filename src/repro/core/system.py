@@ -36,7 +36,6 @@ from repro.core.control.channel import ControlChannelStats
 from repro.core.control.plane import ControlPlane
 from repro.core.edge import EdgeNetwork
 from repro.core.peer import PeerNode
-from repro.core.swarm import DownloadSession
 from repro.invariants import InvariantAuditor, InvariantStats, InvariantViolation
 from repro.net.addressing import IPAllocator
 from repro.net.flows import FlowNetwork, FlowNetworkStats
@@ -413,16 +412,6 @@ class NetSessionSystem:
         self._peer_seq += count
         return index
 
-    def adopt_clone(self, peer: PeerNode) -> None:
-        """Register a peer whose GUID collides with an existing install (§6.2).
-
-        The directory maps a GUID to its most recently seen machine — the
-        same ambiguity the production system experiences with cloned images.
-        """
-        if peer not in self.all_peers:
-            self.all_peers.append(peer)
-        self.peer_by_guid[peer.guid] = peer
-
     def _evict_quarantined(self, guid: str) -> int:
         """Reputation-engine hook: drop a quarantined peer's registrations."""
         evicted = 0
@@ -431,10 +420,6 @@ class NetSessionSystem:
         return evicted
 
     # -------------------------------------------------------------- operation
-
-    def start_download(self, peer: PeerNode, obj: ContentObject) -> DownloadSession:
-        """Convenience wrapper for ``peer.start_download(obj)``."""
-        return peer.start_download(obj)
 
     def run(self, until: Optional[float] = None) -> None:
         """Advance simulated time (see :meth:`repro.net.sim.Simulator.run`)."""
@@ -474,7 +459,7 @@ class NetSessionSystem:
 
         In object mode this is ``all_peers``.  With a columnar population
         attached it is the *materialized* nodes in column order followed by
-        event-time extras (adopted clones) — the same relative order object
+        peers created after the build — the same relative order object
         mode produces, which order-sensitive sweeps (end-of-trace session
         finalization, stranded-peer reconnection) rely on for byte parity.
         """

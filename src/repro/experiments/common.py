@@ -36,7 +36,7 @@ from repro.workload import (
 
 __all__ = ["ExperimentOutput", "standard_config", "standard_result",
            "scenario_result", "prefetch", "cached_results", "SCALES",
-           "configure_runner", "get_runner"]
+           "configure_runner"]
 
 SCALES = ("small", "standard", "mobility")
 
@@ -58,14 +58,6 @@ class ExperimentOutput:
     name: str
     text: str                      # rendered table/series, paper-style
     metrics: dict[str, float] = field(default_factory=dict)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text
-
-
-def get_runner() -> Orchestrator:
-    """The orchestrator experiments currently resolve scenarios through."""
-    return _RUNNER
 
 
 def configure_runner(

@@ -34,16 +34,8 @@ from repro.workload.cloning import CloningConfig
 from repro.workload.mobility import MobilityConfig
 from repro.workload.sharding import ShardingConfig
 
-__all__ = ["scale_config", "run_point", "run_curve", "run",
-           "record_curve", "bench_name", "SCALE_POINTS"]
-
-#: Peer counts per named scale.  ``full`` is the laptop-scale flagship:
-#: a million installs over a multi-day trace.
-SCALE_POINTS = {
-    "small": (2_000, 10_000),
-    "standard": (10_000, 100_000),
-    "full": (10_000, 100_000, 1_000_000),
-}
+__all__ = ["scale_config", "run_point", "run_curve", "record_curve",
+           "bench_name"]
 
 #: History entries kept per bench point (mirrors ``benchmarks/_results``).
 HISTORY_LIMIT = 40
@@ -202,10 +194,3 @@ def record_curve(results: dict[str, dict], path: Path) -> None:
         del series[:-HISTORY_LIMIT]
     merged["history"] = history
     path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
-    """Standard experiment entry point (small curve, nothing recorded)."""
-    points = SCALE_POINTS.get(scale, SCALE_POINTS["small"])
-    output, _ = run_curve(points, seed=seed, days=1.0)
-    return output

@@ -251,10 +251,8 @@ def run_drill(
                     if s.name in injector.recoveries],
         sessions=sessions,
         channel=system.channel_stats.as_dict(),
-        invariants={
-            **system.auditor.stats().as_dict(),
-            "violations": [v.as_dict() for v in violations],
-        },
+        invariants=system.auditor.stats().summary(
+            v.as_dict() for v in violations),
         adversary=adversary_metrics(system),
     )
     report.text = _render(report)

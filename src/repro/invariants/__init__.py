@@ -24,7 +24,7 @@ and CI — raise :class:`InvariantViolationError` on the first error), and
 """
 
 from repro.invariants.auditor import InvariantAuditor, InvariantStats
-from repro.invariants.checkers import CHECKERS, Checker, checker_names, register_checker
+from repro.invariants.checkers import CHECKERS, Checker, register_checker
 from repro.invariants.violation import (
     ERROR, WARNING, InvariantViolation, InvariantViolationError,
 )
@@ -32,5 +32,5 @@ from repro.invariants.violation import (
 __all__ = [
     "CHECKERS", "Checker", "ERROR", "WARNING",
     "InvariantAuditor", "InvariantStats", "InvariantViolation",
-    "InvariantViolationError", "checker_names", "register_checker",
+    "InvariantViolationError", "register_checker",
 ]

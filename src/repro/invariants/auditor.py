@@ -19,7 +19,7 @@ Modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.config import InvariantConfig
 from repro.invariants.checkers import CHECKERS, Checker
@@ -65,6 +65,12 @@ class InvariantStats:
             "warnings": self.warnings,
             "dropped": self.dropped,
         }
+
+    def summary(self, violations: Iterable[dict]) -> dict[str, object]:
+        """The audit report: these counters plus a ``violations`` list of
+        :meth:`~repro.invariants.InvariantViolation.as_dict` entries — what
+        ``repro audit``, drill reports and artifacts print and serialize."""
+        return {**self.as_dict(), "violations": list(violations)}
 
 
 class InvariantAuditor:

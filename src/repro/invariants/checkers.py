@@ -28,7 +28,7 @@ from repro.net.nat import DEFAULT_NAT_MIX, NATType, can_connect
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import NetSessionSystem
 
-__all__ = ["Checker", "CHECKERS", "register_checker", "checker_names"]
+__all__ = ["Checker", "CHECKERS", "register_checker"]
 
 #: Relative/absolute tolerance for float rate comparisons (matches the
 #: allocation engine's own settlement precision).
@@ -63,10 +63,6 @@ def register_checker(name: str, description: str, *, final_only: bool = False):
 
     return wrap
 
-
-def checker_names() -> list[str]:
-    """All registered checker names, in registration order."""
-    return list(CHECKERS)
 
 
 # --------------------------------------------------------------------------

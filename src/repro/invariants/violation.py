@@ -40,11 +40,6 @@ class InvariantViolation:
     #: Occurrences observed (including the first).
     count: int = 1
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Deduplication key."""
-        return (self.invariant, self.severity, self.subject)
-
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly view (drill reports, ``repro audit --json``)."""
         return {

@@ -6,7 +6,7 @@ DESIGN.md §2 for the substitution rationale.
 
 from repro.net.sim import Simulator, Event, SimulationError
 from repro.net.flows import FlowNetwork, Flow, Resource
-from repro.net.links import AccessLink, BroadbandModel, EdgeCapacityModel, mbps
+from repro.net.links import AccessLink, BroadbandModel, mbps
 from repro.net.nat import NATType, NATProfile, NATModel, can_connect
 from repro.net.geo import (
     World, Country, City, Region, GeoDatabase, GeoRecord,
@@ -19,7 +19,7 @@ from repro.net.lan import LanSite
 __all__ = [
     "Simulator", "Event", "SimulationError",
     "FlowNetwork", "Flow", "Resource",
-    "AccessLink", "BroadbandModel", "EdgeCapacityModel", "mbps",
+    "AccessLink", "BroadbandModel", "mbps",
     "NATType", "NATProfile", "NATModel", "can_connect",
     "World", "Country", "City", "Region", "GeoDatabase", "GeoRecord",
     "build_core_world", "haversine_km",

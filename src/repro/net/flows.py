@@ -146,13 +146,6 @@ class Flow:
         """Bytes still to transfer."""
         return max(0.0, self.size - self.transferred)
 
-    @property
-    def elapsed(self) -> Optional[float]:
-        """Transfer duration, or None if still active."""
-        if self.end_time is None:
-            return None
-        return self.end_time - self.start_time
-
     def average_rate(self, now: Optional[float] = None) -> float:
         """Mean throughput in bytes/s over the flow's lifetime so far."""
         end = self.end_time if self.end_time is not None else now
@@ -340,11 +333,6 @@ class FlowNetwork:
             if flow.active:
                 self._dirty.setdefault(flow)
         self._mutated()
-
-    def throughput_snapshot(self) -> dict[int, float]:
-        """Current rate of every active flow, keyed by flow id."""
-        self.flush()
-        return {f.flow_id: f.rate for f in self.active_flows}
 
     def resources_in_use(self) -> set[Resource]:
         """Every resource referenced by at least one active flow.

@@ -130,9 +130,6 @@ class World:
         """Total peer weight of all countries in a region."""
         return sum(c.peer_weight for c in self.countries if c.region == region)
 
-    def __len__(self) -> int:
-        return len(self.countries)
-
 
 class GeoDatabase:
     """EdgeScape substitute: IP address → :class:`GeoRecord`.
@@ -149,35 +146,13 @@ class GeoDatabase:
         """Associate ``ip`` with a geolocation record (idempotent overwrite)."""
         self._records[ip] = record
 
-    def lookup(self, ip: str) -> GeoRecord:
-        """Return the record for ``ip``; KeyError for unknown addresses."""
-        return self._records[ip]
-
     def get(self, ip: str) -> GeoRecord | None:
-        """Like :meth:`lookup` but returns None for unknown addresses."""
+        """The record for ``ip``, or None for unknown addresses."""
         return self._records.get(ip)
 
     def items(self):
         """Every ``(ip, record)`` pair, in registration order."""
         return self._records.items()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, ip: str) -> bool:
-        return ip in self._records
-
-    def distinct_locations(self) -> int:
-        """Number of distinct (lat, lon) pairs — Table 1's 'distinct locations'."""
-        return len({(r.lat, r.lon) for r in self._records.values()})
-
-    def distinct_countries(self) -> int:
-        """Number of distinct country codes — Table 1's country count."""
-        return len({r.country_code for r in self._records.values()})
-
-    def distinct_asns(self) -> int:
-        """Number of distinct autonomous systems observed."""
-        return len({r.asn for r in self._records.values()})
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

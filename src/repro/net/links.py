@@ -19,7 +19,7 @@ import numpy as np
 from repro.net.flows import Resource
 from repro.net.weighted import cumulative, pick_indices, raw_words, uniforms
 
-__all__ = ["AccessLink", "BroadbandTier", "BroadbandModel", "EdgeCapacityModel",
+__all__ = ["AccessLink", "BroadbandTier", "BroadbandModel",
            "DEFAULT_BROADBAND_TIERS", "mbps"]
 
 
@@ -196,25 +196,6 @@ class BroadbandModel:
         down = speeds([t.down_mbps for t in tiers], u[:, 1])
         up = np.minimum(speeds([t.up_mbps for t in tiers], u[:, 2]), down)
         return tier_i.astype(np.int32), mbps(down), mbps(up)
-
-
-class EdgeCapacityModel:
-    """Creates egress-capacity resources for edge servers.
-
-    Akamai edge servers are well provisioned; the default of 10 Gbit/s per
-    server means the infrastructure is effectively never the bottleneck for
-    an individual download — matching the paper's observation that edge-only
-    downloads run at client line rate.
-    """
-
-    def __init__(self, egress_mbps: float = 10_000.0):
-        if egress_mbps <= 0:
-            raise ValueError(f"edge egress must be positive, got {egress_mbps}")
-        self.egress_mbps = egress_mbps
-
-    def make_resource(self, server_name: str) -> Resource:
-        """Create the egress Resource for one edge server."""
-        return Resource(f"edge:{server_name}/egress", mbps(self.egress_mbps))
 
 
 def _log_uniform(rng: random.Random, low: float, high: float) -> float:

@@ -132,12 +132,6 @@ class Simulator:
         self._audit_every = every_events
         self._audit_countdown = every_events
 
-    def clear_audit_hook(self) -> None:
-        """Remove the audit hook installed by :meth:`set_audit_hook`."""
-        self._audit_hook = None
-        self._audit_every = 0
-        self._audit_countdown = 0
-
     def _push(self, time: float, event: Event) -> None:
         heapq.heappush(self._queue, (time, next(self._seq), event))
         self._live += 1

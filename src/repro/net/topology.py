@@ -92,9 +92,6 @@ class ASTopology:
         """Distinct control-plane network regions, sorted."""
         return sorted({a.network_region for a in self.ases})
 
-    def __len__(self) -> int:
-        return len(self.ases)
-
 
 #: Map from geographic region to control-plane network region.  The paper
 #: says the deployment has fewer than 20 network regions defined by proximity

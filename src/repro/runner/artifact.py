@@ -84,7 +84,7 @@ class ScenarioArtifact:
 
     def audit_report(self) -> dict:
         """Audit summary in the shape drill reports and ``repro audit`` use."""
-        return {**self.invariants.as_dict(), "violations": list(self.violations)}
+        return self.invariants.summary(self.violations)
 
     def label(self) -> str:
         """Compact human identifier for perf tables and cache listings."""

@@ -106,10 +106,6 @@ class Catalog:
             for obj in self.objects:
                 self.by_provider.setdefault(obj.provider.cp_code, []).append(obj)
 
-    def sample_object(self, rng: random.Random) -> ContentObject:
-        """Draw an object by popularity (global Zipf-weighted choice)."""
-        return rng.choices(self.objects, weights=self.weights, k=1)[0]
-
     def provider_weights(self, cp_code: int) -> list[float]:
         """Zipf popularity weights aligned with ``by_provider[cp_code]``.
 
@@ -122,10 +118,6 @@ class Catalog:
     def p2p_objects(self) -> list[ContentObject]:
         """All objects with peer-assisted delivery enabled."""
         return [o for o in self.objects if o.p2p_enabled]
-
-    def total_weight(self) -> float:
-        """Sum of popularity weights (for normalisation in tests)."""
-        return sum(self.weights)
 
 
 def build_catalog(

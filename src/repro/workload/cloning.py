@@ -82,14 +82,6 @@ class CloningModel:
 
     # ---------------------------------------------------------------- patterns
 
-    def _boots(self, peer: PeerNode, start: float, count: int, spacing: float) -> float:
-        """Schedule ``count`` boots from ``start``; returns the end time."""
-        t = start
-        for _ in range(count):
-            self.system.sim.schedule_at(t, peer.boot)
-            t += spacing * self.rng.uniform(0.6, 1.4)
-        return t
-
     def _schedule_failed_update(self, peer: PeerNode, duration_days: float) -> None:
         """Snapshot → one boot on the new state → roll back → continue.
 

@@ -38,10 +38,6 @@ object-mode build — ``create_peer`` in a loop, kept as
   serves an attribute of every row as a plain list (live nodes override
   their rows), so demand pools, mobility and behaviour work on row
   indexes and resolve a handle only for the rows they schedule.
-* **Release reconciles.**  :meth:`ColumnarPopulationStore.release` writes
-  a node's mutated scalars back to the columns, parks the non-columnar
-  residue (RNG state, counters, identity history) in a sparse side table,
-  and drops the node; re-materializing restores the exact state.
 """
 
 from __future__ import annotations
@@ -105,9 +101,6 @@ class _GuidColumn:
         self._seeds = seeds
         self._cache: list[str | None] = [None] * len(seeds)
 
-    def __len__(self) -> int:
-        return len(self._cache)
-
     def __getitem__(self, i: int) -> str:
         guid = self._cache[i]
         if guid is None:
@@ -160,9 +153,6 @@ class LazyPeer:
     def boot(self) -> None:
         self._real().boot()
 
-    def go_online(self) -> None:
-        self._real().go_online()
-
     def go_offline(self) -> None:
         # A dormant peer is offline; object mode's go_offline is a no-op
         # there, so don't materialize just to do nothing.
@@ -184,13 +174,8 @@ class LazyPeer:
         return f"<LazyPeer #{self._i} {state} {self.guid[:8]}>"
 
 
-def _residue_get(pop: "ColumnarPopulationStore", i: int, key: str, default):
-    res = pop._residue.get(i)
-    return res[key] if res is not None and key in res else default
-
-
 #: Dormant attribute readers: name -> (store, row) -> value.  Must agree
-#: exactly with what a freshly built (or released) object-mode peer reports.
+#: exactly with what a freshly built object-mode peer reports.
 _COLUMN_READS = {
     "guid": lambda p, i: p.guids[i],
     "country": lambda p, i: p._countries.objects[p.country_i[i]],
@@ -210,19 +195,17 @@ _COLUMN_READS = {
     "link_busy": lambda p, i: False,
     "active_upload_count": lambda p, i: 0,
     "sessions": lambda p, i: {},
-    "lan": lambda p, i: p._lan.get(i),
-    "boot_count": lambda p, i: _residue_get(p, i, "boot_count", 0),
-    "setting_changes": lambda p, i: _residue_get(p, i, "setting_changes", 0),
-    "nat_rebinds": lambda p, i: _residue_get(p, i, "nat_rebinds", 0),
-    "uploads_done": lambda p, i: dict(_residue_get(p, i, "uploads_done", ())),
+    "lan": lambda p, i: None,
+    "boot_count": lambda p, i: 0,
+    "setting_changes": lambda p, i: 0,
+    "nat_rebinds": lambda p, i: 0,
+    "uploads_done": lambda p, i: {},
     # Locality shortcuts (PeerNode properties, mirrored here).
     "asn": lambda p, i: p._ases.objects[p.as_i[i]].asn,
     "country_code": lambda p, i: p._countries.objects[p.country_i[i]].code,
     "geo_region": lambda p, i: p._countries.objects[p.country_i[i]].region,
     "network_region": lambda p, i: p._ases.objects[p.as_i[i]].network_region,
-    "lan_id": lambda p, i: (
-        p._lan[i].site_id if i in p._lan else ""
-    ),
+    "lan_id": lambda p, i: "",
     "tz_offset": lambda p, i: float(p.tz[i]),
     "device": lambda p, i: p.device_at(i),
     "device_class": lambda p, i: (
@@ -353,9 +336,6 @@ class ColumnarPopulationStore:
         self._device_classes: tuple = ()
         #: First ``peerN`` naming slot this store occupies (normally 0).
         self.name_base = 0
-        # Sparse side tables.
-        self._lan: dict[int, object] = {}
-        self._residue: dict[int, dict] = {}
         # Live state.
         self._nodes: dict[int, PeerNode] = {}
         self._handles: dict[int, LazyPeer] = {}
@@ -457,84 +437,13 @@ class ColumnarPopulationStore:
         node.piece_corruption_prob = float(self.corruption[i])
         node.accounting_attacker = bool(self.attacker[i])
         node.device = self.device_at(i)
-        if i in self._lan:
-            node.lan = self._lan[i]
         node._store_index = i
-        residue = self._residue.pop(i, None)
-        if residue is not None:
-            self._restore_residue(node, residue)
         self._nodes[i] = node
         if len(self._nodes) > self.peak_materialized:
             self.peak_materialized = len(self._nodes)
         system.all_peers.append(node)
         system.peer_by_guid[guid] = node
         return node
-
-    @staticmethod
-    def _restore_residue(node: PeerNode, residue: dict) -> None:
-        node.rng.setstate(residue["rng_state"])
-        node.secondary_history.extend(residue["secondary_history"])
-        node.boot_count = residue["boot_count"]
-        node.setting_changes = residue["setting_changes"]
-        node.nat_rebinds = residue["nat_rebinds"]
-        node.uploads_done = dict(residue["uploads_done"])
-        node.channel.rng.setstate(residue["channel_rng_state"])
-        node.channel.times_degraded = residue["channel_times_degraded"]
-
-    # --------------------------------------------------------------- release
-
-    def release(self, peer) -> None:
-        """Reconcile a quiescent node back to the columns and drop it.
-
-        The peer must be offline with no live sessions, uploads, or cached
-        (hence registrable) content — i.e. nothing in the running system can
-        still point at the node.  Mutated scalars are written back to the
-        columns; non-columnar state (RNG position, identity history,
-        counters, channel stream) is parked in the sparse residue table and
-        restored verbatim on re-materialization.
-        """
-        i = getattr(peer, "_store_index", None)
-        if i is None:
-            raise ValueError("peer was not materialized from this store")
-        node = self._nodes.get(i)
-        if node is None:
-            return  # already dormant
-        if node.online:
-            raise ValueError(f"cannot release online peer {node.guid[:8]}")
-        if node.sessions or node.upload_flows or node.active_upload_count:
-            raise ValueError(f"peer {node.guid[:8]} has live transfers")
-        if node.cache:
-            raise ValueError(f"peer {node.guid[:8]} still caches content")
-        # Scalars go back to the columns…
-        self.country_i[i] = self._countries.intern(node.country)
-        self.city_i[i] = self._cities.intern(node.city)
-        self.as_i[i] = self._ases.intern(node.asys)
-        self.nat_i[i] = self._nats.intern(node.nat_profile)
-        self.uploads[i] = 1 if node.uploads_enabled else 0
-        self.corruption[i] = node.piece_corruption_prob
-        self.attacker[i] = 1 if node.accounting_attacker else 0
-        if node.lan is not None:
-            self._lan[i] = node.lan
-        else:
-            self._lan.pop(i, None)
-        # …the rest into the residue side table.
-        self._residue[i] = {
-            "rng_state": node.rng.getstate(),
-            "secondary_history": tuple(node.secondary_history),
-            "boot_count": node.boot_count,
-            "setting_changes": node.setting_changes,
-            "nat_rebinds": node.nat_rebinds,
-            "uploads_done": dict(node.uploads_done),
-            "channel_rng_state": node.channel.rng.getstate(),
-            "channel_times_degraded": node.channel.times_degraded,
-        }
-        del self._nodes[i]
-        system = self.system
-        system.peer_by_guid.pop(node.guid, None)
-        try:
-            system.all_peers.remove(node)
-        except ValueError:  # pragma: no cover - defensive
-            pass
 
 
 def _drain_population_stream(rng: random.Random, m: int, n_providers: int, mix):

@@ -86,12 +86,6 @@ class DeviceMixConfig:
         if sum(cls.share for cls in self.classes) <= 0:
             raise ValueError("device mix shares sum to zero")
 
-    def by_name(self, name: str) -> DeviceClass:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        raise KeyError(name)
-
     def pick(self, roll: float) -> DeviceClass:
         """Map one uniform [0, 1) draw to a class via cumulative shares."""
         total = sum(cls.share for cls in self.classes)

@@ -30,7 +30,6 @@ from typing import Iterator
 from repro.core.content import ContentProvider
 from repro.core.peer import PeerNode
 from repro.core.system import NetSessionSystem
-from repro.net.lan import LanSite
 from repro.workload.columnar import build_columnar_store
 from repro.workload.devices import DeviceMixConfig
 
@@ -54,11 +53,6 @@ class PopulationConfig:
     mean_daily_uptime_hours: float = 10.0
     #: Probability a peer is effectively always-on (desktops left running).
     always_on_fraction: float = 0.15
-    #: Fraction of peers that sit in corporate LAN sites (§5.3's case —
-    #: "rare" in the paper's 2012 trace, so zero by default).
-    corporate_fraction: float = 0.0
-    #: Site size range (machines per office), inclusive.
-    site_size_range: tuple[int, int] = (8, 40)
     #: When set, only this many peers (a seeded uniform subset) get daily
     #: online-session schedules; the rest stay dormant until demand or a
     #: fault touches them.  Million-peer scenarios need it — scheduling
@@ -105,14 +99,8 @@ class Population:
     tz_offset: dict[str, float]
     #: A view over the store's flag column (a ``set`` when hand-built).
     always_on: Set[str]
-    #: Corporate LAN sites, keyed by site id (§5.3 extension).
-    sites: dict[str, "LanSite"] = None  # type: ignore[assignment]
     #: The columnar store behind ``peers`` (None when hand-built).
     store: object = None
-
-    def __post_init__(self):
-        if self.sites is None:
-            self.sites = {}
 
     def peer_count(self) -> int:
         """Number of installations."""
@@ -169,38 +157,6 @@ class Population:
         return {p.guid: p.device.name for p in self.peers
                 if p.device is not None}
 
-    def override_upload_settings(self, rng: random.Random, probability: float) -> None:
-        """Re-draw every peer's uploads-enabled flag (the Table 4 override).
-
-        One ``rng.random()`` per peer in creation order in both stores;
-        dormant columnar rows take the new value without materializing.
-        """
-        if self.store is None:
-            for peer in self.peers:
-                peer.uploads_enabled = rng.random() < probability
-            return
-        store = self.store
-        for i in range(len(store)):
-            value = rng.random() < probability
-            node = store._nodes.get(i)
-            if node is not None:
-                node.uploads_enabled = value
-            else:
-                store.uploads[i] = 1 if value else 0
-
-    def _set_lan(self, peer, site: "LanSite") -> None:
-        """Attach a peer to a LAN site without forcing materialization."""
-        store = self.store
-        if store is not None and getattr(peer, "_i", None) is not None \
-                and not isinstance(peer, PeerNode):
-            node = store._nodes.get(peer._i)
-            if node is None:
-                store._lan[peer._i] = site
-                return
-            node.lan = site
-            return
-        peer.lan = site
-
     def column(self, name: str) -> list:
         """Attribute ``name`` of every peer, in creation order.
 
@@ -255,7 +211,6 @@ def _finish_population(system: NetSessionSystem, population: Population,
                        duration_days: float | None) -> None:
     """Everything after the peers exist; store-agnostic, so the eager
     oracle in ``tests/scale/`` ends its build with the same call."""
-    _assign_corporate_sites(population, cfg, rng)
     _schedule_sessions(
         system, population, cfg, rng,
         math.inf if duration_days is None else duration_days * DAY)
@@ -265,40 +220,6 @@ def _finish_population(system: NetSessionSystem, population: Population,
         if weights is not None:
             for cn in system.control.all_cns:
                 cn.device_rank_weights = weights
-
-
-def _assign_corporate_sites(population: Population, cfg: PopulationConfig,
-                            rng: random.Random) -> None:
-    """Group a slice of the population into same-city LAN sites (§5.3).
-
-    Site members must share a physical location, so peers are bucketed by
-    (country, city, AS) and sites carved out of the buckets.
-    """
-    if cfg.corporate_fraction <= 0:
-        return
-    target = int(round(cfg.corporate_fraction * population.peer_count()))
-    buckets: dict[tuple[str, str, int], list[PeerNode]] = {}
-    for peer in population.iter_peers():
-        key = (peer.country_code, peer.city.name, peer.asn)
-        buckets.setdefault(key, []).append(peer)
-
-    placed = 0
-    site_index = 0
-    for key in sorted(buckets, key=lambda k: -len(buckets[k])):
-        if placed >= target:
-            break
-        pool = buckets[key]
-        lo, hi = cfg.site_size_range
-        while len(pool) >= lo and placed < target:
-            size = min(len(pool), rng.randint(lo, hi), target - placed + lo)
-            members, pool[:] = pool[:size], pool[size:]
-            site = LanSite(f"site-{site_index:04d}")
-            site_index += 1
-            for member in members:
-                population._set_lan(member, site)
-                site.add_member(member.guid)
-            population.sites[site.site_id] = site
-            placed += len(members)
 
 
 def _schedule_sessions(

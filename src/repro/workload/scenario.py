@@ -67,10 +67,6 @@ class ScenarioConfig:
     #: steering).  None uses :class:`PlacementConfig` defaults; setting it
     #: implies the placer runs even with ``predictive_placement=False``.
     placement: PlacementConfig | None = None
-    #: When set, every peer's initial uploads-enabled setting is re-drawn
-    #: with this probability, overriding the per-provider Table 4 mix —
-    #: the "what if every customer shipped like Customer D" sweep lever.
-    upload_rate_override: float | None = None
     #: Fault schedule injected into the run (see :mod:`repro.faults`); the
     #: empty default keeps every existing scenario fault-free.  Faults draw
     #: from their own seeded RNGs, so adding one does not perturb the
@@ -239,10 +235,6 @@ def run_scenario(
 
     population = build_population(system, catalog.providers, cfg.population,
                                   cfg.duration_days)
-    if cfg.upload_rate_override is not None:
-        population.override_upload_settings(
-            random.Random(cfg.seed ^ 0x0FF), cfg.upload_rate_override
-        )
     seed_warm_caches(system, population, catalog, cfg.warm_copies_per_peer,
                      random.Random(cfg.seed ^ 0x5EED), cfg.duration_days)
 

@@ -83,14 +83,14 @@ class TestStateMachine:
         e.observe("g", 0.0, corrupted_pieces=2)
         inside = e.config.probation_interval - 1.0
         assert not e.admits("g", inside)
-        assert e.state("g") == QUARANTINED
+        assert e.peers["g"].state == QUARANTINED
 
     def test_probation_after_interval_then_good_on_contribution(self):
         e = engine()
         e.observe("g", 0.0, corrupted_pieces=2)
         after = e.config.probation_interval + 1.0
         assert e.admits("g", after)
-        assert e.state("g") == PROBATION
+        assert e.peers["g"].state == PROBATION
         assert e.probations == 1
         assert not e.is_quarantined("g", after)
         # Enough verified contribution climbs back above zero -> GOOD.
@@ -107,7 +107,7 @@ class TestStateMachine:
 
     def test_unknown_peer_is_good_and_admitted(self):
         e = engine()
-        assert e.state("nobody") == GOOD
+        assert "nobody" not in e.peers  # no entry reads as GOOD
         assert e.admits("nobody", 0.0)
         assert not e.is_quarantined("nobody", 0.0)
 
@@ -132,7 +132,7 @@ class TestIngestAndWipe:
         assert e.reports_ingested == 1
         assert e.score("up1", 0.0) > 1.0
         assert e.score("bad1", 0.0) < -10.0  # 2 pieces -> quarantined
-        assert e.state("bad1") == QUARANTINED
+        assert e.peers["bad1"].state == QUARANTINED
         assert e.score("lazy1", 0.0) < 0.0
         assert e.score("slow1", 0.0) < 0.0
 
@@ -140,7 +140,7 @@ class TestIngestAndWipe:
         e = engine()
         e.ingest_report(self._report(), 0.0)
         assert e.wipe() == 4
-        assert e.state("bad1") == GOOD
+        assert "bad1" not in e.peers
         assert not e.is_quarantined("bad1", 0.0)
         assert list(e.entries()) == []
 

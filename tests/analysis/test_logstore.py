@@ -42,19 +42,19 @@ class TestStore:
 
     def test_groupings_are_complete(self):
         store = LogStore()
-        store.add_download(dl(cid="c1"))
-        store.add_download(dl(cid="c1", guid="g2"))
-        store.add_download(dl(cid="c2"))
-        groups = store.downloads_by_cid()
+        store.add_registration(RegistrationRecord("g1", "c1", 0.0, "eu"))
+        store.add_registration(RegistrationRecord("g2", "c1", 0.0, "eu"))
+        store.add_registration(RegistrationRecord("g1", "c2", 0.0, "eu"))
+        groups = store.registrations_by_cid()
         assert len(groups["c1"]) == 2
         assert len(groups["c2"]) == 1
 
     def test_index_invalidated_on_append(self):
         store = LogStore()
-        store.add_download(dl(cid="c1"))
-        assert len(store.downloads_by_cid()["c1"]) == 1
-        store.add_download(dl(cid="c1"))
-        assert len(store.downloads_by_cid()["c1"]) == 2
+        store.add_registration(RegistrationRecord("g1", "c1", 0.0, "eu"))
+        assert len(store.registrations_by_cid()["c1"]) == 1
+        store.add_registration(RegistrationRecord("g2", "c1", 0.0, "eu"))
+        assert len(store.registrations_by_cid()["c1"]) == 2
 
     def test_logins_by_guid_preserves_order(self):
         store = LogStore()

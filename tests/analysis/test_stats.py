@@ -5,9 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.stats import (
-    bin_index, cdf_points, gini, log_bins, mean, percentile, weighted_fraction,
-)
+from repro.analysis.stats import cdf_points, mean, percentile
 
 
 class TestCdf:
@@ -59,67 +57,3 @@ class TestMean:
 
     def test_accepts_generator(self):
         assert mean(x for x in (2.0, 4.0)) == 3.0
-
-
-class TestLogBins:
-    def test_edges_cover_range(self):
-        edges = log_bins(10.0, 1e4)
-        assert edges[0] <= 10.0
-        assert edges[-1] >= 1e4
-
-    def test_edges_increase(self):
-        edges = log_bins(1.0, 1000.0, per_decade=3)
-        assert edges == sorted(edges)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            log_bins(0.0, 10.0)
-
-    def test_bin_index_boundaries(self):
-        edges = [1.0, 10.0, 100.0]
-        assert bin_index(edges, 0.5) == 0
-        assert bin_index(edges, 5.0) == 0
-        assert bin_index(edges, 50.0) == 1
-        assert bin_index(edges, 5000.0) == 1
-
-    def test_bin_index_needs_two_edges(self):
-        with pytest.raises(ValueError):
-            bin_index([1.0], 5.0)
-
-
-class TestWeightedFraction:
-    def test_basic(self):
-        assert weighted_fraction([(1.0, 2.0), (1.0, 2.0)]) == 0.5
-
-    def test_zero_denominator(self):
-        assert weighted_fraction([(0.0, 0.0)]) == 0.0
-
-
-class TestGini:
-    def test_equal_distribution_is_zero(self):
-        assert gini([5.0, 5.0, 5.0, 5.0]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_total_concentration_near_one(self):
-        values = [0.0] * 99 + [100.0]
-        assert gini(values) > 0.95
-
-    def test_empty_is_zero(self):
-        assert gini([]) == 0.0
-
-    def test_all_zeros(self):
-        assert gini([0.0, 0.0]) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gini([-1.0, 1.0])
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
-    def test_bounded(self, values):
-        g = gini(values)
-        assert -1e-9 <= g <= 1.0
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=2, max_size=30),
-           st.floats(min_value=0.1, max_value=100.0))
-    def test_scale_invariant(self, values, factor):
-        assert gini(values) == pytest.approx(gini([v * factor for v in values]),
-                                             abs=1e-9)

@@ -102,8 +102,7 @@ class TestMatrix:
         ups = matrix.per_as_uploads()
         assert ups[99] == 0
         assert ups[10] == 100
-        assert matrix.downloaded_by(20) == 100
-        assert matrix.uploaded_by(10) == 100
+        assert matrix.per_as_downloads()[20] == 100
 
 
 class TestFigures:

@@ -4,25 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.infra_cdn import infrastructure_cost, make_infrastructure_cdn
-from repro.core import ContentObject, ContentProvider
+from repro.baselines.infra_cdn import infrastructure_cost
+from repro.core import ContentObject, ContentProvider, NetSessionSystem
+from repro.core.config import SystemConfig
 from repro.core.peer import CacheEntry
-
-
-class TestFactory:
-    def test_p2p_disabled(self):
-        system = make_infrastructure_cdn(seed=3)
-        assert not system.config.p2p_globally_enabled
-
-    def test_kwargs_forwarded(self):
-        system = make_infrastructure_cdn(seed=3)
-        other = make_infrastructure_cdn(seed=3)
-        assert system.create_peer().guid == other.create_peer().guid
 
 
 class TestDelivery:
     def test_all_bytes_from_edge_even_with_seeders(self):
-        system = make_infrastructure_cdn(seed=5)
+        system = NetSessionSystem(SystemConfig(p2p_globally_enabled=False),
+                                  seed=5)
         provider = ContentProvider(cp_code=1, name="P")
         obj = ContentObject("f.bin", 200 * 1024 * 1024, provider,
                             p2p_enabled=True)

@@ -104,24 +104,6 @@ class TestDNFailure:
         assert dn.total_registrations() == 0
 
 
-class TestRollingRestart:
-    def test_rolling_restart_preserves_service(self, system, big_object):
-        """§3.8: all CNs/DNs restart in a short timeframe without harm."""
-        system.publish(big_object)
-        country = system.world.by_code["DE"]
-        seeders = []
-        for _ in range(4):
-            s = system.create_peer(country=country, uploads_enabled=True)
-            s.cache[big_object.cid] = CacheEntry(big_object.cid, 0.0)
-            s.boot()
-            seeders.append(s)
-        system.control.rolling_restart()
-        system.sim.run(until=system.sim.now + 300.0)
-        # All peers reconnected and the directory is repopulated via logins.
-        assert system.control.connected_peer_count() == 4
-        assert system.control.total_registrations() >= 1
-
-
 class TestExpirySweep:
     def test_stale_registrations_swept(self, system, big_object):
         system.publish(big_object)

@@ -88,8 +88,7 @@ class TestServing:
         server = edge.servers[0]
         server.record_served("g", "c", 100)
         server.record_served("g", "c", 50)
-        assert server.served_bytes[("g", "c")] == 150
-        assert server.total_served() == 150
+        assert server.served_bytes == {("g", "c"): 150}
 
     def test_negative_bytes_rejected(self, edge):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ class TestMonitoring:
         service.report(report(kind="error"))
         service.report(report(kind="crash"))
         assert service.counts["crash"] == 2
-        assert service.total_reports() == 3
+        assert sum(service.counts.values()) == 3
 
     def test_recent_ring_bounded(self):
         service = MonitoringService(recent_capacity=5)

@@ -243,16 +243,14 @@ class TestCloning:
         snap = peer.snapshot_identity()
         clone = system.create_peer(guid=snap.guid)
         clone.restore_identity(snap)
-        system.adopt_clone(clone)
         assert clone.guid == peer.guid
-        assert system.peer_by_guid[peer.guid] is clone
 
 
 class TestReporting:
     def test_crash_report_reaches_monitoring(self, peer, system):
         peer.boot()
         peer.report_crash("segfault in nat traversal")
-        assert system.control.monitoring.total_reports() == 1
+        assert sum(system.control.monitoring.counts.values()) == 1
 
     def test_start_download_requires_online(self, peer, system, big_object):
         system.publish(big_object)

@@ -13,7 +13,7 @@ class TestAssembly:
         assert system.control.all_cns
         assert system.control.all_dns
         assert system.edge.servers
-        assert len(system.world) > 30
+        assert len(system.world.countries) > 30
 
     def test_deterministic_given_seed(self):
         a = NetSessionSystem(seed=5)

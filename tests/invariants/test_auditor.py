@@ -7,7 +7,7 @@ import pytest
 from repro.core import NetSessionSystem
 from repro.core.config import InvariantConfig, SystemConfig
 from repro.invariants import (
-    CHECKERS, InvariantViolation, InvariantViolationError, checker_names,
+    CHECKERS, InvariantViolation, InvariantViolationError,
 )
 
 
@@ -58,7 +58,7 @@ class TestConfig:
 
 class TestRegistry:
     def test_builtin_checkers_registered(self):
-        names = checker_names()
+        names = list(CHECKERS)
         for expected in ("flow-feasibility", "byte-conservation",
                          "directory-consistency", "nat-symmetry",
                          "sim-time", "sim-heap", "channel-state",
@@ -99,8 +99,7 @@ class TestCadence:
         with pytest.raises(SimulationError):
             sim.set_audit_hook(lambda: None, every_events=0)
         sim.set_audit_hook(lambda: None, every_events=5)
-        sim.clear_audit_hook()
-        assert sim._audit_hook is None
+        assert sim._audit_every == 5
 
     def test_audit_hook_runs_after_flow_flush(self):
         # The hook must observe settled rates: after an event that starts a

@@ -32,7 +32,7 @@ class TestAllocation:
     def test_every_address_registered_in_geodb(self, setup):
         geodb, allocator, country, asys = setup
         ip = allocator.assign(asys, country, country.cities[0])
-        rec = geodb.lookup(ip)
+        rec = geodb.get(ip)
         assert rec.country_code == "DE"
         assert rec.asn == asys.asn
         assert rec.network == asys.name
@@ -42,7 +42,7 @@ class TestAllocation:
         city = country.cities[0]
         for _ in range(30):
             ip = allocator.assign(asys, country, city)
-            rec = geodb.lookup(ip)
+            rec = geodb.get(ip)
             assert abs(rec.lat - city.lat) <= 0.06
             assert abs(rec.lon - city.lon) <= 0.06
 
@@ -52,7 +52,7 @@ class TestAllocation:
         locs = set()
         for _ in range(60):
             ip = allocator.assign(asys, country, city)
-            rec = geodb.lookup(ip)
+            rec = geodb.get(ip)
             locs.add((rec.lat, rec.lon))
         assert len(locs) > 5  # suburb granularity, not one point
 

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.links import (
-    AccessLink, BroadbandModel, BroadbandTier, DEFAULT_BROADBAND_TIERS,
-    EdgeCapacityModel, mbps,
+    AccessLink, BroadbandModel, BroadbandTier, DEFAULT_BROADBAND_TIERS, mbps,
 )
 
 
@@ -78,17 +77,3 @@ class TestBroadbandModel:
         link = model.sample("p")
         assert link.down_bps > 0
         assert link.up_bps > 0
-
-
-class TestEdgeCapacity:
-    def test_default_is_10gbit(self):
-        res = EdgeCapacityModel().make_resource("e1")
-        assert res.capacity == pytest.approx(mbps(10_000.0))
-
-    def test_invalid_egress_rejected(self):
-        with pytest.raises(ValueError):
-            EdgeCapacityModel(egress_mbps=0.0)
-
-    def test_resource_name_includes_server(self):
-        res = EdgeCapacityModel().make_resource("frankfurt-1")
-        assert "frankfurt-1" in res.name

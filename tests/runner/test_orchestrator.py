@@ -104,12 +104,12 @@ class TestExperimentsLayerWiring:
     def test_configure_runner_keeps_the_artifact_store(self):
         import repro.experiments.common as common
 
-        before = common.get_runner()
+        before = common._RUNNER
         try:
             config = tiny_config(seed=9)
             artifact = common.scenario_result(config)
             common.configure_runner(jobs=1)
-            assert common.get_runner() is not before
+            assert common._RUNNER is not before
             assert common.scenario_result(config) is artifact
         finally:
             common._RUNNER = before

@@ -7,8 +7,8 @@ what that must still guarantee —
 * the store equals the object-mode oracle on every column value and every
   materialized node, and all four streams (plus ``system._peer_seq``) end
   the build in the oracle's exact state, across block boundaries, with and
-  without providers, device tiers, a session cap, corporate sites, a
-  degenerate broadband tier and frequent NAT misclassification;
+  without providers, device tiers, a session cap, a degenerate
+  broadband tier and frequent NAT misclassification;
 * a population-wide set-up hands out a handle only for rows it schedules
   something for, and derives no GUID at all (``Population.always_on`` is a
   view over the flag column that derives them when read);
@@ -59,8 +59,8 @@ DEGENERATE_TIERS = DEFAULT_BROADBAND_TIERS[:2] + (
     BroadbandTier("fixed", 0.3, (20.0, 20.0), (2.0, 4.0)),)
 
 
-def _build(store, seed, n_peers, with_providers, device, cap, corporate,
-           tiers, misclassify):
+def _build(store, seed, n_peers, with_providers, device, cap, tiers,
+           misclassify):
     """``(system, population, population rng)`` under one store."""
     system = NetSessionSystem(seed=seed)
     system.broadband = BroadbandModel(random.Random(seed ^ 0xB0B), tiers)
@@ -74,8 +74,7 @@ def _build(store, seed, n_peers, with_providers, device, cap, corporate,
             system.register_provider(provider)
     cfg = PopulationConfig(
         n_peers=n_peers, device=device, active_peer_cap=cap,
-        corporate_fraction=corporate, attacker_fraction=0.1,
-        broken_fraction=0.1)
+        attacker_fraction=0.1, broken_fraction=0.1)
     created = []
 
     class Recording(random.Random):
@@ -98,7 +97,6 @@ def _build(store, seed, n_peers, with_providers, device, cap, corporate,
     with_providers=st.booleans(),
     device=st.sampled_from([None, default_mix()]),
     cap=st.sampled_from([None, 5]),
-    corporate=st.sampled_from([0.0, 0.3]),
     tiers=st.sampled_from([DEFAULT_BROADBAND_TIERS, DEGENERATE_TIERS]),
     misclassify=st.sampled_from([0.02, 0.4]),
 )
@@ -141,7 +139,6 @@ def test_array_build_equals_the_object_oracle(**shape):
     everyone = {n.guid for n in nodes}
     assert everyone - pop_c.always_on == everyone - pop_o.always_on
     assert pop_c.always_on & everyone == pop_o.always_on
-    assert set(pop_c.sites) == set(pop_o.sites)
     assert sys_c.stats().as_dict() == sys_o.stats().as_dict()
 
     # Every materialized node is the eager node.

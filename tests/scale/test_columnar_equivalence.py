@@ -1,7 +1,7 @@
 """Property tests: the columnar store is the object graph, byte for byte.
 
-Hypothesis drives population shapes (size, corporate sites, broken and
-attacker fractions, seeds) through both store implementations and checks
+Hypothesis drives population shapes (size, broken and attacker
+fractions, seeds) through both store implementations and checks
 field-for-field equality — first through dormant column reads (which must
 not materialize anyone), then through full materialization (which must
 reproduce the eager nodes' deep state: link capacities, RNG stream
@@ -35,16 +35,14 @@ DORMANT_ATTRS = (
 population_shapes = dict(
     seed=st.integers(0, 2**20),
     n_peers=st.integers(1, 50),
-    corporate=st.sampled_from([0.0, 0.0, 0.25]),
     attacker=st.sampled_from([0.0, 0.1]),
     broken=st.sampled_from([0.0, 0.08]),
 )
 
 
-def _build_both(seed, n_peers, corporate, attacker, broken):
+def _build_both(seed, n_peers, attacker, broken):
     overrides = dict(
         n_peers=n_peers,
-        corporate_fraction=corporate,
         attacker_fraction=attacker,
         broken_fraction=broken,
     )
@@ -57,10 +55,10 @@ def _build_both(seed, n_peers, corporate, attacker, broken):
 @settings(max_examples=20, deadline=None)
 @given(**population_shapes)
 def test_build_is_field_for_field_equal_without_materializing(
-    seed, n_peers, corporate, attacker, broken
+    seed, n_peers, attacker, broken
 ):
     (sys_o, _, pop_o), (sys_c, _, pop_c) = _build_both(
-        seed, n_peers, corporate, attacker, broken)
+        seed, n_peers, attacker, broken)
     store = pop_c.store
     assert store is not None and len(store) == pop_o.peer_count()
 
@@ -78,7 +76,6 @@ def test_build_is_field_for_field_equal_without_materializing(
     # Population-level structures match.
     assert pop_c.always_on == pop_o.always_on
     assert dict(pop_c.tz_offset) == dict(pop_o.tz_offset)
-    assert set(pop_c.sites) == set(pop_o.sites)
 
     # Every shared RNG stream ends the build at the identical position —
     # the property that makes everything downstream byte-identical.
@@ -92,10 +89,10 @@ def test_build_is_field_for_field_equal_without_materializing(
 @settings(max_examples=10, deadline=None)
 @given(**population_shapes)
 def test_materialization_reproduces_the_eager_nodes(
-    seed, n_peers, corporate, attacker, broken
+    seed, n_peers, attacker, broken
 ):
     (_, _, pop_o), (_, _, pop_c) = _build_both(
-        seed, n_peers, corporate, attacker, broken)
+        seed, n_peers, attacker, broken)
     store = pop_c.store
     for node, handle in zip(pop_o.iter_peers(), pop_c.iter_peers()):
         link = handle.link  # forces materialization
@@ -121,55 +118,10 @@ def test_sample_peers_selects_identical_victims(seed, n_peers, sample_seed):
     # rng.sample depends only on population size and order, so seeded
     # fault/adversary victim selection is store-independent — and the
     # columnar side must serve it without materializing anyone.
-    (_, _, pop_o), (_, _, pop_c) = _build_both(seed, n_peers, 0.0, 0.0, 0.0)
+    (_, _, pop_o), (_, _, pop_c) = _build_both(seed, n_peers, 0.0, 0.0)
     k = max(1, n_peers // 3)
     chosen_o = pop_o.sample_peers(random.Random(sample_seed), k)
     chosen_c = pop_c.sample_peers(random.Random(sample_seed), k)
     assert [p.guid for p in chosen_o] == [p.guid for p in chosen_c]
     assert pop_c.store.materialized_count() == 0
 
-
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(0, 2**20),
-    n_peers=st.integers(2, 40),
-    data=st.data(),
-)
-def test_materialize_mutate_release_round_trip(seed, n_peers, data):
-    _, _, pop = build_store_world("columnar", seed, n_peers=n_peers)
-    store = pop.store
-    i = data.draw(st.integers(0, n_peers - 1), label="row")
-    handle = store.handle(i)
-    node = store.materialize(i)
-    guid = node.guid
-
-    # Mutate scalars, counters, and the private RNG stream position.
-    node.uploads_enabled = not node.uploads_enabled
-    node.piece_corruption_prob = 0.123
-    node.boot_count += 3
-    node.nat_rebinds += 2
-    node.rng.random()
-    expected_uploads = node.uploads_enabled
-    expected_rng_state = node.rng.getstate()
-    expected_channel_state = node.channel.rng.getstate()
-
-    store.release(node)
-    assert store.materialized_count() == 0
-    assert guid not in store.system.peer_by_guid
-
-    # Dormant reads now serve the reconciled values.
-    assert handle.guid == guid
-    assert handle.uploads_enabled is expected_uploads
-    assert handle.piece_corruption_prob == 0.123
-    assert handle.boot_count == 3
-    assert handle.nat_rebinds == 2
-    assert store.materialized_count() == 0
-
-    # Re-materialization restores the full node state verbatim.
-    node2 = store.materialize(i)
-    assert node2.guid == guid
-    assert node2.rng.getstate() == expected_rng_state
-    assert node2.channel.rng.getstate() == expected_channel_state
-    assert node2.boot_count == 3
-    assert node2.uploads_enabled is expected_uploads
-    assert store.system.peer_by_guid[guid] is node2

@@ -72,11 +72,6 @@ class TestSampling:
             weights = catalog.provider_weights(provider.cp_code)
             assert weights == sorted(weights, reverse=True)
 
-    def test_sample_object_returns_catalog_member(self, catalog):
-        rng = random.Random(3)
-        for _ in range(20):
-            assert catalog.sample_object(rng) in catalog.objects
-
     def test_head_sampled_more_than_tail(self, catalog):
         rng = random.Random(3)
         provider = catalog.providers[0]
