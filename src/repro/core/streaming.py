@@ -12,12 +12,35 @@ initial buffer is filled, consumes bytes at the video bitrate, and stalls
 QoE metrics exposed: startup delay, rebuffer count, total stall time — the
 quantities a LiveSky-style streaming study (paper §7) would measure.
 
-Cost model: the playback clock ticks every ``playback_tick_s`` for as long
-as the video plays, so a tick must not cost O(pieces).  The contiguous
-prefix is tracked by a lazy in-order cursor that only moves forward —
-valid because ``DownloadSession.received`` only grows and has exactly one
-writer (``deliver_pieces``, add-only).  Each piece is visited once per
-session; a steady-state tick is a set probe plus arithmetic.
+Cost model: the playback clock ticks every ``playback_tick_s`` only while a
+tick can change something beyond *when* playout ends.  That is the
+``active`` transfer, where each tick rebalances peer caps and may steal
+the head piece, and a paused stream still playing out its buffer.  Two
+idle phases stop the clock:
+
+* **Downloaded and playing.**  Every remaining tick adds
+  ``min(budget, size - played)``, so the first tick that finds the
+  transfer completed replays them as arithmetic (the same float additions,
+  on the same chained grid) and schedules one playout-end event at the
+  instant the last tick would fire.  Reads of the playhead in between
+  (``played_bytes``, ``buffered_seconds``, ``skip_ahead``,
+  ``stop_playback``) catch up lazily; a skip re-plans the end.
+* **Paused and not playing.**  Nothing is delivered while paused, so the
+  ready-to-play test gives the same answer at every tick.  ``pause`` (or
+  the tick that stalls a paused stream) suspends the clock and keeps the
+  next grid instant; ``resume`` re-arms it on the first grid instant not
+  yet due.
+
+A grid instant equal to ``now`` counts as due outside the event loop
+(``run(until=now)`` has fired it) and as not yet due inside an event (its
+tick was queued a tick ago, after anything queued before it).  Either way
+the trace is the one the fixed-period clock gives.
+
+A tick must not cost O(pieces).  The contiguous prefix is tracked by a
+lazy in-order cursor that only moves forward — valid because
+``DownloadSession.received`` only grows and has exactly one writer
+(``deliver_pieces``, add-only).  Each piece is visited once per session; a
+steady-state tick is a set probe plus arithmetic.
 """
 
 from __future__ import annotations
@@ -78,12 +101,19 @@ class StreamingSession(DownloadSession):
 
         self.playing = False
         self.playback_started_at: Optional[float] = None
-        self.played_bytes = 0.0
+        self._played = 0.0
         self.rebuffer_events = 0
         self.rebuffer_time = 0.0
         self.playback_finished_at: Optional[float] = None
         self._stall_since: Optional[float] = None
+        #: The pending clock event: a recurring tick, a re-armed first
+        #: tick, or a collapsed playout's end (None when nothing is armed).
         self._tick_event = None
+        #: Next grid instant of a suspended clock (paused, not playing).
+        self._resume_at: Optional[float] = None
+        #: Next grid instant of a collapsed playout not yet folded into
+        #: ``_played`` (None when the playout is not collapsed).
+        self._playout_next: Optional[float] = None
         # In-order cursor (see contiguous_bytes): pieces [0, _prefix_pieces)
         # are all in ``received`` and total _prefix_bytes.
         self._prefix_pieces = 0
@@ -99,6 +129,31 @@ class StreamingSession(DownloadSession):
                 self.playback_tick_s, self._playback_tick
             )
             self.system.vod.streams_started += 1
+
+    def pause(self) -> None:
+        """Pause the transfer; a stream that is not playing stops ticking."""
+        if self.state != "active":
+            return
+        super().pause()
+        if self._tick_event is not None:
+            self._idle_clock(self._tick_event.time)
+
+    def resume(self) -> None:
+        """Resume the transfer and re-arm a suspended clock on its grid."""
+        super().resume()
+        if self.state != "active" or self._resume_at is None:
+            return
+        at, self._resume_at = self._resume_at, None
+        while self._due(at):
+            at += self.playback_tick_s
+
+        def first_tick() -> None:
+            self._playback_tick()
+            if self._tick_event is event:  # the tick left the clock running
+                self._tick_event = self.system.sim.every(
+                    self.playback_tick_s, self._playback_tick)
+
+        event = self._tick_event = self.system.sim.schedule_at(at, first_tick)
 
     # -------------------------------------------------- in-order scheduling
 
@@ -177,14 +232,16 @@ class StreamingSession(DownloadSession):
             return
         # Peer ETAs below come from live rates: settle pending mutations.
         self.system.flows.flush()
+        busy = [c for c in self.peer_conns
+                if not c.closed and c.chunk is not None]
+        if not busy:
+            return  # no peer holds a piece (an edge-fed stream): no scan
         frontier = self._frontier()
         if not frontier:
             return
         budget = max(URGENCY_ETA_FLOOR, 0.25 * buffered)
         urgent = set(frontier)
-        for conn in list(self.peer_conns):
-            if conn.closed or conn.chunk is None:
-                continue
+        for conn in busy:
             if urgent.isdisjoint(conn.chunk.pieces):
                 continue
             rate = conn.flow.rate if conn.flow is not None and conn.flow.active else 0.0
@@ -248,10 +305,28 @@ class StreamingSession(DownloadSession):
                     break
         return frontier
 
+    @property
+    def played_bytes(self) -> float:
+        """Bytes played so far (a collapsed playout catches up on read)."""
+        if self._playout_next is not None:
+            self._catch_up()
+        return self._played
+
+    @played_bytes.setter
+    def played_bytes(self, value: float) -> None:
+        self._played = value
+
     def buffered_seconds(self) -> float:
         """Playable seconds ahead of the playhead."""
         return max(0.0, (self.contiguous_bytes() - self.played_bytes)
                    / self.bitrate)
+
+    def _ready_to_play(self, prefix: int) -> bool:
+        """Would a tick start (or resume) playback with this prefix?"""
+        threshold = (self.startup_buffer_s if self.playback_started_at is None
+                     else self.rebuffer_resume_s)
+        return prefix - self._played >= threshold * self.bitrate or (
+            prefix >= self.obj.size and self._played < self.obj.size)
 
     def _playback_tick(self) -> None:
         now = self.system.sim.now
@@ -270,11 +345,7 @@ class StreamingSession(DownloadSession):
             # edge before the buffer drains, not after.
             self._steal_stuck_head(buffered)
         if not self.playing:
-            threshold = (self.startup_buffer_s if self.playback_started_at is None
-                         else self.rebuffer_resume_s)
-            if prefix - self.played_bytes >= threshold * self.bitrate or (
-                prefix >= self.obj.size and self.played_bytes < self.obj.size
-            ):
+            if self._ready_to_play(prefix):
                 self.playing = True
                 if self.playback_started_at is None:
                     self.playback_started_at = now
@@ -283,28 +354,82 @@ class StreamingSession(DownloadSession):
                     self.rebuffer_time += stalled
                     self.system.vod.rebuffer_seconds += stalled
                     self._stall_since = None
-            return
+        else:
+            # Consume one tick of video.
+            budget = self.bitrate * self.playback_tick_s
+            available = prefix - self._played
+            self._played += max(0.0, min(budget, available))
+            if self._played >= self.obj.size - 0.5:
+                self._finish_playback()
+                return
+            if available < budget:
+                # Stall mid-video: played out the prefix, now rebuffering.
+                self.playing = False
+                self.rebuffer_events += 1
+                self.system.vod.rebuffer_events += 1
+                self._stall_since = now
+        self._idle_clock(now + self.playback_tick_s)
 
-        # Consume one tick of video.
-        budget = self.bitrate * self.playback_tick_s
-        available = prefix - self.played_bytes
-        self.played_bytes += max(0.0, min(budget, available))
-        if self.played_bytes >= self.obj.size - 0.5:
-            self.played_bytes = float(self.obj.size)
-            self.playback_finished_at = now
-            self.system.vod.playbacks_finished += 1
-            self._stop_clock()
-        elif available < budget:
-            # Stall mid-video: played out the prefix, now rebuffering.
-            self.playing = False
-            self.rebuffer_events += 1
-            self.system.vod.rebuffer_events += 1
-            self._stall_since = now
+    def _finish_playback(self) -> None:
+        self._played = float(self.obj.size)
+        self.playback_finished_at = self.system.sim.now
+        self.system.vod.playbacks_finished += 1
+        self._stop_clock()
 
     def _stop_clock(self) -> None:
         if self._tick_event is not None:
             self._tick_event.cancel()
             self._tick_event = None
+
+    # ------------------------------------------------------ idle-phase clock
+
+    def _idle_clock(self, next_at: float) -> None:
+        """Stop ticking through an idle phase; ``next_at`` is the next grid
+        instant.  Downloaded and playing: collapse the playout into its
+        end event.  Paused and not about to play: suspend until resume."""
+        if self.state == "completed" and self.playing:
+            self._playout_next = next_at
+            self._plan_playout_end()
+        elif (self.state == "paused" and not self.playing
+              and not self._ready_to_play(self.contiguous_bytes())):
+            self._stop_clock()
+            self._resume_at = next_at
+
+    def _due(self, t: float) -> bool:
+        """Has the grid tick at ``t`` fired by now?  At ``t == now`` it has
+        outside the event loop, and has not inside an event (see Cost
+        model)."""
+        sim = self.system.sim
+        return t < sim.now or (t == sim.now and not sim.in_event)
+
+    def _catch_up(self) -> None:
+        """Fold the collapsed ticks that are due into ``_played``.
+
+        Never reaches the last tick: the end event fires at its instant,
+        so a due last tick has already ended the playout.
+        """
+        budget, size = self.bitrate * self.playback_tick_s, self.obj.size
+        while self._due(self._playout_next):
+            self._played += max(0.0, min(budget, size - self._played))
+            self._playout_next += self.playback_tick_s
+
+    def _plan_playout_end(self) -> None:
+        """(Re-)schedule the playout end at the instant the last remaining
+        tick would fire, replaying the tick's float additions (a tight loop:
+        a collapse replays every tick left in the video)."""
+        budget, size = self.bitrate * self.playback_tick_s, self.obj.size
+        t, played = self._playout_next, self._played
+        while True:
+            played += max(0.0, min(budget, size - played))
+            if played >= size - 0.5:
+                break
+            t += self.playback_tick_s
+        self._stop_clock()
+        self._tick_event = self.system.sim.schedule_at(t, self._end_playout)
+
+    def _end_playout(self) -> None:
+        self._tick_event = self._playout_next = None
+        self._finish_playback()
 
     # --------------------------------------------------------- viewer actions
 
@@ -313,15 +438,18 @@ class StreamingSession(DownloadSession):
 
         Seeking past the contiguous prefix drops the player into a rebuffer
         at the new position (the in-order pool catches up naturally).  The
-        playhead never lands inside the final second of the video, so a
-        seeked session still finishes through the normal tick path.
+        playhead never lands inside the final tick of the video, so a
+        seeked session still plays a last tick (a collapsed playout
+        re-plans its end).
         """
         if seconds <= 0 or self.playback_finished_at is not None:
             return
         ceiling = float(self.obj.size) - self.bitrate * self.playback_tick_s
         target = min(self.played_bytes + seconds * self.bitrate, ceiling)
-        if target > self.played_bytes:
-            self.played_bytes = target
+        if target > self._played:
+            self._played = target
+            if self._playout_next is not None:
+                self._plan_playout_end()
 
     def stop_playback(self) -> None:
         """Viewer closes the player without cancelling the transfer.
@@ -332,6 +460,8 @@ class StreamingSession(DownloadSession):
         """
         if self.playback_finished_at is not None:
             return
+        self._played = self.played_bytes  # a collapsed playout stops here
+        self._playout_next = self._resume_at = None
         self.playing = False
         self._stall_since = None
         self._stop_clock()

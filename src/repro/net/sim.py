@@ -83,7 +83,6 @@ class Simulator:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
-        self._stopped = False
         self._in_event = False
         self._live = 0  # pending (not-fired, not-cancelled) queued events
         self._post_event_hooks: list[Callable[[], None]] = []
@@ -198,21 +197,18 @@ class Simulator:
         """Process events in timestamp order.
 
         Stops when the queue is empty, when the next event is later than
-        ``until``, after ``max_events`` events, or when :meth:`stop` is
-        called from within a callback.  When ``until`` is given, the clock
-        is advanced to ``until`` even if no event lands exactly there.
+        ``until``, or after ``max_events`` events.  When ``until`` is given,
+        the clock is advanced to ``until`` even if no event lands exactly
+        there.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        self._stopped = False
         processed = 0
         queue = self._queue
         hooks = self._post_event_hooks
         try:
             while queue:
-                if self._stopped:
-                    break
                 if max_events is not None and processed >= max_events:
                     break
                 time, _seq, event = queue[0]
@@ -241,12 +237,8 @@ class Simulator:
                         self._audit_hook()
         finally:
             self._running = False
-        if until is not None and not self._stopped and self._now < until:
+        if until is not None and self._now < until:
             self._now = until
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
 
     def pending_count(self) -> int:
         """Number of not-yet-fired, not-cancelled events in the queue.

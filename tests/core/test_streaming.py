@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core import ContentObject, ContentProvider, NetSessionSystem
 from repro.core.content import PIECE_SIZE
+from repro.core.peer import CacheEntry
 from repro.core.streaming import (
     URGENT_WINDOW_PIECES, StreamingSession, start_streaming,
 )
 from tests.conftest import make_swarm_scene
+from tests.core.fixed_clock import FixedClockStreamingSession
 
 MBIT = 1e6 / 8
 MB = 1024 * 1024
@@ -343,9 +345,10 @@ class _CountingObject(ContentObject):
 
 
 class TestTickWorkBound:
-    """Deterministic work bound (a count, not a stopwatch): a session visits
-    each piece once however many playback ticks fire.  The per-tick scan
-    made ~39k (3 Mbit/s) and ~125k (1 Mbit/s) calls here."""
+    """Deterministic work bounds (counts, not stopwatches).  A session
+    visits each piece once however many playback ticks fire (the per-tick
+    scan made ~39k (3 Mbit/s) and ~125k (1 Mbit/s) calls here), and the
+    idle phases fire next to no clock callbacks."""
 
     @pytest.mark.parametrize("mbit", [3, 1])
     def test_piece_visits_do_not_scale_with_ticks(self, system, provider, mbit):
@@ -362,3 +365,336 @@ class TestTickWorkBound:
         # Everything else (chunk sizing, duplicate-delivery accounting) is
         # per delivered piece: ~3 calls a piece at either tick count.
         assert sum(video.calls.values()) <= 5 * video.num_pieces
+
+    def test_downloaded_stream_plays_out_in_two_callbacks(self, system, video):
+        seeders, viewer = make_swarm_scene(system, video)
+        session = _CallbackLog(system, viewer, video, bitrate=3 * MBIT)
+        _start(session)
+        system.run(until=4 * HOUR)
+        assert session.state == "completed"
+        assert session.playback_finished_at is not None
+        # Hundreds of ticks of video were left when the transfer ended ...
+        left = session.playback_finished_at - session.ended_at
+        assert left > 100 * session.playback_tick_s
+        # ... and they cost one collapsing tick plus the playout end.
+        after = [t for t in session.fired if t >= session.ended_at]
+        assert len(after) <= 2
+
+    def test_paused_stalled_stream_does_not_tick(self, system, provider):
+        from repro.net.flows import Resource
+        from repro.net.links import AccessLink, mbps
+
+        video = ContentObject("hd.mp4", 120 * MB, provider)
+        system.publish(video)
+        viewer = system.create_peer()
+        viewer.link = AccessLink(Resource("v/d", mbps(2.0)),
+                                 Resource("v/u", mbps(0.5)), "dsl")
+        viewer.boot()
+        session = _CallbackLog(system, viewer, video, bitrate=8 * MBIT)
+        _start(session)
+        while not session.rebuffer_events:
+            system.run(until=system.sim.now + 1.0)
+        assert not session.playing
+        session.pause()
+        paused_at = system.sim.now
+        system.run(until=paused_at + HOUR)
+        assert [t for t in session.fired if t > paused_at] == []
+        session.resume()
+        system.run(until=paused_at + 6 * HOUR)
+        assert session.playback_finished_at is not None
+
+    def test_vod_evening_trace_event_count(self):
+        from benchmarks.perf.workloads import WORKLOADS
+        from repro.runner import run_scenario_artifact
+
+        artifact = run_scenario_artifact(WORKLOADS["vod_evening"].config(42))
+        # 181 021 with a tick every second through every phase.
+        assert artifact.stats.events_processed <= 60_000
+
+
+class _CallbackLog(StreamingSession):
+    """Logs the instant of every streaming clock callback."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fired: list[float] = []
+
+    def _playback_tick(self) -> None:
+        self.fired.append(self.system.sim.now)
+        super()._playback_tick()
+
+    def _end_playout(self) -> None:
+        self.fired.append(self.system.sim.now)
+        super()._end_playout()
+
+
+# ----------------------------------------------- idle-phase clock vs oracle
+
+
+def _grid(k: int, tick: float) -> float:
+    """The ``k``-th tick of a clock armed at t=0: the chained float sum."""
+    t = 0.0
+    for _ in range(k):
+        t += tick
+    return t
+
+
+def _start(session) -> None:
+    """What ``start_streaming`` does, for a session of any class."""
+    session.peer.sessions[session.obj.cid] = session
+    session.start()
+
+
+def _observe(session) -> tuple:
+    """Everything a caller can read off a session, at this instant."""
+    return (session.system.sim.now, session.state, session.playing,
+            session.played_bytes, session.buffered_seconds(),
+            session.playback_finished_at, session.rebuffer_events,
+            session.rebuffer_time, sorted(session.qoe_report().items()))
+
+
+def _play_script(cls, scene: dict, actions: list[tuple]) -> tuple:
+    """Run one scripted stream with clock class ``cls``; return its trace.
+
+    ``actions`` are ``(time, kind, arg, queued)``.  A queued action is
+    scheduled before the stream starts, so it fires before any tick due at
+    the same instant; the others run between ``system.run(until=time)``
+    calls, after every event due by then.  Each action is followed by a
+    read of every observable.
+    """
+    from repro.net.flows import Resource
+    from repro.net.links import AccessLink
+
+    system = NetSessionSystem(seed=11)
+    provider = ContentProvider(cp_code=9001, name="TestCo",
+                               upload_default_rate=1.0)
+    video = ContentObject("clip.mp4", scene["size"], provider,
+                          p2p_enabled=scene["seeders"] > 0)
+    system.publish(video)
+    country = system.world.by_code["DE"]
+    for _ in range(scene["seeders"]):
+        seeder = system.create_peer(country=country, uploads_enabled=True)
+        seeder.cache[video.cid] = CacheEntry(cid=video.cid, completed_at=0.0)
+        seeder.boot()
+    viewer = system.create_peer(country=country)
+    down = scene["down"]
+    viewer.link = AccessLink(Resource("v/d", down), Resource("v/u", down / 4),
+                             "dsl")
+    viewer.boot()
+    session = cls(system, viewer, video, bitrate=scene["bitrate"],
+                  startup_buffer_s=scene["startup"],
+                  rebuffer_resume_s=scene["resume_s"],
+                  playback_tick_s=scene["tick"])
+    seen: list[tuple] = []
+
+    def act(kind: str, arg: float) -> None:
+        if kind == "pause":
+            session.pause()
+        elif kind == "resume":
+            session.resume()
+        elif kind == "skip":
+            session.skip_ahead(arg)
+        elif kind == "stop":
+            session.stop_playback()
+        elif kind == "abort":
+            session.abort()
+        seen.append((kind, _observe(session)))
+
+    for at, kind, arg, queued in actions:
+        if queued:
+            system.sim.schedule_at(at, lambda k=kind, a=arg: act(k, a))
+    _start(session)
+    for at, kind, arg, queued in sorted(
+            (a for a in actions if not a[3]), key=lambda a: a[0]):
+        system.run(until=at)
+        act(kind, arg)
+    system.run(until=scene["horizon"])
+    seen.append(("end", _observe(session)))
+    return (seen, [vars(r) for r in system.logstore.downloads],
+            system.vod.snapshot())
+
+
+_ACTIONS = ["pause", "resume", "pause", "resume", "skip", "skip", "read",
+            "stop", "abort"]
+
+
+@st.composite
+def _scripts(draw):
+    """A stream scene plus a script of viewer actions.
+
+    The link runs from well under to well over the bitrate, so transfers
+    complete mid-playback, mid-stall and before startup; a huge
+    ``resume_s`` keeps a stalled stream stalled until its transfer ends.
+    Action times are either anywhere or exactly on the tick grid.
+    """
+    tick = draw(st.sampled_from([1.0, 0.5, 0.7, 0.1]))
+    pieces = draw(st.integers(1, 12))
+    size = pieces * PIECE_SIZE - draw(st.sampled_from([0, PIECE_SIZE // 3]))
+    duration = draw(st.floats(20.0, 200.0))
+    bitrate = size / duration
+    scene = {
+        "size": size, "bitrate": bitrate, "tick": tick,
+        "down": bitrate * draw(st.sampled_from([0.5, 0.9, 1.2, 4.0, 50.0])),
+        "startup": draw(st.sampled_from([1.0, 10.0])),
+        "resume_s": draw(st.sampled_from([1.0, 5.0, 1e6])),
+        "seeders": draw(st.sampled_from([0, 0, 3])),
+        "horizon": 8 * duration + 60.0,
+    }
+    last_tick = int(2 * duration / tick)
+    actions = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            at = _grid(draw(st.integers(1, last_tick)), tick)
+        else:
+            at = draw(st.floats(0.0, 2 * duration))
+        actions.append((at, draw(st.sampled_from(_ACTIONS)),
+                        draw(st.floats(1.0, 60.0)), draw(st.booleans())))
+    return scene, actions
+
+
+class TestIdleClockOracle:
+    """The event-driven idle phases against the fixed-period clock: every
+    read, every record field and every ``vod`` counter is equal (``==``,
+    not approximately)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_scripts())
+    def test_scripts_match_the_fixed_clock(self, case):
+        scene, actions = case
+        assert (_play_script(StreamingSession, scene, actions)
+                == _play_script(FixedClockStreamingSession, scene, actions))
+
+
+def _scene(pieces: int, duration: float, ratio: float, *, tick: float = 1.0,
+           resume_s: float = 1.0) -> dict:
+    """An edge-fed stream of ``duration`` seconds over a link ``ratio``
+    times the bitrate."""
+    size = pieces * PIECE_SIZE
+    return {"size": size, "bitrate": size / duration, "tick": tick,
+            "down": ratio * size / duration, "startup": 1.0,
+            "resume_s": resume_s, "seeders": 0, "horizon": 8 * duration}
+
+
+def _phase(session) -> str:
+    """Which clock phase a production session is in."""
+    if session.playback_finished_at is not None:
+        return "finished"
+    if session._playout_next is not None:
+        return "collapsed"
+    if session._resume_at is not None:
+        return "suspended"
+    if session._tick_event is None:
+        return "stopped"
+    return f"{session.state}:{'playing' if session.playing else 'waiting'}"
+
+
+class _PhaseProbe(StreamingSession):
+    """Logs the clock phase each viewer action (and the transfer's end)
+    finds, so a scripted case can show it reached the phase it names."""
+
+    phases: list[tuple[str, str]] = []
+
+    def _logged(self, name: str, action, *args) -> None:
+        self.phases.append((name, _phase(self)))
+        action(*args)
+
+    def pause(self):
+        self._logged("pause", super().pause)
+
+    def resume(self):
+        self._logged("resume", super().resume)
+
+    def skip_ahead(self, seconds):
+        self._logged("skip", super().skip_ahead, seconds)
+
+    def stop_playback(self):
+        self._logged("stop", super().stop_playback)
+
+    def abort(self):
+        self._logged("abort", super().abort)
+
+    def _complete(self):
+        self.phases.append(("complete", "playing" if self.playing
+                            else "stalled"))
+        super()._complete()
+
+
+# Two pieces, 20 s of video at half the bitrate, fetched as one edge
+# batch: a pause before t=20 credits nothing (the stream stays waiting and
+# suspends); a pause at t=20 credits the first piece, which then plays out
+# while paused until the tick that stalls it suspends the clock.
+_STALLS = _scene(2, 20.0, 0.5)
+
+_NAMED_SCRIPTS = {
+    "resume-on-grid-queued": (
+        _STALLS, [(20.0, "pause", 0, False), (40.0, "resume", 0, True)],
+        ("resume", "suspended")),
+    "resume-on-grid-direct": (
+        _STALLS, [(20.0, "pause", 0, False), (40.0, "resume", 0, False)],
+        ("resume", "suspended")),
+    "resume-off-grid": (
+        _STALLS, [(20.0, "pause", 0, False), (40.37, "resume", 0, False)],
+        ("resume", "suspended")),
+    "chained-grid-before-startup": (
+        _scene(3, 60.0, 0.5, tick=0.1),
+        [(_grid(3, 0.1), "pause", 0, True), (_grid(150, 0.1), "resume", 0, True),
+         (_grid(160, 0.1), "pause", 0, False),
+         (_grid(400, 0.1), "resume", 0, False)],
+        ("resume", "suspended")),
+    "stall-while-paused": (
+        _scene(2, 20.0, 0.9, tick=0.5),
+        [(11.5, "pause", 0, False), (12.0, "skip", 3.0, False),
+         (30.0, "resume", 0, False)],
+        ("skip", "paused:playing")),
+    "abort-while-suspended": (
+        _STALLS, [(5.0, "pause", 0, False), (30.0, "abort", 0, True)],
+        ("abort", "suspended")),
+    "stop-while-suspended-then-resume": (
+        _STALLS, [(5.0, "pause", 0, False), (30.0, "stop", 0, False),
+                  (35.0, "resume", 0, True)],
+        ("stop", "suspended")),
+    "skip-while-suspended": (
+        _STALLS, [(5.0, "pause", 0, False), (25.0, "skip", 10.0, False),
+                  (30.0, "resume", 0, False)],
+        ("skip", "suspended")),
+    "skip-while-stalled": (
+        _STALLS, [(25.0, "skip", 5.0, True)], ("skip", "active:waiting")),
+    # The piece lands within a tick of the resume, so the re-armed first
+    # tick is the one that starts playback.
+    "resume-then-fast-delivery": (
+        _scene(1, 20.0, 40.0),
+        [(0.2, "pause", 0, False), (3.3, "resume", 0, False)],
+        ("resume", "suspended")),
+    "completion-while-stalled": (
+        _scene(4, 60.0, 0.5, resume_s=1e6), [], ("complete", "stalled")),
+    "completion-mid-playback": (
+        _scene(3, 60.0, 0.5), [], ("complete", "playing")),
+    "skip-and-read-while-collapsed": (
+        _scene(1, 20.0, 4.0),
+        [(8.0, "skip", 5.0, False), (10.3, "read", 0, False),
+         (11.0, "skip", 2.0, True), (12.0, "read", 0, False),
+         (17.0, "read", 0, True)],
+        ("skip", "collapsed")),
+    "stop-while-collapsed": (
+        _scene(1, 20.0, 4.0, tick=0.7),
+        [(9.0, "read", 0, False), (_grid(20, 0.7), "stop", 0, True)],
+        ("stop", "collapsed")),
+    "abort-and-pause-while-collapsed": (
+        _scene(1, 20.0, 4.0),
+        [(9.0, "abort", 0, False), (10.0, "pause", 0, True)],
+        ("pause", "collapsed")),
+}
+
+
+class TestIdleClockScripts:
+    """Hand-written scripts for each idle-phase path, each shown to reach
+    the phase it names, against the fixed-period clock."""
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_SCRIPTS))
+    def test_script_matches_the_fixed_clock(self, name):
+        scene, actions, reached = _NAMED_SCRIPTS[name]
+        _PhaseProbe.phases.clear()
+        probed = _play_script(_PhaseProbe, scene, actions)
+        assert reached in _PhaseProbe.phases
+        assert probed == _play_script(FixedClockStreamingSession, scene,
+                                      actions)

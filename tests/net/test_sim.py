@@ -99,18 +99,6 @@ class TestRunControl:
         sim.run()
         assert seen == [10]
 
-    def test_stop_from_callback(self):
-        sim = Simulator()
-        seen = []
-        def first():
-            seen.append(1)
-            sim.stop()
-        sim.schedule(1.0, first)
-        sim.schedule(2.0, lambda: seen.append(2))
-        sim.run()
-        assert seen == [1]
-        assert sim.pending_count() == 1
-
     def test_max_events_limit(self):
         sim = Simulator()
         seen = []
