@@ -392,9 +392,9 @@ def test_audit_observe_overhead_scenario():
         "off_wall_seconds": round(off_wall, 3),
         "observe_wall_seconds": round(obs_wall, 3),
         "overhead_fraction": round(overhead, 4),
-        "audits": obs_result.system.auditor.audits,
+        "audits": obs_result.system.auditor.stats.audits,
     }
-    assert obs_result.system.auditor.error_count() == 0
+    assert obs_result.system.auditor.stats.errors == 0
     # Generous envelope: the measured overhead is ~1-5%; the assert exists
     # to catch an accidentally unbounded checker, not to pin the margin.
     assert overhead < 0.20, f"observe mode costs {overhead:.1%}"

@@ -31,6 +31,8 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Iterator
 
+from repro.core.system import DefenseStats
+
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
     from repro.core.config import DefenseConfig
     from repro.core.control.database_node import PeerRegistration
@@ -72,14 +74,9 @@ class ReputationEngine:
         #: Installed by the system: the simulation clock.  CNs read it so
         #: they need no simulator reference of their own.
         self.clock: Callable[[], float] = lambda: 0.0
-        # Aggregate counters, folded into SystemStats by DefenseCounters.
-        self.quarantines = 0
-        self.probations = 0
-        self.reports_ingested = 0
-        self.registrations_evicted = 0
-        #: Quarantined peers that still made it into a query answer — the
-        #: quarantined-never-selected audit counter; must stay zero.
-        self.quarantine_leaks = 0
+        #: Aggregate counters; the system installs its own
+        #: :class:`~repro.core.system.DefenseStats` here.
+        self.stats = DefenseStats()
 
     # ------------------------------------------------------------- scoring
 
@@ -134,9 +131,9 @@ class ReputationEngine:
         entry.state = QUARANTINED
         entry.quarantined_at = now
         entry.quarantines += 1
-        self.quarantines += 1
+        self.stats.quarantines += 1
         if self.on_quarantine is not None:
-            self.registrations_evicted += self.on_quarantine(guid)
+            self.stats.registrations_evicted += self.on_quarantine(guid)
 
     # ------------------------------------------------------ admission control
 
@@ -155,7 +152,7 @@ class ReputationEngine:
         entry.state = PROBATION
         entry.score = self.config.probation_score + self._initial_score(guid)
         entry.updated_at = now
-        self.probations += 1
+        self.stats.probations += 1
         return True
 
     def is_quarantined(self, guid: str, now: float) -> bool:
@@ -178,7 +175,7 @@ class ReputationEngine:
         reach here, so an attacker cannot spend fabricated bytes on
         reputation — its own or anyone else's.
         """
-        self.reports_ingested += 1
+        self.stats.reports_ingested += 1
         for guid, nbytes in report.per_uploader_bytes.items():
             self.observe(guid, now, delivered_bytes=nbytes)
         for guid, pieces in report.per_uploader_corrupt.items():

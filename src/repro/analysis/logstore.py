@@ -10,7 +10,6 @@ correct without paying for reindexing during the simulation.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
 
 from repro.analysis.records import DownloadRecord, LoginRecord, RegistrationRecord
 
@@ -86,10 +85,6 @@ class LogStore:
     def entry_count(self) -> int:
         """Total log entries of all kinds (Table 1's 'log entries')."""
         return len(self.downloads) + len(self.logins) + len(self.registrations)
-
-    def completed_downloads(self) -> Iterable[DownloadRecord]:
-        """Only the downloads that eventually completed."""
-        return (r for r in self.downloads if r.outcome == "completed")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -128,13 +128,6 @@ class AccountingService:
         """The billing summary for one provider (empty if no traffic)."""
         return self.billing.get(cp_code, BillingSummary(cp_code=cp_code))
 
-    def rejection_rate(self) -> float:
-        """Fraction of all ingested reports that failed validation."""
-        total = len(self.accepted) + len(self.rejected)
-        if total == 0:
-            return 0.0
-        return len(self.rejected) / total
-
     def ledger_drift(self) -> list[str]:
         """Internal-consistency check: billing must equal the accepted log.
 

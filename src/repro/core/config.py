@@ -360,10 +360,6 @@ class SystemConfig:
         """Return a copy with control-plane fields replaced."""
         return replace(self, control_plane=replace(self.control_plane, **changes))
 
-    def with_channel(self, **changes) -> "SystemConfig":
-        """Return a copy with control-channel fields replaced."""
-        return replace(self, channel=replace(self.channel, **changes))
-
     def with_invariants(self, **changes) -> "SystemConfig":
         """Return a copy with invariant-audit fields replaced."""
         return replace(self, invariants=replace(self.invariants, **changes))

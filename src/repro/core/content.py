@@ -2,8 +2,8 @@
 
 Every file NetSession distributes belongs to a *content provider* (the
 paper's Customers A–J) identified by a CP code, and is broken by the edge
-servers into fixed-size pieces with individually verifiable hashes
-(paper §3.4–3.5).  Content providers decide per file whether peer-to-peer
+servers into fixed-size pieces, each verified on receipt (paper §3.4–3.5;
+the simulation draws a piece's verification outcome instead of hashing).  Content providers decide per file whether peer-to-peer
 delivery is enabled; in the paper's trace only 1.7% of files had it enabled,
 but those accounted for 57.4% of all bytes (§5.1).
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.ids import content_id, piece_hash
+from repro.core.ids import content_id
 
 __all__ = ["ContentProvider", "ContentObject", "PIECE_SIZE"]
 
@@ -52,9 +52,8 @@ class ContentProvider:
 class ContentObject:
     """One downloadable object (a file at a specific version).
 
-    The object knows its own piece layout and hashes, which the edge servers
-    hand to peers so they can verify pieces regardless of where the bytes
-    came from.
+    The object knows its own piece layout; a new version is a new object
+    (same URL, higher ``version``, hence a new cid and a distinct swarm).
     """
 
     __slots__ = ("url", "version", "cid", "size", "provider", "p2p_enabled",
@@ -90,19 +89,6 @@ class ContentObject:
         if index == self.num_pieces - 1:
             return self.last_piece_size
         return PIECE_SIZE
-
-    def expected_hash(self, index: int) -> str:
-        """The trusted hash of piece ``index`` (as published by edge servers)."""
-        if not 0 <= index < self.num_pieces:
-            raise IndexError(f"piece {index} out of range for {self.num_pieces} pieces")
-        return piece_hash(self.cid, index)
-
-    def new_version(self) -> "ContentObject":
-        """Publish an updated version of this object (new cid, new hashes)."""
-        return ContentObject(
-            self.url, self.size, self.provider,
-            p2p_enabled=self.p2p_enabled, version=self.version + 1,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = "p2p" if self.p2p_enabled else "infra"

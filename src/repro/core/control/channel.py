@@ -39,8 +39,10 @@ paths never perturb any other random stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
+
+from repro.counters import Counters, counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.control.connection_node import ConnectionNode
@@ -62,12 +64,11 @@ ALL_STATES = frozenset((HEALTHY, RETRYING, DEGRADED, PROBING))
 
 
 @dataclass
-class ControlChannelStats:
+class ControlChannelStats(Counters):
     """Fleet-wide robustness counters, aggregated across all channels.
 
-    Mirrors :class:`~repro.net.flows.FlowNetworkStats`: cumulative since
-    system creation, O(1) to read, snapshot/as_dict for reports and JSON.
-    One instance lives on the system; every peer's channel increments it.
+    Cumulative since system creation.  One instance lives on the system;
+    every peer's channel increments it.
     """
 
     #: RPCs issued (all operations, before any retries).
@@ -96,7 +97,8 @@ class ControlChannelStats:
     recoveries: int = 0
     #: Total seconds spent degraded (closed periods only: recovery or the
     #: peer going offline ends a period).
-    degraded_seconds: float = 0.0
+    degraded_seconds: float = counter(
+        0.0, digits=1, then=("mean_time_to_recover", 1))
     #: Edge-only downloads promoted back to hybrid after recovery.
     sessions_promoted: int = 0
 
@@ -106,30 +108,6 @@ class ControlChannelStats:
         if self.recoveries == 0:
             return 0.0
         return self.degraded_seconds / self.recoveries
-
-    def snapshot(self) -> "ControlChannelStats":
-        """An independent copy of the current counters."""
-        return replace(self)
-
-    def as_dict(self) -> dict[str, float]:
-        """Counters plus derived statistics, for reports and JSON."""
-        return {
-            "requests": self.requests,
-            "attempts": self.attempts,
-            "lost_messages": self.lost_messages,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "giveups": self.giveups,
-            "dropped_degraded": self.dropped_degraded,
-            "failovers": self.failovers,
-            "breaker_trips": self.breaker_trips,
-            "probes": self.probes,
-            "probe_failures": self.probe_failures,
-            "recoveries": self.recoveries,
-            "degraded_seconds": round(self.degraded_seconds, 1),
-            "mean_time_to_recover": round(self.mean_time_to_recover, 1),
-            "sessions_promoted": self.sessions_promoted,
-        }
 
 
 class _Request:

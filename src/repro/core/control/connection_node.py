@@ -9,8 +9,8 @@ directory from their own state (§3.8).
 The peer objects a CN holds must provide the small protocol documented in
 :class:`repro.core.peer.PeerNode`: identity (``guid``, ``ip``), locality
 (``asn``, ``country_code``, ``geo_region``), connectivity (``nat_profile``),
-preferences (``uploads_enabled``), ``shareable_cids()`` and
-``handle_re_add()``.
+preferences (``uploads_enabled``), ``shareable_cids()`` and the
+``channel`` its RE-ADD replies ride.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ class ConnectionNode:
             # make this dead code; the counter proves it stayed that way.
             for reg in selected:
                 if reputation.is_quarantined(reg.guid, now):
-                    reputation.quarantine_leaks += 1
+                    reputation.stats.quarantine_leaks += 1
         for reg in selected:
             dn.rotate_to_end(cid, reg.guid)
 
@@ -292,7 +292,7 @@ class ConnectionNode:
         """Restart the CN (empty connection table)."""
         self.alive = True
 
-    def broadcast_re_add(self, now: float) -> int:
+    def broadcast_re_add(self) -> int:
         """Ask every connected peer to re-list its files (§3.8 RE-ADD).
 
         The exchange rides each peer's control channel, so replies can be
@@ -301,15 +301,8 @@ class ConnectionNode:
         """
         answered = 0
         for peer in list(self.connected.values()):
-            channel = getattr(peer, "channel", None)
-            if channel is not None:
-                if channel.answer_re_add(self):
-                    answered += 1
-                continue
-            cids = peer.handle_re_add()
-            for cid in cids:
-                self.register_content(peer, cid, now)
-            answered += 1
+            if peer.channel.answer_re_add(self):
+                answered += 1
         return answered
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -161,7 +161,7 @@ class ControlPlane:
         answered = 0
         for cn in self.cns_by_region.get(dn.network_region, ()):
             if cn.alive:
-                answered += cn.broadcast_re_add(self.sim.now)
+                answered += cn.broadcast_re_add()
         return answered
 
     def blackout(self, network_region: str | None = None) -> int:

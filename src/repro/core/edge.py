@@ -4,7 +4,8 @@ Edge servers (paper §3.5) do four things for NetSession beyond serving
 bytes over HTTP(S):
 
 * **content integrity** — they generate and publish the secure content IDs
-  and per-piece hashes that let peers verify pieces from any source;
+  and per-piece hashes that let peers verify pieces from any source (the
+  swarm layer models verification as a per-piece corruption draw);
 * **authorization** — a peer must authenticate to an edge server to obtain
   an encrypted token before it may search for (or receive from) peers;
 * **policy distribution** — per-provider download/upload policies reach
@@ -169,10 +170,6 @@ class EdgeNetwork:
         """Make an object available for download (provider onboarding)."""
         self.catalog[obj.cid] = obj
 
-    def unpublish(self, cid: str) -> None:
-        """Withdraw an object from distribution."""
-        self.catalog.pop(cid, None)
-
     def lookup(self, cid: str) -> ContentObject:
         """Fetch the catalog entry; KeyError if not published."""
         return self.catalog[cid]
@@ -211,10 +208,6 @@ class EdgeNetwork:
     def verify_token(self, token: AuthToken, guid: str, cid: str) -> bool:
         """Control-plane-side token check before answering a peer query."""
         return token.valid_for(guid, cid, self._secret)
-
-    def piece_hashes(self, obj: ContentObject) -> list[str]:
-        """The trusted per-piece hashes for an object (§3.5)."""
-        return [obj.expected_hash(i) for i in range(obj.num_pieces)]
 
     def trusted_bytes_served(self, guid: str, cid: str) -> int:
         """Total bytes the infrastructure served to (guid, cid), fleet-wide."""

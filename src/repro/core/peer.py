@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.control.channel import ControlChannel
 from repro.core.ids import SECONDARY_HISTORY_LENGTH, make_guid, make_secondary_guid
-from repro.core.messages import CrashReport
 from repro.net.links import AccessLink
 from repro.net.nat import NATProfile
 
@@ -450,13 +449,6 @@ class PeerNode:
     def handle_re_add(self) -> list[str]:
         """Answer a RE-ADD broadcast: re-list stored files (§3.8)."""
         return self.shareable_cids()
-
-    def report_crash(self, detail: str = "segfault") -> None:
-        """Upload a crash report to the monitoring nodes (§3.6)."""
-        self.system.control.monitoring.report(CrashReport(
-            guid=self.guid, kind="crash", detail=detail,
-            timestamp=self.system.sim.now,
-        ))
 
     # ----------------------------------------------------------------- mobility
 

@@ -72,12 +72,6 @@ class PredictivePlacer:
         if self._event is None or not self._event.pending:
             self._event = self.system.sim.every(self.config.interval, self.tick)
 
-    def stop(self) -> None:
-        """Disarm the policy."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
     # --------------------------------------------------------------- policy
 
     def _should_run(self) -> bool:

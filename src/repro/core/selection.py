@@ -55,7 +55,7 @@ class QueryContext:
 
 def specificity_level(query: QueryContext, reg: "PeerRegistration") -> int:
     """The most specific shared locality set between querier and candidate."""
-    if query.lan_id and getattr(reg, "lan_id", "") == query.lan_id:
+    if query.lan_id and reg.lan_id == query.lan_id:
         return _LEVEL_LAN
     if reg.asn == query.asn:
         return _LEVEL_AS
@@ -75,10 +75,8 @@ def device_rank_key(weights: dict, inner=None):
     consumes no RNG, so installing it never moves an unrelated draw.
     """
     if inner is None:
-        return lambda reg: (weights.get(getattr(reg, "device_class",
-                                                "desktop"), 0.0), 0.0)
-    return lambda reg: (weights.get(getattr(reg, "device_class",
-                                            "desktop"), 0.0), inner(reg))
+        return lambda reg: (weights.get(reg.device_class, 0.0), 0.0)
+    return lambda reg: (weights.get(reg.device_class, 0.0), inner(reg))
 
 
 def select_peers(

@@ -12,10 +12,11 @@ Mechanics
   pool, each batch sized to ~``chunk_target_seconds`` of transfer at the
   connection's observed rate — fast sources naturally deliver more bytes
   and the endgame stays short.
-* Piece hashes come from the trusted edge servers; every piece received from
-  a peer is verified, corrupted pieces are discarded, re-queued, and counted
-  (a connection is dropped after repeated corruption; the download fails
-  with a *system* cause after too many bad pieces, §5.2).
+* Every piece received from a peer is verified against the trusted edge
+  servers' hash (a per-piece corruption draw here); corrupted pieces are
+  discarded, re-queued, and counted (a connection is dropped after
+  repeated corruption; the download fails with a *system* cause after too
+  many bad pieces, §5.2).
 * The *edge backstop policy* throttles the infrastructure connection to the
   gap between a QoS target and what the peers are currently delivering —
   this is what makes 70–80% offload possible without hurting QoS, and it is

@@ -36,6 +36,7 @@ from repro.core.control.channel import ControlChannelStats
 from repro.core.control.plane import ControlPlane
 from repro.core.edge import EdgeNetwork
 from repro.core.peer import PeerNode
+from repro.counters import Counters, counter, family
 from repro.invariants import InvariantAuditor, InvariantStats, InvariantViolation
 from repro.net.addressing import IPAllocator
 from repro.net.flows import FlowNetwork, FlowNetworkStats
@@ -45,19 +46,17 @@ from repro.net.nat import NATModel
 from repro.net.sim import Simulator
 from repro.net.topology import ASTopology, build_topology
 
-__all__ = [
-    "DefenseCounters", "DefenseStats", "NetSessionSystem", "SystemStats",
-    "VodCounters", "VodStats",
-]
+__all__ = ["DefenseStats", "NetSessionSystem", "SystemStats", "VodStats"]
 
 
-@dataclass(frozen=True)
-class VodStats:
+@dataclass
+class VodStats(Counters):
     """Streaming-side counters (zeros whenever no VoD workload ran).
 
-    Defined here rather than in :mod:`repro.vod` so the core system (and
-    the pickled scenario artifacts that embed :class:`SystemStats`) never
-    depend on the VoD package.
+    The streaming engine and the serving policies increment the system's
+    instance.  Defined here rather than in :mod:`repro.vod` so the core
+    system (and the pickled scenario artifacts that embed
+    :class:`SystemStats`) never depend on the VoD package.
     """
 
     #: Viewing sessions whose playback clock was armed.
@@ -67,7 +66,7 @@ class VodStats:
     #: Mid-stream stalls across all sessions.
     rebuffer_events: int = 0
     #: Total stall time across all sessions, seconds.
-    rebuffer_seconds: float = 0.0
+    rebuffer_seconds: float = counter(0.0, digits=1)
     #: Candidates a serving policy refused to return (e.g. cross-AS peers
     #: under ``isp_local``).
     policy_filtered: int = 0
@@ -76,60 +75,18 @@ class VodStats:
     #: Pre-trace cache copies planted by ``popularity_seeding``.
     copies_seeded: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "streams_started": self.streams_started,
-            "playbacks_finished": self.playbacks_finished,
-            "rebuffer_events": self.rebuffer_events,
-            "rebuffer_seconds": round(self.rebuffer_seconds, 1),
-            "policy_filtered": self.policy_filtered,
-            "prefetches_pushed": self.prefetches_pushed,
-            "copies_seeded": self.copies_seeded,
-        }
 
-
-class VodCounters:
-    """Mutable accumulator behind :class:`VodStats`.
-
-    The streaming engine and the serving policies increment these as the
-    run progresses; :meth:`NetSessionSystem.stats` snapshots them.
-    """
-
-    __slots__ = ("streams_started", "playbacks_finished", "rebuffer_events",
-                 "rebuffer_seconds", "policy_filtered", "prefetches_pushed",
-                 "copies_seeded")
-
-    def __init__(self):
-        self.streams_started = 0
-        self.playbacks_finished = 0
-        self.rebuffer_events = 0
-        self.rebuffer_seconds = 0.0
-        self.policy_filtered = 0
-        self.prefetches_pushed = 0
-        self.copies_seeded = 0
-
-    def snapshot(self) -> VodStats:
-        return VodStats(
-            streams_started=self.streams_started,
-            playbacks_finished=self.playbacks_finished,
-            rebuffer_events=self.rebuffer_events,
-            rebuffer_seconds=self.rebuffer_seconds,
-            policy_filtered=self.policy_filtered,
-            prefetches_pushed=self.prefetches_pushed,
-            copies_seeded=self.copies_seeded,
-        )
-
-
-@dataclass(frozen=True)
-class DefenseStats:
+@dataclass
+class DefenseStats(Counters):
     """Corruption/ban bookkeeping plus reputation-engine counters.
 
-    The corruption and session-ban counters accumulate in every run (they
-    are pure observations of the swarm layer); the quarantine/probation
-    counters stay zero unless ``SystemConfig.defense.enabled`` constructed
-    a :class:`~repro.adversary.reputation.ReputationEngine`.  Defined here,
-    like :class:`VodStats`, so pickled artifacts embedding
-    :class:`SystemStats` never depend on the adversary package.
+    The swarm layer increments the corruption and session-ban counters in
+    every run (they are pure observations); the
+    :class:`~repro.adversary.reputation.ReputationEngine` increments the
+    quarantine/probation counters, which stay zero unless
+    ``SystemConfig.defense.enabled`` constructed one.  Defined here, like
+    :class:`VodStats`, so pickled artifacts embedding :class:`SystemStats`
+    never depend on the adversary package.
     """
 
     #: Hash-verification failures across all sessions (pieces / bytes).
@@ -154,119 +111,42 @@ class DefenseStats:
     #: quarantined-never-selected audit; must stay zero.
     quarantine_leaks: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "corrupted_pieces": self.corrupted_pieces,
-            "corrupted_bytes": self.corrupted_bytes,
-            "conn_corruption_drops": self.conn_corruption_drops,
-            "uploader_bans": self.uploader_bans,
-            "ban_blocked_attempts": self.ban_blocked_attempts,
-            "slow_serves": self.slow_serves,
-            "quarantines": self.quarantines,
-            "probations": self.probations,
-            "reports_ingested": self.reports_ingested,
-            "registrations_evicted": self.registrations_evicted,
-            "quarantine_leaks": self.quarantine_leaks,
-        }
-
-
-class DefenseCounters:
-    """Mutable accumulator behind :class:`DefenseStats`.
-
-    The swarm layer increments the corruption/ban counters directly;
-    :meth:`NetSessionSystem.stats` folds in the reputation engine's own
-    counters (when one exists) at snapshot time.
-    """
-
-    __slots__ = ("corrupted_pieces", "corrupted_bytes",
-                 "conn_corruption_drops", "uploader_bans",
-                 "ban_blocked_attempts", "slow_serves")
-
-    def __init__(self):
-        self.corrupted_pieces = 0
-        self.corrupted_bytes = 0
-        self.conn_corruption_drops = 0
-        self.uploader_bans = 0
-        self.ban_blocked_attempts = 0
-        self.slow_serves = 0
-
-    def snapshot(self, engine=None) -> DefenseStats:
-        return DefenseStats(
-            corrupted_pieces=self.corrupted_pieces,
-            corrupted_bytes=self.corrupted_bytes,
-            conn_corruption_drops=self.conn_corruption_drops,
-            uploader_bans=self.uploader_bans,
-            ban_blocked_attempts=self.ban_blocked_attempts,
-            slow_serves=self.slow_serves,
-            quarantines=engine.quarantines if engine else 0,
-            probations=engine.probations if engine else 0,
-            reports_ingested=engine.reports_ingested if engine else 0,
-            registrations_evicted=engine.registrations_evicted if engine else 0,
-            quarantine_leaks=engine.quarantine_leaks if engine else 0,
-        )
-
 
 @dataclass(frozen=True)
-class SystemStats:
+class SystemStats(Counters):
     """Point-in-time performance counters for a running system.
 
-    Combines the simulator's event-loop counters with the flow network's
-    allocation counters (a :class:`FlowNetworkStats` snapshot) and basic
+    Combines the simulator's event-loop counters with a snapshot of every
+    stats family (nested, flattened under a key prefix) and basic
     population gauges.  Cheap to take — every field is O(1) to read —
     so experiment runners can snapshot it after each scenario.
     """
 
     #: Simulated time of the snapshot, seconds.
-    now: float
+    now: float = counter(0.0, digits=1, gauge=True)
     #: Event-loop work: callbacks fired, heap pushes, stale entries popped.
-    events_processed: int
-    sim_heap_pushes: int
-    sim_stale_pops: int
+    events_processed: int = 0
+    sim_heap_pushes: int = 0
+    sim_stale_pops: int = 0
     #: Not-yet-fired, not-cancelled events still queued.
-    pending_events: int
+    pending_events: int = 0
     #: Population gauges.
-    peers: int
-    peers_online: int
-    active_flows: int
-    flows_completed: int
-    flows_aborted: int
+    peers: int = 0
+    peers_online: int = 0
+    active_flows: int = 0
+    flows_completed: int = 0
+    flows_aborted: int = 0
     #: Allocation-engine counters (see :class:`FlowNetworkStats`).
-    flows: FlowNetworkStats
+    flows: FlowNetworkStats = family(FlowNetworkStats, "flow_")
     #: Control-channel robustness counters (see :class:`ControlChannelStats`).
-    channel: ControlChannelStats
+    channel: ControlChannelStats = family(ControlChannelStats, "ctrl_")
     #: Invariant-audit counters (see :class:`InvariantStats`).
-    invariants: InvariantStats
+    invariants: InvariantStats = family(InvariantStats, "inv_")
     #: Streaming/serving-policy counters (see :class:`VodStats`); all zero
     #: unless the scenario attached a VoD workload.
-    vod: VodStats = VodStats()
+    vod: VodStats = family(VodStats, "vod_")
     #: Corruption/ban and reputation counters (see :class:`DefenseStats`).
-    defense: DefenseStats = DefenseStats()
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat key/value view for tables and JSON (flow_*/ctrl_* prefixed)."""
-        out: dict[str, float] = {
-            "now": round(self.now, 1),
-            "events_processed": self.events_processed,
-            "sim_heap_pushes": self.sim_heap_pushes,
-            "sim_stale_pops": self.sim_stale_pops,
-            "pending_events": self.pending_events,
-            "peers": self.peers,
-            "peers_online": self.peers_online,
-            "active_flows": self.active_flows,
-            "flows_completed": self.flows_completed,
-            "flows_aborted": self.flows_aborted,
-        }
-        for key, value in self.flows.as_dict().items():
-            out[f"flow_{key}"] = value
-        for key, value in self.channel.as_dict().items():
-            out[f"ctrl_{key}"] = value
-        for key, value in self.invariants.as_dict().items():
-            out[f"inv_{key}"] = value
-        for key, value in self.vod.as_dict().items():
-            out[f"vod_{key}"] = value
-        for key, value in self.defense.as_dict().items():
-            out[f"rep_{key}"] = value
-        return out
+    defense: DefenseStats = family(DefenseStats, "rep_")
 
 
 class NetSessionSystem:
@@ -326,11 +206,12 @@ class NetSessionSystem:
         #: one (see :mod:`repro.workload.columnar`); None in object mode.
         self.population_store = None
         self.providers: dict[int, ContentProvider] = {}
-        #: Streaming/serving-policy accumulator (stays all-zero unless a
-        #: VoD workload is attached; see :mod:`repro.vod`).
-        self.vod = VodCounters()
-        #: Corruption/ban accumulator (always live — pure bookkeeping).
-        self.defense = DefenseCounters()
+        #: Streaming/serving-policy counters (stay all-zero unless a VoD
+        #: workload is attached; see :mod:`repro.vod`).
+        self.vod = VodStats()
+        #: Corruption/ban and reputation counters (always live — pure
+        #: bookkeeping).
+        self.defense = DefenseStats()
         #: Ground truth for drills/experiments: guid -> profile for every
         #: peer an adversary assignment converted.  Empty in honest runs.
         self.adversary_truth: dict[str, str] = {}
@@ -345,6 +226,7 @@ class NetSessionSystem:
             self.reputation = ReputationEngine(self.config.defense, seed)
             self.reputation.on_quarantine = self._evict_quarantined
             self.reputation.clock = lambda: self.sim.now
+            self.reputation.stats = self.defense
             for cn in self.control.all_cns:
                 cn.reputation = self.reputation
 
@@ -512,9 +394,9 @@ class NetSessionSystem:
             flows_aborted=self.flows.aborted_count,
             flows=self.flows.stats.snapshot(),
             channel=self.channel_stats.snapshot(),
-            invariants=self.auditor.stats(),
+            invariants=self.auditor.stats.snapshot(),
             vod=self.vod.snapshot(),
-            defense=self.defense.snapshot(self.reputation),
+            defense=self.defense.snapshot(),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

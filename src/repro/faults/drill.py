@@ -251,7 +251,7 @@ def run_drill(
                     if s.name in injector.recoveries],
         sessions=sessions,
         channel=system.channel_stats.as_dict(),
-        invariants=system.auditor.stats().summary(
+        invariants=system.auditor.stats.summary(
             v.as_dict() for v in violations),
         adversary=adversary_metrics(system),
     )

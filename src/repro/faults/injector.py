@@ -155,11 +155,6 @@ class FaultInjector:
 
     # -------------------------------------------------------------- inspection
 
-    @property
-    def pending(self) -> int:
-        """Faults armed but not yet applied."""
-        return len(self.specs) - len(self.recoveries)
-
     def timeline_text(self) -> str:
         """The injection timeline, one line per event (deterministic)."""
         return "\n".join(str(e) for e in self.timeline)

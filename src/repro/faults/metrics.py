@@ -42,7 +42,7 @@ def adversary_metrics(system: "NetSessionSystem") -> dict:
     engine = system.reputation
     if not truth and engine is None:
         return {}
-    defense = system.defense.snapshot(engine)
+    defense = system.defense
     ever_quarantined = 0
     false_positives = 0
     if engine is not None:

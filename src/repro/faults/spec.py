@@ -87,11 +87,6 @@ class FaultSpec:
         """True when the fault has no hold period (apply == the whole event)."""
         return self.duration <= 0
 
-    @property
-    def end(self) -> float:
-        """Absolute time the fault is reverted."""
-        return self.start + self.duration
-
     def make_rng(self, seed: int) -> random.Random:
         """The fault's private RNG, stable across processes.
 
@@ -163,10 +158,10 @@ class CNOutage(FaultSpec):
 class DNWipe(FaultSpec):
     """Crash database nodes, losing their soft state (§3.8).
 
-    Instantaneous (``duration=0``) with ``re_add=True`` models the
-    fail-and-recover cycle the paper describes: the node restarts empty and
-    the CNs broadcast RE-ADD so peers repopulate the directory.  With a
-    duration, the DNs stay down (queries degrade) and recover at the end.
+    Always instantaneous: with ``re_add=True`` it models the
+    fail-and-recover cycle the paper describes — the node restarts empty
+    and the CNs broadcast RE-ADD so peers repopulate the directory.  (A
+    held control-plane outage is :class:`ControlPlaneBlackout`.)
     """
 
     region: str | None = None
@@ -174,32 +169,23 @@ class DNWipe(FaultSpec):
     #: Broadcast RE-ADD on recovery so peers re-list their stored files.
     re_add: bool = True
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.instantaneous:
+            raise ValueError(f"fault {self.name!r}: a DN wipe is instantaneous "
+                             f"(duration 0), got {self.duration}")
+
     def apply(self, ctx: InjectionContext) -> object:
         plane = ctx.system.control
         pool = [
             dn for dn in plane.all_dns
             if dn.alive and (self.region is None or dn.network_region == self.region)
         ]
-        victims = ctx.select(pool, self.fraction)
-        if self.instantaneous:
-            for dn in victims:
-                plane.fail_dn(dn, recover=self.re_add)
-                if not self.re_add:
-                    dn.recover()
-            return []
-        for dn in victims:
-            dn.fail()
-        return victims
-
-    def revert(self, ctx: InjectionContext, token: object) -> None:
-        plane = ctx.system.control
-        now = ctx.system.sim.now
-        for dn in token:
-            dn.recover()
-            if self.re_add:
-                for cn in plane.cns_by_region.get(dn.network_region, ()):
-                    if cn.alive:
-                        cn.broadcast_re_add(now)
+        for dn in ctx.select(pool, self.fraction):
+            plane.fail_dn(dn, recover=self.re_add)
+            if not self.re_add:
+                dn.recover()
+        return []
 
 
 @dataclass(frozen=True)

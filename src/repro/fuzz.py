@@ -338,7 +338,7 @@ def run_spec(spec: FuzzSpec) -> FuzzResult:
     )
     return FuzzResult(
         spec=spec, failure=None, completed_downloads=completed,
-        warnings=system.auditor.warning_count(),
+        warnings=system.auditor.stats.warnings,
     )
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.config import InvariantConfig
+from repro.counters import Counters
 from repro.invariants.checkers import CHECKERS, Checker
 from repro.invariants.violation import (
     ERROR, InvariantViolation, InvariantViolationError,
@@ -33,38 +34,25 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["InvariantAuditor", "InvariantStats"]
 
 
-@dataclass(frozen=True)
-class InvariantStats:
-    """Point-in-time audit counters, flattened into ``SystemStats``."""
+@dataclass
+class InvariantStats(Counters):
+    """Audit counters, flattened into ``SystemStats`` (``inv_*``)."""
 
     #: Effective mode after ``auto`` resolution.
-    mode: str
+    mode: str = "off"
     #: Sampled audits run by the simulator hook.
-    audits: int
+    audits: int = 0
     #: Full (end-of-run) audits run.
-    final_audits: int
+    final_audits: int = 0
     #: Individual checker invocations.
-    checks: int
+    checks: int = 0
     #: Distinct violations currently recorded / total occurrences seen.
-    violations: int
-    violation_occurrences: int
-    errors: int
-    warnings: int
+    violations: int = 0
+    violation_occurrences: int = 0
+    errors: int = 0
+    warnings: int = 0
     #: Distinct violations dropped past the ``max_violations`` cap.
-    dropped: int
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "mode": self.mode,
-            "audits": self.audits,
-            "final_audits": self.final_audits,
-            "checks": self.checks,
-            "violations": self.violations,
-            "violation_occurrences": self.violation_occurrences,
-            "errors": self.errors,
-            "warnings": self.warnings,
-            "dropped": self.dropped,
-        }
+    dropped: int = 0
 
     def summary(self, violations: Iterable[dict]) -> dict[str, object]:
         """The audit report: these counters plus a ``violations`` list of
@@ -81,10 +69,8 @@ class InvariantAuditor:
         self.config = config
         self.mode = config.resolve_mode()
         self.violations: dict[tuple[str, str, str], InvariantViolation] = {}
-        self.dropped = 0
-        self.audits = 0
-        self.final_audits = 0
-        self.checks = 0
+        #: The live audit counters (``SystemStats`` snapshots them).
+        self.stats = InvariantStats(mode=self.mode)
         if config.checkers:
             unknown = [n for n in config.checkers if n not in CHECKERS]
             if unknown:
@@ -108,7 +94,7 @@ class InvariantAuditor:
             )
 
     def _sampled_audit(self) -> None:
-        self.audits += 1
+        self.stats.audits += 1
         self._run(self._sampled)
 
     def audit(self, *, final: bool = False) -> list[InvariantViolation]:
@@ -120,16 +106,16 @@ class InvariantAuditor:
         """
         if self.mode != "off":
             if final:
-                self.final_audits += 1
+                self.stats.final_audits += 1
                 self._run(self._all)
             else:
-                self.audits += 1
+                self.stats.audits += 1
                 self._run(self._sampled)
         return self.report()
 
     def _run(self, checkers: list[Checker]) -> None:
         for checker in checkers:
-            self.checks += 1
+            self.stats.checks += 1
             name = checker.name
 
             def report(severity: str, subject: str, detail: str,
@@ -144,18 +130,26 @@ class InvariantAuditor:
                 detail: str) -> None:
         now = self.system.sim.now
         key = (invariant, severity, subject)
+        stats = self.stats
         violation = self.violations.get(key)
         if violation is not None:
             violation.count += 1
             violation.last_seen = now
+            stats.violation_occurrences += 1
         elif len(self.violations) < self.config.max_violations:
             violation = InvariantViolation(
                 invariant=invariant, severity=severity, subject=subject,
                 detail=detail, first_seen=now, last_seen=now,
             )
             self.violations[key] = violation
+            stats.violations += 1
+            stats.violation_occurrences += 1
+            if severity == ERROR:
+                stats.errors += 1
+            else:
+                stats.warnings += 1
         else:
-            self.dropped += 1
+            stats.dropped += 1
             violation = InvariantViolation(
                 invariant=invariant, severity=severity, subject=subject,
                 detail=detail, first_seen=now, last_seen=now,
@@ -170,28 +164,4 @@ class InvariantAuditor:
         return sorted(
             self.violations.values(),
             key=lambda v: (v.severity != ERROR, v.first_seen, v.subject),
-        )
-
-    def error_count(self) -> int:
-        """Distinct error-severity violations recorded."""
-        return sum(1 for v in self.violations.values() if v.severity == ERROR)
-
-    def warning_count(self) -> int:
-        """Distinct warning-severity violations recorded."""
-        return sum(1 for v in self.violations.values() if v.severity != ERROR)
-
-    def stats(self) -> InvariantStats:
-        """Snapshot the audit counters for ``SystemStats``."""
-        return InvariantStats(
-            mode=self.mode,
-            audits=self.audits,
-            final_audits=self.final_audits,
-            checks=self.checks,
-            violations=len(self.violations),
-            violation_occurrences=sum(
-                v.count for v in self.violations.values()
-            ),
-            errors=self.error_count(),
-            warnings=self.warning_count(),
-            dropped=self.dropped,
         )

@@ -414,9 +414,9 @@ def check_reputation_bounds(system: "NetSessionSystem", report: Report) -> None:
             report("error", subject,
                    f"quarantined_at {entry.quarantined_at:.0f}s is in the "
                    f"future")
-    if engine.quarantine_leaks:
+    if engine.stats.quarantine_leaks:
         report("error", "reputation:selection",
-               f"{engine.quarantine_leaks} quarantined peers slipped into "
+               f"{engine.stats.quarantine_leaks} quarantined peers slipped into "
                f"query answers (the admission filter must make this zero)")
 
 

@@ -73,6 +73,3 @@ class IPAllocator:
         ))
         return ip
 
-    def assigned_count(self, asn: int) -> int:
-        """How many addresses have been handed out in an AS so far."""
-        return self._counters.get(asn, 0)

@@ -48,9 +48,10 @@ from __future__ import annotations
 import heapq
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
+from repro.counters import Counters, counter
 from repro.net.sim import Simulator
 
 __all__ = ["Resource", "Flow", "FlowNetwork", "FlowNetworkStats"]
@@ -75,9 +76,8 @@ class Resource:
 
     ``allocated`` is the sum of the current rates of the flows crossing the
     resource.  It is maintained incrementally by the :class:`FlowNetwork`
-    (exactly recomputed at each settlement touching the resource), which
-    makes :attr:`utilization` O(1) — monitoring and fault gauges poll it in
-    loops.
+    (exactly recomputed at each settlement touching the resource); the
+    ``flow-feasibility`` invariant checks it.
     """
 
     __slots__ = ("name", "capacity", "flows", "allocated")
@@ -89,13 +89,6 @@ class Resource:
         self.capacity = capacity
         self.flows: set["Flow"] = set()
         self.allocated = 0.0
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of capacity currently allocated (0.0 for unconstrained)."""
-        if self.capacity is None:
-            return 0.0
-        return self.allocated / self.capacity
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cap = "inf" if self.capacity is None else f"{self.capacity:.0f}B/s"
@@ -161,12 +154,10 @@ class Flow:
 
 
 @dataclass
-class FlowNetworkStats:
+class FlowNetworkStats(Counters):
     """Counters exposing the allocation engine's work (perf observability).
 
-    All counters are cumulative since network creation.  ``snapshot()``
-    returns an independent copy; ``as_dict()`` flattens counters plus the
-    derived component-size statistics for reports and JSON export.
+    All counters are cumulative since network creation.
     """
 
     #: Mutations received (start/abort/set_cap/set_resource_capacity).
@@ -178,9 +169,9 @@ class FlowNetworkStats:
     #: Connected components walked across all settlements.
     components: int = 0
     #: Total flows covered by component walks (mean = / components).
-    flows_reallocated: int = 0
+    flows_reallocated: int = counter(then=("mean_component_size", 2))
     #: Largest single component seen.
-    max_component: int = 0
+    max_component: int = counter(gauge=True)
     #: Water-filling invocations and total freezing rounds inside them.
     waterfill_calls: int = 0
     waterfill_rounds: int = 0
@@ -198,28 +189,6 @@ class FlowNetworkStats:
         if self.components == 0:
             return 0.0
         return self.flows_reallocated / self.components
-
-    def snapshot(self) -> "FlowNetworkStats":
-        """An independent copy of the current counters."""
-        return replace(self)
-
-    def as_dict(self) -> dict[str, float]:
-        """Counters plus derived statistics, for reports and JSON."""
-        return {
-            "mutations": self.mutations,
-            "flushes": self.flushes,
-            "reallocations": self.reallocations,
-            "components": self.components,
-            "flows_reallocated": self.flows_reallocated,
-            "mean_component_size": round(self.mean_component_size, 2),
-            "max_component": self.max_component,
-            "waterfill_calls": self.waterfill_calls,
-            "waterfill_rounds": self.waterfill_rounds,
-            "heap_pushes": self.heap_pushes,
-            "heap_skips": self.heap_skips,
-            "heap_stale_pops": self.heap_stale_pops,
-            "heap_compactions": self.heap_compactions,
-        }
 
 
 class FlowNetwork:
@@ -485,8 +454,8 @@ class FlowNetwork:
                 self.stats.heap_pushes += 1
         if changed:
             # Exact per-resource allocated sums: recomputed (not drifted) for
-            # every constrained resource the union touches, so utilization
-            # reads stay O(1) *and* bit-exact.
+            # every constrained resource the union touches, so they stay
+            # bit-exact.
             seen_res: set[Resource] = set()
             for f in flows:
                 for res in f.resources:

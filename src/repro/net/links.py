@@ -79,11 +79,6 @@ class AccessLink:
         return self.uplink.capacity
 
     @property
-    def asymmetry(self) -> float:
-        """Downstream/upstream capacity ratio."""
-        return self.down_bps / self.up_bps
-
-    @property
     def degraded(self) -> bool:
         """Is a fault currently degrading this link?"""
         return self.pre_degradation is not None

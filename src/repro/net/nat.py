@@ -157,7 +157,3 @@ class NATModel:
         fresh profile drawn from the same mix (possibly the same types).
         """
         return self.sample(rng=rng)
-
-    def classify(self, profile: NATProfile) -> NATType:
-        """Run a (repeat) STUN probe: returns the reported type."""
-        return profile.reported_type

@@ -199,34 +199,34 @@ def _run_region_shard(payload: tuple) -> ScenarioArtifact:
 def _merge_stats(stats_list):
     """Fieldwise merge of :class:`~repro.core.system.SystemStats` trees.
 
-    Counters sum; ``now`` and ``max_component`` take the max (they are
-    gauges, not totals); string fields (the resolved invariant mode) must
-    agree across shards.
+    Counters sum; fields declared ``gauge`` (see :mod:`repro.counters`)
+    take the max; string fields (the resolved invariant mode) must agree
+    across shards.
     """
 
-    def merge(values, name):
+    def merge(values):
         first = values[0]
-        if dataclasses.is_dataclass(first) and not isinstance(first, type):
-            return type(first)(**{
-                f.name: merge([getattr(v, f.name) for v in values], f.name)
-                for f in dataclasses.fields(first)
-            })
+        return type(first)(**{
+            f.name: merge_field(f, [getattr(v, f.name) for v in values])
+            for f in dataclasses.fields(first)
+        })
+
+    def merge_field(field, values):
+        first = values[0]
+        if dataclasses.is_dataclass(first):
+            return merge(values)
         if isinstance(first, str):
             if any(v != first for v in values):
-                raise ValueError(
-                    f"shard stats disagree on {name!r}: {sorted(set(values))}")
+                raise ValueError(f"shard stats disagree on {field.name!r}: "
+                                 f"{sorted(set(values))}")
             return first
-        if isinstance(first, bool):
-            return any(values)
         if isinstance(first, (int, float)):
-            if name in ("now", "max_component"):
-                return max(values)
-            return sum(values)
+            return max(values) if field.metadata.get("gauge") else sum(values)
         raise TypeError(
-            f"cannot merge stats field {name!r} of type "
+            f"cannot merge stats field {field.name!r} of type "
             f"{type(first).__qualname__}")
 
-    return merge(list(stats_list), "stats")
+    return merge(list(stats_list))
 
 
 def _merge_census(censuses: list[dict]) -> dict:

@@ -81,13 +81,6 @@ class VodCatalog:
                 out.append(s.audience_weight * decay)
         return out
 
-    def episode_by_cid(self, cid: str) -> Episode | None:
-        for s in self.series:
-            for ep in s.episodes:
-                if ep.obj.cid == cid:
-                    return ep
-        return None
-
     def next_episode(self, episode: Episode) -> Episode | None:
         """The episode after ``episode`` in its series, if any."""
         for s in self.series:

@@ -52,8 +52,9 @@ class ServingPolicy:
 
     def __init__(self, vod_cids: Iterable[str], counters=None):
         self.vod_cids = frozenset(vod_cids)
-        #: A :class:`repro.core.system.VodCounters` (or None outside a
-        #: system context): policies account their interventions there.
+        #: The system's live :class:`repro.core.system.VodStats` (or None
+        #: outside a system context): policies account their interventions
+        #: there.
         self.counters = counters
 
     # ------------------------------------------------------- selection hooks
@@ -118,7 +119,7 @@ class IspLocalOnlyPolicy(ServingPolicy):
             return True
         if reg.asn == query.asn:
             return True
-        if query.lan_id and getattr(reg, "lan_id", "") == query.lan_id:
+        if query.lan_id and reg.lan_id == query.lan_id:
             return True
         self._count_filtered()
         return False

@@ -67,7 +67,7 @@ class TestStateMachine:
         # Default penalties: two corrupted pieces cross -10.
         assert e.observe("g", 0.0, corrupted_pieces=1) == GOOD
         assert e.observe("g", 0.0, corrupted_pieces=1) == QUARANTINED
-        assert e.quarantines == 1
+        assert e.stats.quarantines == 1
         assert e.is_quarantined("g", 0.0)
 
     def test_quarantine_evicts_registrations(self):
@@ -76,7 +76,7 @@ class TestStateMachine:
         e.on_quarantine = lambda guid: evicted.append(guid) or 3
         e.observe("g", 0.0, corrupted_pieces=2)
         assert evicted == ["g"]
-        assert e.registrations_evicted == 3
+        assert e.stats.registrations_evicted == 3
 
     def test_admits_refuses_during_quarantine_window(self):
         e = engine()
@@ -91,7 +91,7 @@ class TestStateMachine:
         after = e.config.probation_interval + 1.0
         assert e.admits("g", after)
         assert e.peers["g"].state == PROBATION
-        assert e.probations == 1
+        assert e.stats.probations == 1
         assert not e.is_quarantined("g", after)
         # Enough verified contribution climbs back above zero -> GOOD.
         assert e.observe("g", after, delivered_bytes=10 * MB) == GOOD
@@ -103,7 +103,7 @@ class TestStateMachine:
         e.admits("g", after)
         # probation_score is -5: one corrupted piece (-8) crosses -10 again.
         assert e.observe("g", after, corrupted_pieces=1) == QUARANTINED
-        assert e.quarantines == 2
+        assert e.stats.quarantines == 2
 
     def test_unknown_peer_is_good_and_admitted(self):
         e = engine()
@@ -129,7 +129,7 @@ class TestIngestAndWipe:
     def test_ingest_report_feeds_every_observation_family(self):
         e = engine()
         e.ingest_report(self._report(), 0.0)
-        assert e.reports_ingested == 1
+        assert e.stats.reports_ingested == 1
         assert e.score("up1", 0.0) > 1.0
         assert e.score("bad1", 0.0) < -10.0  # 2 pieces -> quarantined
         assert e.peers["bad1"].state == QUARANTINED

@@ -63,12 +63,6 @@ class TestStore:
         times = [r.timestamp for r in store.logins_by_guid()["g1"]]
         assert times == [3.0, 1.0]  # append order, not sorted
 
-    def test_completed_downloads_filter(self):
-        store = LogStore()
-        store.add_download(dl(outcome="completed"))
-        store.add_download(dl(outcome="aborted"))
-        assert len(list(store.completed_downloads())) == 1
-
 
 class TestRecordProperties:
     def test_peer_fraction(self):

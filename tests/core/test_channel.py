@@ -51,13 +51,6 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ControlChannelConfig(probe_interval=0.0)
 
-    def test_with_channel_helper(self):
-        cfg = SystemConfig().with_channel(latency=0.5, loss_prob=0.1)
-        assert cfg.channel.latency == 0.5
-        assert cfg.channel.loss_prob == 0.1
-        # the original default instance is untouched (frozen dataclasses)
-        assert SystemConfig().channel.loss_prob == 0.0
-
 
 class TestIdealChannel:
     """Default config: synchronous, event-free, byte-identical to PR 2."""
@@ -84,7 +77,7 @@ class TestIdealChannel:
 
 class TestLatentChannel:
     def test_login_completes_after_round_trip(self):
-        config = SystemConfig().with_channel(latency=1.0)
+        config = SystemConfig(channel=ControlChannelConfig(latency=1.0))
         system = build_system(config)
         peer, _ = seeded_peer(system)
         # the login is in flight: one-way latency each direction
@@ -94,7 +87,7 @@ class TestLatentChannel:
         assert system.channel_stats.attempts >= 1
 
     def test_latency_past_timeout_behaves_as_loss(self):
-        config = SystemConfig().with_channel(latency=30.0, request_timeout=15.0)
+        config = SystemConfig(channel=ControlChannelConfig(latency=30.0, request_timeout=15.0))
         system = build_system(config)
         peer, _ = seeded_peer(system)
         system.run(until=40.0)
@@ -105,7 +98,7 @@ class TestLatentChannel:
 
 class TestLossyChannel:
     def test_retries_eventually_deliver(self):
-        config = SystemConfig().with_channel(latency=0.2, loss_prob=0.5)
+        config = SystemConfig(channel=ControlChannelConfig(latency=0.2, loss_prob=0.5))
         system = build_system(config)
         peer, _ = seeded_peer(system)
         system.run(until=20 * 60.0)
@@ -115,7 +108,7 @@ class TestLossyChannel:
 
     def test_loss_is_deterministic_per_seed(self):
         def counters():
-            config = SystemConfig().with_channel(latency=0.2, loss_prob=0.4)
+            config = SystemConfig(channel=ControlChannelConfig(latency=0.2, loss_prob=0.4))
             system = build_system(config, seed=11)
             peer, _ = seeded_peer(system)
             peer.channel.refresh_registrations()

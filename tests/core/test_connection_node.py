@@ -112,7 +112,7 @@ class TestReAdd:
         dn.fail()
         dn.recover()
         assert dn.copy_count(big_object.cid) == 0
-        answered = cn.broadcast_re_add(system.sim.now)
+        answered = cn.broadcast_re_add()
         assert answered >= 1
         assert dn.copy_count(big_object.cid) == 1
 
@@ -123,7 +123,7 @@ class TestReAdd:
         peer.cache[big_object.cid] = CacheEntry(big_object.cid, 0.0)
         peer.boot()
         cn = peer.cn
-        answered = cn.broadcast_re_add(system.sim.now)
+        answered = cn.broadcast_re_add()
         assert answered >= 1
         assert system.control.total_registrations() == 0
 

@@ -59,25 +59,10 @@ class TestObject:
         obj = ContentObject("a", PIECE_SIZE, gameco)
         with pytest.raises(IndexError):
             obj.piece_size(1)
-        with pytest.raises(IndexError):
-            obj.expected_hash(-1)
 
     def test_zero_size_rejected(self, gameco):
         with pytest.raises(ValueError):
             ContentObject("a", 0, gameco)
-
-    def test_new_version_changes_cid_keeps_url(self, gameco):
-        obj = ContentObject("a", 100, gameco, p2p_enabled=True)
-        v2 = obj.new_version()
-        assert v2.url == obj.url
-        assert v2.cid != obj.cid
-        assert v2.version == 2
-        assert v2.p2p_enabled
-
-    def test_hashes_stable_per_version(self, gameco):
-        obj = ContentObject("a", 2 * PIECE_SIZE, gameco)
-        assert obj.expected_hash(0) == obj.expected_hash(0)
-        assert obj.expected_hash(0) != obj.expected_hash(1)
 
     def test_equality_by_cid(self, gameco):
         a = ContentObject("a", 100, gameco)

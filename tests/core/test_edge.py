@@ -30,15 +30,6 @@ class TestCatalog:
         with pytest.raises(KeyError):
             edge.lookup(obj.cid)
 
-    def test_unpublish(self, edge, obj):
-        edge.publish(obj)
-        edge.unpublish(obj.cid)
-        with pytest.raises(KeyError):
-            edge.lookup(obj.cid)
-
-    def test_unpublish_unknown_is_noop(self, edge):
-        edge.unpublish("nope")
-
 
 class TestAuthorization:
     def test_authorize_published_object(self, edge, obj):
@@ -98,11 +89,6 @@ class TestServing:
         edge.servers[0].record_served("g", "c", 100)
         edge.servers[-1].record_served("g", "c", 11)
         assert edge.trusted_bytes_served("g", "c") == 111
-
-    def test_piece_hashes_cover_object(self, edge, obj):
-        hashes = edge.piece_hashes(obj)
-        assert len(hashes) == obj.num_pieces
-        assert len(set(hashes)) == len(hashes)
 
     def test_zero_servers_rejected(self):
         with pytest.raises(ValueError):

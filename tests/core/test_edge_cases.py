@@ -71,7 +71,8 @@ class TestConcurrentDownloads:
 class TestObjectVersioning:
     def test_new_version_is_a_distinct_swarm(self, system, provider):
         v1 = ContentObject("game.bin", 60 * MB, provider, p2p_enabled=True)
-        v2 = v1.new_version()
+        v2 = ContentObject("game.bin", 60 * MB, provider, p2p_enabled=True,
+                           version=2)
         system.publish(v1)
         system.publish(v2)
         country = system.world.by_code["DE"]

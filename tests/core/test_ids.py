@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, strategies as st
-
-from repro.core.ids import content_id, make_guid, make_secondary_guid, piece_hash
+from repro.core.ids import content_id, make_guid, make_secondary_guid
 
 
 class TestGuids:
@@ -38,16 +36,3 @@ class TestContentIds:
 
     def test_url_changes_cid(self):
         assert content_id("a/b", 1) != content_id("a/c", 1)
-
-    @given(idx=st.integers(min_value=0, max_value=10_000))
-    def test_piece_hash_deterministic(self, idx):
-        cid = content_id("x", 1)
-        assert piece_hash(cid, idx) == piece_hash(cid, idx)
-
-    def test_corrupted_piece_hashes_differently(self):
-        cid = content_id("x", 1)
-        assert piece_hash(cid, 0) != piece_hash(cid, 0, corrupted=True)
-
-    def test_different_pieces_hash_differently(self):
-        cid = content_id("x", 1)
-        assert piece_hash(cid, 0) != piece_hash(cid, 1)

@@ -247,10 +247,6 @@ class TestCloning:
 
 
 class TestReporting:
-    def test_crash_report_reaches_monitoring(self, peer, system):
-        peer.boot()
-        peer.report_crash("segfault in nat traversal")
-        assert sum(system.control.monitoring.counts.values()) == 1
 
     def test_start_download_requires_online(self, peer, system, big_object):
         system.publish(big_object)

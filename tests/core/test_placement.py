@@ -110,11 +110,3 @@ class TestPolicy:
                                                   hot_threshold=1))
         placer.tick()
         assert obj.cid not in busy.sessions
-
-    def test_start_stop(self, system, hot_setup):
-        obj, _d, _i = hot_setup
-        placer = PredictivePlacer(system, [obj])
-        placer.start()
-        assert placer._event is not None
-        placer.stop()
-        assert placer._event is None or not placer._event.pending

@@ -77,12 +77,6 @@ class TestNATModel:
         assert isinstance(rebound, NATProfile)
         assert isinstance(rebound.true_type, NATType)
 
-    def test_classify_is_a_repeat_probe(self):
-        model = NATModel(random.Random(8))
-        profile = NATProfile(true_type=NATType.FULL_CONE,
-                             reported_type=NATType.SYMMETRIC)
-        assert model.classify(profile) is NATType.SYMMETRIC
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             NATModel(random.Random(0), mix={NATType.OPEN: 0.0})

@@ -64,7 +64,7 @@ class TestWorkloadIntegration:
         )
         result = run_scenario(cfg)
         assert result.injector is not None
-        assert result.injector.pending == 0
+        assert len(result.injector.recoveries) == len(result.injector.specs)
         assert any(e.phase == "applied" for e in result.injector.timeline)
 
     def test_no_faults_no_injector(self):

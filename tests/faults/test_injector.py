@@ -54,16 +54,6 @@ class TestArming:
         injector = FaultInjector(system, reversed(SPECS))
         assert [s.name for s in injector.specs] == ["outage", "wipe", "deg", "storm"]
 
-    def test_pending_counts_down(self):
-        system, _ = build_system()
-        injector = FaultInjector(system, SPECS)
-        injector.arm()
-        assert injector.pending == 4
-        system.run(until=250.0)
-        assert injector.pending == 2
-        system.run(until=HOUR)
-        assert injector.pending == 0
-
 
 class TestTimeline:
     def test_apply_and_revert_recorded_in_order(self):
@@ -162,5 +152,5 @@ class TestScenarioLibrary:
                 system, build_scenario(name, at=60.0, duration=300.0))
             injector.arm()
             system.run(until=HOUR)
-            assert injector.pending == 0
+            assert len(injector.recoveries) == len(injector.specs)
             assert injector.timeline

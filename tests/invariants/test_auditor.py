@@ -83,14 +83,14 @@ class TestCadence:
         system = make_system(mode="off")
         assert system.sim._audit_hook is None
         assert system.audit() == []
-        assert system.auditor.stats().final_audits == 0
+        assert system.auditor.stats.final_audits == 0
 
     def test_sampled_audit_fires_on_event_cadence(self):
         system = make_system(every_events=10)
         for i in range(35):
             system.sim.schedule(float(i + 1), lambda: None)
         system.run(until=100.0)
-        assert system.auditor.audits == 3  # 35 events, every 10
+        assert system.auditor.stats.audits == 3  # 35 events, every 10
 
     def test_audit_hook_validation(self):
         from repro.net.sim import SimulationError, Simulator
@@ -141,7 +141,7 @@ class TestRecording:
         for i in range(10):
             system.auditor._record("sim-time", "warning", f"s{i}", "d")
         assert len(system.auditor.violations) == 3
-        assert system.auditor.dropped == 7
+        assert system.auditor.stats.dropped == 7
 
     def test_report_orders_errors_first(self):
         system = make_system()
@@ -163,12 +163,12 @@ class TestStrictMode:
         with pytest.raises(InvariantViolationError, match="boom"):
             system.auditor._record("flow-feasibility", "error", "r", "boom")
         # Recorded before raising, so the report survives the exception.
-        assert system.auditor.error_count() == 1
+        assert system.auditor.stats.errors == 1
 
     def test_strict_records_warnings_without_raising(self):
         system = make_system(mode="strict")
         system.auditor._record("directory-consistency", "warning", "s", "drift")
-        assert system.auditor.warning_count() == 1
+        assert system.auditor.stats.warnings == 1
 
     def test_strict_violation_propagates_out_of_run(self):
         # A corruption visible to the *sampled* audit aborts run() itself.
@@ -187,7 +187,7 @@ class TestStrictMode:
         system.sim.schedule(2.0, corrupt)
         with pytest.raises(InvariantViolationError):
             system.run(until=10.0)
-        assert system.auditor.error_count() >= 1
+        assert system.auditor.stats.errors >= 1
 
     def test_observe_records_instead_of_raising(self):
         system = make_system(mode="observe")
@@ -217,7 +217,7 @@ class TestStatsPlumbing:
         system = make_system()
         system.auditor._record("sim-time", "error", "clock", "went backwards")
         audit = {
-            **system.auditor.stats().as_dict(),
+            **system.auditor.stats.as_dict(),
             "violations": [v.as_dict() for v in system.auditor.report()],
         }
         text = render_audit("invariant audit", audit)

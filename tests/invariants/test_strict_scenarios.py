@@ -68,7 +68,7 @@ def test_strict_golden_parity(monkeypatch):
         config, system=config.system.with_invariants(mode="strict"))
     result = run_scenario(strict_config)
     assert result.system.auditor.mode == "strict"
-    assert result.system.auditor.error_count() == 0
+    assert result.system.auditor.stats.errors == 0
     # Serve the strict-mode run to the experiment renderers: inject it into
     # the artifact store under the *standard* config's fingerprint, so the
     # renderers' lookups hit it (a deliberate cache poisoning — the point

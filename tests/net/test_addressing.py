@@ -56,13 +56,6 @@ class TestAllocation:
             locs.add((rec.lat, rec.lon))
         assert len(locs) > 5  # suburb granularity, not one point
 
-    def test_assigned_count_tracks_per_as(self, setup):
-        geodb, allocator, country, asys = setup
-        assert allocator.assigned_count(asys.asn) == 0
-        for _ in range(5):
-            allocator.assign(asys, country, country.cities[0])
-        assert allocator.assigned_count(asys.asn) == 5
-
     def test_as_prefix_identifiable(self, setup):
         geodb, allocator, country, asys = setup
         ip = allocator.assign(asys, country, country.cities[0])

@@ -58,13 +58,6 @@ class TestResource:
     def test_unconstrained_resource_allowed(self):
         res = Resource("core", None)
         assert res.capacity is None
-        assert res.utilization == 0.0
-
-    def test_utilization_reflects_flow_rates(self):
-        sim, net = make_net()
-        res = Resource("link", 100.0)
-        net.start_flow([res], 1000.0)
-        assert res.utilization == pytest.approx(1.0)
 
 
 class TestSingleFlow:

@@ -59,10 +59,6 @@ class TestBroadbandModel:
             assert mbps(10.0) <= link.down_bps <= mbps(20.0)
             assert link.up_bps <= mbps(2.0)
 
-    def test_asymmetry_property(self, rng):
-        link = BroadbandModel(rng).sample("x")
-        assert link.asymmetry == pytest.approx(link.down_bps / link.up_bps)
-
     def test_resources_are_distinct_per_sample(self, rng):
         model = BroadbandModel(rng)
         a = model.sample("a")

@@ -71,11 +71,6 @@ class TestNATModel:
         wrong = sum(1 for _ in range(n) if model.sample().misclassified)
         assert wrong / n == pytest.approx(0.5, abs=0.05)
 
-    def test_classify_returns_reported(self, rng):
-        model = NATModel(rng)
-        profile = NATProfile(NATType.OPEN, NATType.SYMMETRIC)
-        assert model.classify(profile) is NATType.SYMMETRIC
-
     def test_invalid_misclassify_prob_rejected(self, rng):
         with pytest.raises(ValueError):
             NATModel(rng, misclassify_prob=1.5)

@@ -76,10 +76,6 @@ class TestPopularity:
 
 
 class TestLookups:
-    def test_episode_by_cid_round_trips(self, catalog):
-        ep = catalog.episodes()[7]
-        assert catalog.episode_by_cid(ep.obj.cid) is ep
-        assert catalog.episode_by_cid("no-such-cid") is None
 
     def test_next_episode_walks_the_series(self, catalog):
         series = catalog.series[0]

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.control.database_node import PeerRegistration
 from repro.core.selection import QueryContext
-from repro.core.system import VodCounters
+from repro.core.system import VodStats
 from repro.vod import (
     POLICY_NAMES, IspLocalOnlyPolicy, OffPeakPlacer, UnrestrictedPolicy,
     VodConfig, make_policy,
@@ -56,7 +56,7 @@ class TestIspLocalOnly:
         assert policy.admits(_query(asn=100), _reg(asn=100))
 
     def test_foreign_as_filtered_and_counted(self):
-        counters = VodCounters()
+        counters = VodStats()
         policy = IspLocalOnlyPolicy([VOD_CID], counters=counters)
         assert not policy.admits(_query(asn=100), _reg(asn=200))
         assert counters.policy_filtered == 1
@@ -67,7 +67,7 @@ class TestIspLocalOnly:
                              _reg(asn=200, lan_id="office-7"))
 
     def test_non_vod_cids_pass_through(self):
-        counters = VodCounters()
+        counters = VodStats()
         policy = IspLocalOnlyPolicy([VOD_CID], counters=counters)
         assert policy.admits(_query(asn=100), _reg(cid=OTHER_CID, asn=200))
         assert policy.allow_widening(_query(), OTHER_CID)
@@ -125,7 +125,7 @@ class TestPopularitySeeding:
             def iter_peers(cls):
                 return iter(cls.peers)
 
-        counters = VodCounters()
+        counters = VodStats()
         policy = make_policy("popularity_seeding", [
             ep.obj.cid for ep in catalog.episodes()], counters=counters)
         seeded = policy.pre_seed(system, Pop, catalog, config,
