@@ -310,14 +310,19 @@ class PeerNode:
         """Callback from a session reaching a terminal state."""
         self.sessions.pop(session.obj.cid, None)
 
+    def cache_full(self) -> bool:
+        """True when a storage-poor device tier holds its budget of
+        ``cache_objects`` entries; every cache write tests this first."""
+        budget = self.device.cache_objects if self.device is not None else None
+        return budget is not None and len(self.cache) >= budget
+
     def add_to_cache(self, cid: str) -> None:
         """Cache a completed object; register it and schedule expiry (§3.9)."""
         now = self.system.sim.now
-        budget = self.device.cache_objects if self.device is not None else None
-        if budget is not None and cid not in self.cache:
+        if cid not in self.cache:
             # Storage-poor tiers hold only `cache_objects` entries: evict
             # the oldest (ties broken by cid, so both stores agree).
-            while len(self.cache) >= budget:
+            while self.cache_full():
                 oldest = min(self.cache.values(),
                              key=lambda e: (e.completed_at, e.cid))
                 self._evict(oldest.cid)

@@ -222,7 +222,7 @@ class PopularitySeedingPolicy(ServingPolicy):
         for _ in range(total):
             episode = rng.choices(episodes, weights=weights, k=1)[0]
             host = rng.choice(hosts)
-            if host.has_complete(episode.obj.cid):
+            if host.has_complete(episode.obj.cid) or host.cache_full():
                 continue
             host.cache[episode.obj.cid] = CacheEntry(
                 cid=episode.obj.cid, completed_at=0.0)

@@ -155,7 +155,10 @@ def build_catalog(
                 1 for _, rate, _ in PAPER_CUSTOMERS
                 if rate >= cfg.p2p_provider_threshold
             )
-            n_p2p = max(1, round(n * cfg.p2p_enabled_fraction * len(PAPER_CUSTOMERS) / using))
+            # Capped at the n ranks: above a fraction of
+            # using/len(PAPER_CUSTOMERS) the draw below could never end.
+            n_p2p = min(n, max(1, round(
+                n * cfg.p2p_enabled_fraction * len(PAPER_CUSTOMERS) / using)))
             # Which popularity ranks get p2p enabled: mostly the head.
             while len(p2p_ranks) < n_p2p:
                 if rng.random() < cfg.p2p_head_bias:

@@ -186,12 +186,8 @@ def seed_warm_caches(
         elif not pool or rng.random() >= 0.8:
             pool = population.peers
         peer = rng.choice(pool)
-        if peer.has_complete(obj.cid):
-            continue
-        device = peer.device
-        if device is not None and device.cache_objects is not None \
-                and len(peer.cache) >= device.cache_objects:
-            continue  # storage-poor tier already at its budget
+        if peer.has_complete(obj.cid) or peer.cache_full():
+            continue  # already held, or a storage-poor tier at its budget
         seeded_per_obj[obj.cid] = seeded_per_obj.get(obj.cid, 0) + 1
         peer.cache[obj.cid] = CacheEntry(cid=obj.cid, completed_at=0.0)
         evict_in = rng.uniform(0.3, 1.0) * retention

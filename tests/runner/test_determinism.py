@@ -95,13 +95,14 @@ def test_polluted_worker_still_reproduces_the_goldens(monkeypatch):
 
 
 def test_fuzz_seed_runs_identically_in_a_worker():
-    from repro.fuzz import run_seed, run_seeds
+    from repro.fuzz import generate, run_seeds, run_spec
 
-    parent = run_seed(3)
+    parent = run_spec(generate(3))
     pooled = run_seeds([3, 4], jobs=2)[0]
-    assert pooled.spec == parent.spec
-    assert pooled.ok == parent.ok
-    assert pooled.completed_downloads == parent.completed_downloads
+    assert pooled.config == parent.config
+    assert pooled.ok and parent.ok
+    assert pooled.record_digest == parent.record_digest
+    assert pooled.event_digest == parent.event_digest
     assert pooled.warnings == parent.warnings
 
 

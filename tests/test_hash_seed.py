@@ -93,6 +93,12 @@ def test_swarm_and_fig8_cores_ignore_the_hash_seed():
     pytest.param("from tests.test_golden_parity import _streaming_configs\n"
                  "config = _streaming_configs()['busy']",
                  marks=pytest.mark.slow, id="streaming-busy"),
+    # Fuzz draws: VoD under popularity seeding on the balanced device
+    # mix, and four region shards that also stream on a device mix.
+    pytest.param("from repro.fuzz import generate\nconfig = generate(20)",
+                 id="fuzz-vod-devices"),
+    pytest.param("from repro.fuzz import generate\nconfig = generate(3)",
+                 id="fuzz-sharded"),
 ])
 def test_trace_digests_ignore_the_hash_seed(setup):
     script = _HALVES.format(setup=setup)

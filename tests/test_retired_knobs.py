@@ -12,7 +12,6 @@ be added without editing the allow-list below.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -62,29 +61,14 @@ def test_retired_env_vars_change_nothing(monkeypatch):
     assert artifact.sharding["shards"] == 2
 
 
-#: Every ``FuzzSpec`` field that outlived ``flow_batching``.  A field added
-#: later draws after these and is deliberately not part of the pin.
-SURVIVING_FUZZ_FIELDS = (
-    "seed", "n_seeders", "n_downloaders", "object_mb", "n_objects",
-    "p2p_fraction", "duration_hours", "fault_scenario", "fault_at",
-    "fault_duration", "channel_latency", "channel_loss", "edge_egress_mbps",
-    "churn_events", "pause_resume_events", "every_events", "vod_streams",
-    "vod_policy", "adversary_fraction", "adversary_profile", "defense",
-    "shards", "device_mix",
-)
-
-
-def test_fuzz_specs_kept_every_surviving_field():
-    """Pins the current seed stream: ``generate(s)`` for s in 0…29, over
-    these fields.  The stream no longer burns draws for retired knobs; a
-    new field drawn last leaves this digest alone, and anything else that
-    moves it is a stream bump to document in ``generate``."""
-    assert "flow_batching" not in {
-        f.name for f in dataclasses.fields(fuzz.FuzzSpec)}
-    rows = [tuple(getattr(fuzz.generate(seed), name)
-                  for name in SURVIVING_FUZZ_FIELDS) for seed in range(30)]
+def test_fuzz_seed_stream_is_pinned():
+    """Pins the current seed stream: ``repr(generate(s))`` for s in 0…29.
+    Anything that moves this digest is a stream bump to document in
+    ``generate``: a new draw, a reordered draw, or a changed default of a
+    leaf the fuzzer leaves alone."""
+    rows = [repr(fuzz.generate(seed)) for seed in range(30)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
-        "a848b64b9f200da2f8d01606b0113b213a05e5ec41cfe43c1baac088fd8155ba"
+        "6b29400d7ce2daf739543a536d6d617f6387ed692b3c49269a82df59101bdf14"
 
 
 # ------------------------------------------------------------------ the guard

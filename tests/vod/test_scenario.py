@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro.core import ContentObject, ContentProvider, NetSessionSystem
+from repro.core.config import InvariantConfig, SystemConfig
 from repro.core.peer import CacheEntry
 from repro.core.streaming import start_streaming
 from repro.vod import VodConfig, make_policy
@@ -14,6 +15,7 @@ from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
     run_scenario,
 )
+from repro.workload.devices import mobile_heavy
 
 HOUR = 3600.0
 MB = 1024 * 1024
@@ -96,6 +98,25 @@ class TestScenarioAttachment:
                          r.outcome, r.rebuffer_events, r.startup_delay)
         assert [key(r) for r in a.logstore.downloads if r.streamed] == \
             [key(r) for r in b.logstore.downloads if r.streamed]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_popularity_seeding_respects_device_cache_budgets(self, seed):
+        # Pre-seeding used to write past a storage-poor tier's budget (a
+        # mobile peer holds 4 objects), which strict mode reports as a
+        # device-budget error at the first audit.
+        result = run_scenario(ScenarioConfig(
+            seed=seed,
+            duration_days=0.25,
+            system=SystemConfig(invariants=InvariantConfig(mode="strict")),
+            population=PopulationConfig(n_peers=60, device=mobile_heavy()),
+            demand=DemandConfig(total_downloads=20, duration_days=0.25),
+            catalog=CatalogConfig(objects_per_provider=6),
+            vod=VodConfig(sessions=10, policy="popularity_seeding"),
+        ))
+        assert result.vod_runtime.copies_seeded > 0
+        for peer in result.population.iter_peers():
+            if peer.device.cache_objects is not None:
+                assert len(peer.cache) <= peer.device.cache_objects
 
     def test_policies_produce_distinct_traces(self):
         seeding = run_scenario(_tiny_vod_scenario("popularity_seeding"))

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
+
+from tests.conftest import env_with_src
 
 from repro.workload.catalog import (
     Catalog, CatalogConfig, PAPER_CUSTOMERS, build_catalog,
@@ -88,3 +92,24 @@ class TestSampling:
             CatalogConfig(objects_per_provider=0)
         with pytest.raises(ValueError):
             CatalogConfig(p2p_enabled_fraction=1.5)
+
+
+class TestP2PBudget:
+    @pytest.mark.parametrize("fraction", [0.6, 1.0])
+    def test_fractions_above_one_half_terminate(self, fraction):
+        # Half the paper's customers use p2p, so each one's budget is about
+        # 2n*f ranks; above f = 0.5 that exceeds the n ranks there are,
+        # and the rank draw used to loop forever.  Built in a subprocess
+        # so a regression fails on the timeout instead of hanging.
+        script = (
+            "import random\n"
+            "from repro.workload.catalog import CatalogConfig, build_catalog\n"
+            "cat = build_catalog(random.Random(1), CatalogConfig("
+            f"objects_per_provider=60, p2p_enabled_fraction={fraction}))\n"
+            "print(len(cat.p2p_objects()))\n")
+        done = subprocess.run([sys.executable, "-c", script], timeout=30,
+                              capture_output=True, text=True,
+                              env=env_with_src())
+        assert done.returncode == 0, done.stderr
+        # Every rank of the five p2p-using providers is p2p-enabled.
+        assert int(done.stdout) == 5 * 60
