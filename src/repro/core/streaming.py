@@ -240,12 +240,13 @@ class StreamingSession(DownloadSession):
         if not frontier:
             return
         budget = max(URGENCY_ETA_FLOOR, 0.25 * buffered)
+        now = self.system.sim.now
         urgent = set(frontier)
         for conn in busy:
             if urgent.isdisjoint(conn.chunk.pieces):
                 continue
             rate = conn.flow.rate if conn.flow is not None and conn.flow.active else 0.0
-            eta = (conn.flow.remaining / rate) if rate > 0 else float("inf")
+            eta = (conn.flow.remaining_at(now) / rate) if rate > 0 else float("inf")
             if eta > budget:
                 conn.close(credit_partial=True)
                 if self.state == "active" and self.edge_conn is not None \

@@ -99,14 +99,6 @@ class _Connection:
         """Is a chunk currently being transferred on this connection?"""
         return self.chunk is not None
 
-    def current_rate(self) -> float:
-        """Instantaneous transfer rate, bytes/s."""
-        if self.flow is not None and self.flow.active:
-            # Settle any same-timestamp mutation burst before reading.
-            self.session.system.flows.flush()
-            return self.flow.rate
-        return 0.0
-
     def observe_rate(self, flow: Flow) -> None:
         """Fold a finished flow's average rate into the EWMA estimate."""
         rate = flow.average_rate()
@@ -645,7 +637,12 @@ class DownloadSession:
         if self.state != "active" or self.edge_conn is None:
             return
         cfg = self.system.config.client
-        peer_rate = sum(c.current_rate() for c in self.peer_conns if not c.closed)
+        live = [c.flow for c in self.peer_conns
+                if not c.closed and c.flow is not None and c.flow.active]
+        if live:
+            # One flush settles every live rate read below.
+            self.system.flows.flush()
+        peer_rate = sum(flow.rate for flow in live)
         down = self.peer.link.down_bps
         target = cfg.edge_target_fraction * down
         trickle = max(1.0, cfg.edge_trickle_fraction * down)
@@ -670,6 +667,7 @@ class DownloadSession:
             return
         # ETAs below come from live rates: settle pending mutations first.
         self.system.flows.flush()
+        now = self.system.sim.now
         worst: Optional[PeerConnection] = None
         worst_eta = 0.0
         for conn in list(self.peer_conns):
@@ -685,7 +683,7 @@ class DownloadSession:
                         return
                 continue
             rate = conn.flow.rate
-            eta = conn.flow.remaining / rate if rate > 0 else float("inf")
+            eta = conn.flow.remaining_at(now) / rate if rate > 0 else float("inf")
             if eta > worst_eta:
                 worst_eta = eta
                 worst = conn
@@ -696,7 +694,7 @@ class DownloadSession:
         if worst is None:
             return
         down = self.peer.link.down_bps
-        edge_eta = (worst.flow.remaining if worst.flow else 0.0) / max(down, 1.0)
+        edge_eta = (worst.flow.remaining_at(now) if worst.flow else 0.0) / max(down, 1.0)
         if worst_eta > 2.0 * edge_eta + 1.0:
             worst.close(credit_partial=True)
             # Crediting partial pieces can complete the download and tear

@@ -71,7 +71,7 @@ def register_checker(name: str, description: str, *, final_only: bool = False):
 
 @register_checker(
     "flow-feasibility",
-    "sum of allocated rates <= capacity on every resource; bookkeeping exact",
+    "sum of allocated rates <= capacity on every resource; member sets exact",
 )
 def check_flow_feasibility(system: "NetSessionSystem", report: Report) -> None:
     flows = system.flows
@@ -87,10 +87,6 @@ def check_flow_feasibility(system: "NetSessionSystem", report: Report) -> None:
         if cap is not None and total > cap * (1.0 + _REL) + _ABS:
             report("error", f"resource:{res.name}",
                    f"allocated {total:.1f} B/s exceeds capacity {cap:.1f} B/s")
-        if abs(res.allocated - total) > max(_REL * max(abs(total), 1.0), _ABS):
-            report("error", f"resource:{res.name}",
-                   f"incremental allocated {res.allocated:.1f} B/s != "
-                   f"member-rate sum {total:.1f} B/s")
     for flow in flows.active_flows:
         if flow.rate < -_ABS:
             report("error", f"flow:{flow.flow_id}",

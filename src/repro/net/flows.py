@@ -41,6 +41,11 @@ it coalesces, the resulting rate trajectories are identical to those of an
 engine that settles after every mutation.  That engine is the test-only
 subclass in ``tests/net/reference_engine.py``: the reference for the
 equivalence test-suite and the ``benchmarks/test_simcore.py`` baseline.
+
+A settlement pass costs what it touches: the component walk and the
+water-filling (:func:`_max_min_fair`) are linear in the flow-resource
+incidences of the dirty union, plus one scan of the still-live resources
+per freeze round, and no per-resource total is kept up to date afterwards.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ import heapq
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.counters import Counters, counter
@@ -66,6 +72,8 @@ UNCONSTRAINED_RATE = 10e9
 #: so small heaps never pay the rebuild.
 _HEAP_COMPACT_MIN = 64
 
+_FLOW_ID = attrgetter("flow_id")
+
 
 class Resource:
     """A capacity constraint shared by flows (a link direction, a server NIC).
@@ -74,13 +82,13 @@ class Resource:
     unconstrained and never becomes a bottleneck (useful for modelling core
     links we assume are overprovisioned, as the paper implicitly does).
 
-    ``allocated`` is the sum of the current rates of the flows crossing the
-    resource.  It is maintained incrementally by the :class:`FlowNetwork`
-    (exactly recomputed at each settlement touching the resource); the
-    ``flow-feasibility`` invariant checks it.
+    ``flows`` is the set of active flows crossing the resource.  The
+    network keeps no per-resource rate total: the water-filling derives
+    what it needs from the member flows, and the ``flow-feasibility``
+    invariant sums their rates against ``capacity``.
     """
 
-    __slots__ = ("name", "capacity", "flows", "allocated")
+    __slots__ = ("name", "capacity", "flows")
 
     def __init__(self, name: str, capacity: Optional[float]):
         if capacity is not None and capacity <= 0:
@@ -88,7 +96,6 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self.flows: set["Flow"] = set()
-        self.allocated = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cap = "inf" if self.capacity is None else f"{self.capacity:.0f}B/s"
@@ -138,6 +145,18 @@ class Flow:
     def remaining(self) -> float:
         """Bytes still to transfer."""
         return max(0.0, self.size - self.transferred)
+
+    def remaining_at(self, now: float) -> float:
+        """Bytes still to transfer at ``now``.
+
+        :attr:`remaining` is as of the flow's last settle; this advances it
+        at the current rate, as a settle at ``now`` would.
+        """
+        transferred = self.transferred
+        dt = now - self._last_update
+        if dt > 0:
+            transferred = min(self.size, transferred + self.rate * dt)
+        return max(0.0, self.size - transferred)
 
     def average_rate(self, now: Optional[float] = None) -> float:
         """Mean throughput in bytes/s over the flow's lifetime so far."""
@@ -384,10 +403,6 @@ class FlowNetwork:
         self.active_flows.discard(flow)
         for res in flow.resources:
             res.flows.discard(flow)
-            if res.flows:
-                res.allocated -= flow.rate
-            else:
-                res.allocated = 0.0  # exact reset: no float residue lingers
 
     def _settle(self, flow: Flow) -> None:
         """Advance a flow's transferred bytes up to the current time."""
@@ -404,64 +419,53 @@ class FlowNetwork:
         seen = {flow}
         frontier = [flow]
         while frontier:
-            current = frontier.pop()
-            for res in current.resources:
-                if res.capacity is None:
+            for res in frontier.pop().resources:
+                if res.capacity is None or len(res.flows) == 1:
                     # Unconstrained resources never bind, so they don't
                     # couple allocations — skipping them keeps components
-                    # (and reallocation cost) small.
+                    # (and reallocation cost) small.  A lone member is the
+                    # flow being expanded, already seen.
                     continue
-                for other in res.flows:
-                    if other not in seen:
-                        seen.add(other)
-                        frontier.append(other)
+                new = res.flows - seen
+                if new:
+                    seen |= new
+                    frontier.extend(new)
         return seen
 
     def _reallocate(self, flows: set[Flow]) -> None:
-        """Recompute max-min fair rates for a dirty union and reschedule."""
-        flows = {f for f in flows if f.active}
+        """Recompute max-min fair rates for a dirty union of attached flows
+        and reschedule."""
         if not flows:
             self._schedule_next_completion()
             return
         self.stats.reallocations += 1
-        for f in flows:
-            self._settle(f)
-
-        rates = self._waterfill(flows)
         now = self.sim.now
-        changed = False
-        for f, rate in rates.items():
+        for f in flows:  # settle: advance transferred bytes to now
+            dt = now - f._last_update
+            if dt > 0:
+                f.transferred = min(f.size, f.transferred + f.rate * dt)
+            f._last_update = now
+
+        for f, rate in self._waterfill(flows).items():
             if rate == f.rate:
                 # Flows progress linearly, so an unchanged rate means the
                 # existing heap entry's ETA is still exact — skip the version
                 # bump and re-push entirely (satellite: no heap bloat).
                 self.stats.heap_skips += 1
                 continue
-            changed = True
             f.rate = rate
             f._version += 1
             if f._queued:
                 f._queued = False
                 self._heap_live -= 1
-            if rate > 0 and f.remaining > 0:
-                eta = now + f.remaining / rate
-            else:
-                eta = math.inf
-            if math.isfinite(eta):
-                heapq.heappush(self._completions, (eta, f.flow_id, f._version, f))
-                f._queued = True
-                self._heap_live += 1
-                self.stats.heap_pushes += 1
-        if changed:
-            # Exact per-resource allocated sums: recomputed (not drifted) for
-            # every constrained resource the union touches, so they stay
-            # bit-exact.
-            seen_res: set[Resource] = set()
-            for f in flows:
-                for res in f.resources:
-                    if res.capacity is not None and res not in seen_res:
-                        seen_res.add(res)
-                        res.allocated = sum(g.rate for g in res.flows)
+            left = f.size - f.transferred
+            if rate > 0 and left > 0:
+                eta = now + left / rate
+                if eta < math.inf:
+                    heapq.heappush(self._completions, (eta, f.flow_id, f._version, f))
+                    f._queued = True
+                    self._heap_live += 1
+                    self.stats.heap_pushes += 1
         self._schedule_next_completion()
 
     def _waterfill(self, flows: Iterable[Flow]) -> dict[Flow, float]:
@@ -471,7 +475,7 @@ class FlowNetwork:
         resource wins a bottleneck tie never depends on set iteration
         order — which differs between the parent process and pool workers.
         """
-        return _max_min_fair(sorted(flows, key=lambda f: f.flow_id), self.stats)
+        return _max_min_fair(sorted(flows, key=_FLOW_ID), self.stats)
 
     def _maybe_compact_heap(self) -> None:
         heap = self._completions
@@ -572,75 +576,121 @@ def _max_min_fair(
     equal share or the smallest unfrozen flow cap — and freeze the affected
     flows at that rate.  Each iteration freezes at least one flow, so the
     loop terminates in at most ``len(flows)`` rounds.
+
+    One pass costs O(incidences) plus one scan of the live resources per
+    round: member lists and counts are built once, the smallest unfrozen
+    cap is a pointer into the caps sorted once, a bottleneck round freezes
+    the bottleneck's members, and a resource leaves ``live`` when its last
+    unfrozen member freezes.  ``live`` keeps first-crossing order, so a
+    tie for the bottleneck goes to the resource the input order reaches
+    first.  Within a round every subtraction on a resource subtracts the
+    same value, so no float depends on the order flows freeze in.
     """
     if stats is not None:
         stats.waterfill_calls += 1
-    # Count only flows in this component; flows on this resource that are
-    # outside the component cannot exist (components are closed under
-    # shared resources).
-    remaining: dict[Resource, float] = {}
-    counts: dict[Resource, int] = {}
+    flows = list(flows)
+    if len(flows) == 1:
+        return _lone_flow_rate(flows[0], stats)
+    # Constrained resource -> [capacity left, unfrozen incidences, members].
+    # Only flows in this component count: components are closed under
+    # shared constrained resources.
+    live: dict[Resource, list] = {}
+    capped: list[tuple[float, Flow]] = []
     for f in flows:
+        cap = f.cap
+        if cap is not None:
+            capped.append((cap, f))
         for res in f.resources:
             if res.capacity is None:
                 continue
-            if res not in remaining:
-                remaining[res] = res.capacity
-                counts[res] = 1
+            entry = live.get(res)
+            if entry is None:
+                live[res] = [res.capacity, 1, [f]]
             else:
-                counts[res] += 1
-
-    unfrozen = set(flows)
+                entry[1] += 1
+                entry[2].append(f)
+    capped.sort(key=itemgetter(0))  # stable: equal caps keep input order
+    n_capped = len(capped)
+    next_cap = 0  # every flow in capped[:next_cap] is frozen
     rates: dict[Flow, float] = {}
+    unfrozen = len(flows)
+    rounds = 0
 
     while unfrozen:
-        if stats is not None:
-            stats.waterfill_rounds += 1
+        rounds += 1
         # Bottleneck share among constrained resources with unfrozen flows.
         share = math.inf
-        bottleneck: Optional[Resource] = None
-        for res, cap_left in remaining.items():
-            n = counts[res]
-            if n <= 0:
-                continue
-            s = cap_left / n
+        bottleneck: Optional[list] = None
+        for entry in live.values():
+            s = entry[0] / entry[1]
             if s < share:
                 share = s
-                bottleneck = res
+                bottleneck = entry
 
         # Smallest cap among unfrozen flows.
-        min_cap = math.inf
-        for f in unfrozen:
-            if f.cap is not None and f.cap < min_cap:
-                min_cap = f.cap
+        while next_cap < n_capped and capped[next_cap][1] in rates:
+            next_cap += 1
+        min_cap = capped[next_cap][0] if next_cap < n_capped else math.inf
 
         if min_cap < share:
             # Freeze all flows whose cap equals the minimum at their cap.
             level = min_cap
-            frozen = [f for f in unfrozen if f.cap is not None and f.cap <= level]
-            for f in frozen:
-                rates[f] = f.cap  # type: ignore[assignment]
-                unfrozen.discard(f)
-                for res in f.resources:
-                    if res in remaining:
-                        remaining[res] -= f.cap  # type: ignore[operator]
-                        counts[res] -= 1
+            frozen = []
+            while next_cap < n_capped and capped[next_cap][0] <= level:
+                f = capped[next_cap][1]
+                next_cap += 1
+                if f not in rates:
+                    rates[f] = level
+                    frozen.append(f)
         elif bottleneck is not None:
             level = share
-            frozen = [f for f in unfrozen if bottleneck in f.resources]
-            for f in frozen:
-                rates[f] = level
-                unfrozen.discard(f)
-                for res in f.resources:
-                    if res in remaining:
-                        remaining[res] -= level
-                        counts[res] -= 1
-            remaining[bottleneck] = 0.0
+            # Guard against tiny negative residue from float subtraction.
+            rate = share if share > 0.0 else 0.0
+            frozen = []
+            for f in bottleneck[2]:
+                if f not in rates:  # members frozen earlier stay listed
+                    rates[f] = rate
+                    frozen.append(f)
         else:
             # No constrained resource and no cap: unconstrained flows.
-            for f in unfrozen:
-                rates[f] = f.cap if f.cap is not None else UNCONSTRAINED_RATE
-            unfrozen.clear()
+            for f in flows:
+                if f not in rates:
+                    rates[f] = f.cap if f.cap is not None else UNCONSTRAINED_RATE
+            break
+        unfrozen -= len(frozen)
+        for f in frozen:
+            for res in f.resources:
+                entry = live.get(res)
+                if entry is None:
+                    continue
+                if entry[1] == 1:
+                    del live[res]  # last unfrozen member: never binds again
+                else:
+                    entry[0] -= level
+                    entry[1] -= 1
+    if stats is not None:
+        stats.waterfill_rounds += rounds
+    return rates
 
-    # Guard against tiny negative residue from float subtraction.
-    return {f: max(0.0, r) for f, r in rates.items()}
+
+def _lone_flow_rate(
+    flow: Flow, stats: Optional[FlowNetworkStats]
+) -> dict[Flow, float]:
+    """:func:`_max_min_fair` of a one-flow component, in closed form: its
+    single round freezes the flow at its cap or at its tightest share."""
+    if stats is not None:
+        stats.waterfill_rounds += 1
+    resources = flow.resources
+    share = math.inf
+    for res in resources:
+        capacity = res.capacity
+        if capacity is not None:
+            capacity /= resources.count(res)  # a resource crossed twice
+            if capacity < share:
+                share = capacity
+    cap = flow.cap
+    if cap is not None and cap < share:
+        return {flow: cap}
+    if share < math.inf:
+        return {flow: share}
+    return {flow: cap if cap is not None else UNCONSTRAINED_RATE}

@@ -419,6 +419,47 @@ class TestCorruptionDefense:
         assert system.defense.corrupted_pieces == 1
 
 
+class TestEndgameSteal:
+    """The endgame steal ranks peer chunks by their ETA as of now."""
+
+    def test_steal_ranks_by_live_eta(self, system, big_object):
+        from repro.core.swarm import (
+            Chunk, DownloadSession, EdgeConnection, PeerConnection,
+        )
+        from repro.net.flows import Resource
+        peer = system.create_peer()
+        session = DownloadSession(system, peer, big_object)
+        session.state = "active"
+        session.edge_conn = EdgeConnection(
+            session, system.edge.server_for(peer.network_region))
+        rate = peer.link.down_bps / 100
+
+        def connect(pieces, seconds):
+            uploader = system.create_peer(uploads_enabled=True)
+            conn = PeerConnection(session, uploader)
+            session.peer_conns.append(conn)
+            conn.chunk = Chunk(pieces)
+            conn.flow = system.flows.start_flow(
+                [Resource(f"up{pieces[0]}", rate)], seconds * rate,
+                on_complete=conn._on_chunk_done, meta=conn)
+            return conn
+
+        # ``nearly_done`` started 100 s of work 90 s ago and no settle has
+        # touched it since; ``fresh`` just started 50 s of work.
+        nearly_done = connect([0, 1], 100.0)
+        system.run(until=90.0)
+        fresh = connect([2, 3], 50.0)
+        now = system.sim.now
+        stale = {c: c.flow.remaining / rate for c in (nearly_done, fresh)}
+        live = {c: c.flow.remaining_at(now) / rate for c in (nearly_done, fresh)}
+        assert stale[nearly_done] > stale[fresh]
+        assert live[nearly_done] < live[fresh]
+
+        session.maybe_steal_for_edge()
+        assert fresh.closed and not nearly_done.closed
+        assert session.edge_conn.chunk.pieces == [2, 3]
+
+
 class TestAccountingIntegration:
     def test_honest_reports_accepted(self, swarm_scene):
         system, obj, seeders, downloader = swarm_scene

@@ -231,26 +231,6 @@ def test_nested_batches_settle_at_outermost_exit():
 # ------------------------------------------------------------- incrementals
 
 
-def test_allocated_matches_recomputed_sum():
-    sim = Simulator()
-    net = FlowNetwork(sim)
-    shared = Resource("shared", 100.0)
-    flows = [net.start_flow([shared], 1e9, cap=float(10 * (i + 1)))
-             for i in range(3)]
-    net.set_cap(flows[0], 5.0)
-    net.abort_flow(flows[2])
-    assert shared.allocated == pytest.approx(sum(f.rate for f in shared.flows))
-
-
-def test_allocated_zero_after_all_flows_end():
-    sim = Simulator()
-    net = FlowNetwork(sim)
-    shared = Resource("shared", 100.0)
-    flow = net.start_flow([shared], 1e6)
-    net.abort_flow(flow)
-    assert shared.allocated == 0.0
-
-
 def test_heap_skips_unchanged_rates():
     """Mutating one capped flow must not re-push the whole component."""
     sim = Simulator()

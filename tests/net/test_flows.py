@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.flows import (
-    UNCONSTRAINED_RATE, Flow, FlowNetwork, Resource, _max_min_fair,
+    UNCONSTRAINED_RATE, Flow, FlowNetwork, FlowNetworkStats, Resource,
+    _max_min_fair,
 )
 from repro.net.sim import Simulator
+
+PINNED_RATES = Path(__file__).parents[1] / "golden" / "waterfill_rates.json"
 
 
 def make_net():
@@ -19,7 +25,7 @@ def make_net():
 
 
 @st.composite
-def components(draw):
+def components(draw, max_flows=40):
     """A random settle component: flows sharing a pool of resources.
 
     Draws the shapes that historically break allocators: shared
@@ -35,7 +41,7 @@ def components(draw):
                       allow_nan=False, allow_infinity=False),
         ))
         resources.append(Resource(f"r{i}", capacity))
-    n_flows = draw(st.integers(min_value=1, max_value=40))
+    n_flows = draw(st.integers(min_value=1, max_value=max_flows))
     flows = []
     for i in range(n_flows):
         k = draw(st.integers(min_value=0, max_value=min(4, n_res)))
@@ -48,6 +54,80 @@ def components(draw):
         flows.append(Flow(i, tuple(picked), size=1e9, cap=cap,
                           on_complete=None, meta=None, now=0.0))
     return flows
+
+
+def pinned_component(seed: int) -> list[Flow]:
+    """Component ``seed`` of the pinned-rate set, in flow-id order.
+
+    Four shapes by ``seed % 4``: ties (few capacities and caps, so
+    resources and caps tie for the bottleneck), many distinct caps, a
+    free mix with capacity-less resources and flows crossing nothing, and
+    lone flows (the single-flow case of the kernel).
+    """
+    rng = random.Random(seed)
+    shape = seed % 4
+    n_res = rng.randint(1, 8)
+    resources = []
+    for i in range(n_res):
+        if rng.random() < 0.2:
+            capacity = None
+        elif shape == 0:
+            capacity = rng.choice((0.7, 1.0, 3.0))
+        else:
+            capacity = rng.uniform(0.5, 5000.0)
+        resources.append(Resource(f"r{i}", capacity))
+    n_flows = 1 if shape == 3 else rng.randint(2, 48)
+    flows = []
+    for i in range(n_flows):
+        picked = rng.sample(resources, rng.randint(0, min(4, n_res)))
+        if rng.random() < 0.3:
+            cap = None
+        elif shape == 0:
+            cap = rng.choice((0.1, 0.35, 1.0))
+        else:
+            cap = rng.uniform(0.1, 2000.0)
+        flows.append(Flow(i, tuple(picked), size=1e9, cap=cap,
+                          on_complete=None, meta=None, now=0.0))
+    return flows
+
+
+def assert_max_min_certificate(flows: list[Flow]) -> None:
+    """First-principles max-min fairness, caps and all: the allocation is
+    feasible, and no flow could be raised without lowering one that is no
+    faster — it sits at its cap, or nothing binds it at all, or it crosses
+    a saturated resource on which no flow is faster."""
+    rates = _max_min_fair(flows)
+    assert set(rates) == set(flows)
+
+    def slack(x):  # float residue of the freeze-round subtractions
+        return 1e-9 * x + 1e-9
+
+    load: dict[Resource, float] = {}
+    fastest: dict[Resource, float] = {}
+    for f in flows:
+        for res in f.resources:
+            if res.capacity is not None:
+                load[res] = load.get(res, 0.0) + rates[f]
+                fastest[res] = max(fastest.get(res, 0.0), rates[f])
+    for res, total in load.items():
+        assert total <= res.capacity + slack(res.capacity)
+
+    for f in flows:
+        rate = rates[f]
+        assert rate >= 0.0
+        if f.cap is not None:
+            assert rate <= f.cap
+            if rate == f.cap:
+                continue
+        binding = [res for res in f.resources if res in load]
+        if f.cap is None and not binding:
+            assert rate == UNCONSTRAINED_RATE
+            continue
+        assert any(
+            load[res] >= res.capacity - slack(res.capacity)
+            and fastest[res] <= rate + slack(rate)
+            for res in binding
+        ), f"flow {f.flow_id} at {rate} could still grow"
 
 
 class TestResource:
@@ -105,6 +185,17 @@ class TestSingleFlow:
         sim.run()
         assert flow.transferred == pytest.approx(100.0)
         assert not flow.active
+
+    def test_remaining_at_reads_progress_since_last_settle(self):
+        sim, net = make_net()
+        res = Resource("link", 50.0)
+        flow = net.start_flow([res], 1000.0)
+        sim.schedule_at(7.0, lambda: None)
+        sim.run(until=7.0)
+        assert flow.remaining == 1000.0  # as of the settle at t=0
+        assert flow.remaining_at(7.0) == 1000.0 - 50.0 * 7.0
+        assert flow.remaining_at(0.0) == 1000.0
+        assert flow.remaining_at(30.0) == 0.0
 
     def test_average_rate(self):
         sim, net = make_net()
@@ -279,42 +370,33 @@ class TestMaxMinProperties:
     @given(components())
     @settings(max_examples=200, deadline=None)
     def test_max_min_certificate(self, flows):
-        """First-principles max-min fairness, caps and all: the allocation
-        is feasible, and no flow could be raised without lowering one that
-        is no faster — it sits at its cap, or nothing binds it at all, or
-        it crosses a saturated resource on which no flow is faster."""
-        rates = _max_min_fair(flows)
-        assert set(rates) == set(flows)
+        assert_max_min_certificate(flows)
 
-        def slack(x):  # float residue of the freeze-round subtractions
-            return 1e-9 * x + 1e-9
+    @pytest.mark.slow
+    @given(components(max_flows=64))
+    @settings(max_examples=2000, deadline=None)
+    def test_max_min_certificate_deep(self, flows):
+        """The certificate on ten times the examples and larger
+        components: more cap-pointer and member-list paths per run."""
+        assert_max_min_certificate(flows)
 
-        load: dict[Resource, float] = {}
-        fastest: dict[Resource, float] = {}
-        for f in flows:
-            for res in f.resources:
-                if res.capacity is not None:
-                    load[res] = load.get(res, 0.0) + rates[f]
-                    fastest[res] = max(fastest.get(res, 0.0), rates[f])
-        for res, total in load.items():
-            assert total <= res.capacity + slack(res.capacity)
+    def test_pinned_rates_bit_for_bit(self):
+        """Rates and round counts of 200 seeded components, pinned as
+        ``float.hex``: a kernel rewrite must not move a single ulp.
 
-        for f in flows:
-            rate = rates[f]
-            assert rate >= 0.0
-            if f.cap is not None:
-                assert rate <= f.cap
-                if rate == f.cap:
-                    continue
-            binding = [res for res in f.resources if res in load]
-            if f.cap is None and not binding:
-                assert rate == UNCONSTRAINED_RATE
-                continue
-            assert any(
-                load[res] >= res.capacity - slack(res.capacity)
-                and fastest[res] <= rate + slack(rate)
-                for res in binding
-            ), f"flow {f.flow_id} at {rate} could still grow"
+        The file was rendered by the scan-every-unfrozen-flow kernel the
+        member-list one replaced.  Re-render it only for a deliberate rate
+        change, one ``{"rounds": ..., "rates": [...]}`` line per seed in
+        ``range(200)``, from ``pinned_component(seed)`` through
+        ``_max_min_fair`` with a fresh ``FlowNetworkStats``."""
+        pinned = json.loads(PINNED_RATES.read_text())
+        assert len(pinned) == 200
+        for seed, want in enumerate(pinned):
+            flows = pinned_component(seed)
+            stats = FlowNetworkStats()
+            rates = _max_min_fair(flows, stats)
+            assert [rates[f].hex() for f in flows] == want["rates"], seed
+            assert stats.waterfill_rounds == want["rounds"], seed
 
     def test_rates_do_not_depend_on_iteration_order(self):
         """Why ``_waterfill`` sorts by flow id: r0 and r1 tie for the first
@@ -347,6 +429,42 @@ class TestMaxMinProperties:
         expected = cap / n
         for f in flows:
             assert math.isclose(rates[f], expected, rel_tol=1e-9)
+
+
+class _CapCountingFlow(Flow):
+    """A flow that counts how often the kernel reads its cap."""
+
+    reads = 0
+
+    @property
+    def cap(self):
+        _CapCountingFlow.reads += 1
+        return self._counted_cap
+
+    @cap.setter
+    def cap(self, value):
+        self._counted_cap = value
+
+
+class TestWaterfillWorkBound:
+    """Deterministic work bound (counts, not stopwatches): a water-fill
+    reads each flow's cap a bounded number of times, however many cap
+    rounds it runs (rescanning every unfrozen flow each round read 81 708
+    caps here)."""
+
+    def test_cap_reads_linear_in_flows(self):
+        n = 200
+        shared = Resource("shared", 150.0 * n)
+        order = random.Random(5).sample(range(n), n)
+        flows = [_CapCountingFlow(i, (shared,), 1e9, float(c + 1), None,
+                                  None, 0.0) for i, c in enumerate(order)]
+        _CapCountingFlow.reads = 0
+        stats = FlowNetworkStats()
+        rates = _max_min_fair(flows, stats)
+        reads = _CapCountingFlow.reads
+        assert stats.waterfill_rounds > n // 2  # one cap round per flow, nearly
+        assert reads <= 4 * n
+        assert sum(rates.values()) <= shared.capacity
 
 
 class TestSnapshotAndErrors:
