@@ -212,8 +212,8 @@ def test_scenario_batching():
 # ------------------------------------------------------- invariant auditing
 
 
-def _swarm_burst_wall(*, audited: bool, rounds: int = 3) -> float:
-    """Min-of-N wall time for the swarm burst, with/without an audit hook.
+def _swarm_burst_wall(*, audited: bool) -> float:
+    """Wall time of one swarm-burst run, with or without an audit hook.
 
     The hook mirrors what :class:`repro.invariants.InvariantAuditor` costs
     this raw-simulator workload: the per-event countdown branch plus a
@@ -221,40 +221,41 @@ def _swarm_burst_wall(*, audited: bool, rounds: int = 3) -> float:
     callback body is empty — the checkers' own cost is bounded separately
     by the scenario comparison below).
     """
-    best = float("inf")
-    for _ in range(rounds):
-        sim = Simulator()
-        if audited:
-            sim.set_audit_hook(lambda: None, every_events=20_000)
-        net = FlowNetwork(sim)
-        rng = random.Random(0xBEEF)
-        res = [Resource(f"p{i}", mbps(rng.uniform(4.0, 40.0)))
-               for i in range(120)]
-        active: list = []
+    sim = Simulator()
+    if audited:
+        sim.set_audit_hook(lambda: None, every_events=20_000)
+    net = FlowNetwork(sim)
+    rng = random.Random(0xBEEF)
+    res = [Resource(f"p{i}", mbps(rng.uniform(4.0, 40.0)))
+           for i in range(120)]
+    active: list = []
 
-        def burst() -> None:
-            for _ in range(6):
-                if active:
-                    net.abort_flow(active.pop(rng.randrange(len(active))))
-            for _ in range(10):
-                a, b = rng.randrange(120), rng.randrange(120)
-                if a == b:
-                    b = (b + 1) % 120
-                active.append(net.start_flow(
-                    (res[a], res[b]), size=rng.uniform(20.0, 200.0) * 1e6))
+    def burst() -> None:
+        for _ in range(6):
+            if active:
+                net.abort_flow(active.pop(rng.randrange(len(active))))
+        for _ in range(10):
+            a, b = rng.randrange(120), rng.randrange(120)
+            if a == b:
+                b = (b + 1) % 120
+            active.append(net.start_flow(
+                (res[a], res[b]), size=rng.uniform(20.0, 200.0) * 1e6))
 
-        for t in range(0, 3600, 20):
-            sim.schedule_at(float(t), burst)
-        started = time.perf_counter()
-        sim.run(until=3600.0)
-        best = min(best, time.perf_counter() - started)
-    return best
+    for t in range(0, 3600, 20):
+        sim.schedule_at(float(t), burst)
+    started = time.perf_counter()
+    sim.run(until=3600.0)
+    return time.perf_counter() - started
 
 
 def test_audit_hook_overhead_swarm_burst():
     """Observe-mode plumbing must cost the hot loop < 5% (acceptance bar)."""
-    base = _swarm_burst_wall(audited=False)
-    audited = _swarm_burst_wall(audited=True)
+    # Interleaved min-of-3: alternating the arms exposes both to the same
+    # host drift, which back-to-back blocks of runs do not.
+    base = audited = float("inf")
+    for _ in range(3):
+        base = min(base, _swarm_burst_wall(audited=False))
+        audited = min(audited, _swarm_burst_wall(audited=True))
     overhead = audited / base - 1.0
     RESULTS["audit_hook_overhead"] = {
         "base_wall_seconds": round(base, 3),
@@ -284,7 +285,7 @@ def test_reputation_overhead_scenario():
         run_scenario(config)
         return time.perf_counter() - started
 
-    # Interleaved min-of-N, same rationale as the observe-mode bench.
+    # Interleaved min-of-3, same rationale as the audit-hook bench.
     off_wall = on_wall = float("inf")
     for _ in range(3):
         off_wall = min(off_wall, run_mode(False))

@@ -11,7 +11,7 @@ this engine.  The engine maintains one scalar score per peer:
 * **contribution-weighted** — verified megabytes delivered earn credit;
 * **corruption/timeout-penalized** — corrupted pieces, refused/empty
   connections, and slow-loris serves cost score;
-* **time-decayed** — the score halves every ``decay_half_life`` seconds,
+* **time-decayed** — the score halves every ``DECAY_HALF_LIFE`` seconds,
   so old sins and old virtues both fade;
 * **string-seeded** — each peer starts from a tiny deterministic jitter
   drawn from ``random.Random(f"repro-defense:{seed}:{guid}")``, which
@@ -34,11 +34,11 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.core.system import DefenseStats
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
-    from repro.core.config import DefenseConfig
     from repro.core.control.database_node import PeerRegistration
     from repro.core.messages import UsageReport
 
-__all__ = ["GOOD", "PROBATION", "QUARANTINED", "PeerScore", "ReputationEngine"]
+__all__ = ["GOOD", "PROBATION", "QUARANTINED", "SCORE_MAX", "SCORE_MIN",
+           "PeerScore", "ReputationEngine"]
 
 #: Defense state machine states.
 GOOD = "good"
@@ -46,6 +46,32 @@ QUARANTINED = "quarantined"
 PROBATION = "probation"
 
 _MB = 1024.0 * 1024.0
+
+# --- scoring constants -------------------------------------------------------
+#: Score credit per verified megabyte delivered by an uploader.
+CONTRIBUTION_WEIGHT = 1.0
+#: Score penalty per corrupted piece attributed to an uploader.
+CORRUPTION_PENALTY = 8.0
+#: Score penalty per refused/empty connection (free-riders and stale
+#: advertisers; honest-but-busy peers eat this too, which is why it is
+#: small — contribution credit dominates for real contributors).
+REFUSAL_PENALTY = 1.0
+#: Score penalty per trickling serve (average rate below
+#: :data:`repro.core.swarm.SLOW_RATE_FLOOR` when a connection ends).
+SLOW_PENALTY = 4.0
+#: Exponential half-life of the score, seconds (time decay: old sins and
+#: old virtues both fade).
+DECAY_HALF_LIFE = 6 * 3600.0
+#: Hard clamp on the score in both directions.
+SCORE_MIN = -100.0
+SCORE_MAX = 100.0
+#: Quarantine a peer when its score falls to or below this value.
+QUARANTINE_THRESHOLD = -10.0
+#: Seconds a quarantined peer sits out before probation re-admission.
+PROBATION_INTERVAL = 1800.0
+#: Score a re-admitted peer restarts probation with (half-way back to the
+#: threshold: one fresh offense re-quarantines immediately).
+PROBATION_SCORE = -5.0
 
 
 class PeerScore:
@@ -65,8 +91,7 @@ class PeerScore:
 class ReputationEngine:
     """CN-side aggregate of session-reported per-uploader observations."""
 
-    def __init__(self, config: "DefenseConfig", seed: int):
-        self.config = config
+    def __init__(self, seed: int):
         self._seed_token = f"repro-defense:{seed}"
         self.peers: dict[str, PeerScore] = {}
         #: Installed by the system: callable(guid) -> registrations evicted.
@@ -94,7 +119,7 @@ class ReputationEngine:
     def _decay(self, entry: PeerScore, now: float) -> None:
         dt = now - entry.updated_at
         if dt > 0:
-            entry.score *= 0.5 ** (dt / self.config.decay_half_life)
+            entry.score *= 0.5 ** (dt / DECAY_HALF_LIFE)
         entry.updated_at = max(entry.updated_at, now)
 
     def score(self, guid: str, now: float) -> float:
@@ -109,19 +134,18 @@ class ReputationEngine:
         """Fold one observation batch into the peer's score.
 
         Returns the resulting defense state.  Score moves trigger the state
-        machine: a drop to ``quarantine_threshold`` quarantines (evicting
+        machine: a drop to ``QUARANTINE_THRESHOLD`` quarantines (evicting
         the peer's registrations through ``on_quarantine``); a probation
         peer that climbs above zero is fully re-admitted.
         """
-        cfg = self.config
         entry = self._entry(guid, now)
         self._decay(entry, now)
-        entry.score += cfg.contribution_weight * (delivered_bytes / _MB)
-        entry.score -= cfg.corruption_penalty * corrupted_pieces
-        entry.score -= cfg.refusal_penalty * refusals
-        entry.score -= cfg.slow_penalty * slow_serves
-        entry.score = min(cfg.score_max, max(cfg.score_min, entry.score))
-        if entry.state != QUARANTINED and entry.score <= cfg.quarantine_threshold:
+        entry.score += CONTRIBUTION_WEIGHT * (delivered_bytes / _MB)
+        entry.score -= CORRUPTION_PENALTY * corrupted_pieces
+        entry.score -= REFUSAL_PENALTY * refusals
+        entry.score -= SLOW_PENALTY * slow_serves
+        entry.score = min(SCORE_MAX, max(SCORE_MIN, entry.score))
+        if entry.state != QUARANTINED and entry.score <= QUARANTINE_THRESHOLD:
             self._quarantine(guid, entry, now)
         elif entry.state == PROBATION and entry.score > 0.0:
             entry.state = GOOD
@@ -140,17 +164,17 @@ class ReputationEngine:
     def admits(self, guid: str, now: float) -> bool:
         """Selection-time gate; performs the probation transition.
 
-        A quarantined peer is refused until ``probation_interval`` elapses,
+        A quarantined peer is refused until ``PROBATION_INTERVAL`` elapses,
         then re-admitted on probation with its score reset to
-        ``probation_score`` — one fresh offense re-quarantines it.
+        ``PROBATION_SCORE`` — one fresh offense re-quarantines it.
         """
         entry = self.peers.get(guid)
         if entry is None or entry.state != QUARANTINED:
             return True
-        if now - entry.quarantined_at < self.config.probation_interval:
+        if now - entry.quarantined_at < PROBATION_INTERVAL:
             return False
         entry.state = PROBATION
-        entry.score = self.config.probation_score + self._initial_score(guid)
+        entry.score = PROBATION_SCORE + self._initial_score(guid)
         entry.updated_at = now
         self.stats.probations += 1
         return True
@@ -159,7 +183,7 @@ class ReputationEngine:
         """Pure check (no transitions): still inside a quarantine window?"""
         entry = self.peers.get(guid)
         return (entry is not None and entry.state == QUARANTINED
-                and now - entry.quarantined_at < self.config.probation_interval)
+                and now - entry.quarantined_at < PROBATION_INTERVAL)
 
     def rank_key(self, now: float) -> Callable[["PeerRegistration"], float]:
         """Key for ``select_peers(rank_key=...)``: decayed score, higher first."""

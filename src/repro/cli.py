@@ -23,10 +23,10 @@ Commands
     Run one fault-injection drill from the scenario library and print its
     report; with ``--list``, show the available scenarios; with ``--all``,
     run the whole library (``--jobs N`` runs drills scenario-parallel,
-    reports print in library order regardless).  The report is fully
-    deterministic: the same ``--scenario``/``--seed`` pair prints
-    byte-identical output on every run — and the same bytes again from a
-    pool worker.
+    reports print in library order regardless).  Each drill is a scripted
+    :class:`~repro.workload.ScenarioConfig` run by the runner, so the same
+    ``--scenario``/``--seed`` pair prints byte-identical output on every
+    run — and the same bytes again from a pool worker.
 ``perf``
     Run the standard scenario once and print the simulator/allocation
     counters (:class:`~repro.core.system.SystemStats`); with ``--profile``,
@@ -348,40 +348,29 @@ def _run_audit(args) -> int:
     from dataclasses import replace
 
     from repro.analysis.report import render_audit
-    from repro.core.config import InvariantConfig
     from repro.invariants import InvariantViolationError
+    from repro.runner import run_scenario_artifact
 
     overrides: dict[str, object] = {
         "mode": "strict" if args.strict else "observe",
     }
     if args.every is not None:
         overrides["every_events"] = args.every
-    invariants = InvariantConfig(**overrides)
 
+    if args.scenario is not None:
+        config = _drill_config(args, args.scenario)
+        if config is None:
+            return 2
+        title = (f"invariant audit  (scenario={args.scenario}, "
+                 f"seed={args.seed})")
+    else:
+        from repro.experiments.common import standard_config
+
+        config = standard_config(args.scale, args.seed)
+        title = f"invariant audit  (scale={args.scale}, seed={args.seed})"
+    config = replace(config, system=config.system.with_invariants(**overrides))
     try:
-        if args.scenario is not None:
-            from repro.faults import SCENARIOS, run_drill, scenario_names
-
-            if args.scenario not in SCENARIOS:
-                print(f"unknown scenario: {args.scenario}", file=sys.stderr)
-                print(f"available: {', '.join(scenario_names())}", file=sys.stderr)
-                return 2
-            report = run_drill(args.scenario, args.seed,
-                               fault_at=args.at, fault_duration=args.duration,
-                               invariants=invariants)
-            audit = report.invariants
-            title = (f"invariant audit  (scenario={args.scenario}, "
-                     f"seed={args.seed})")
-        else:
-            from repro.experiments.common import standard_config
-            from repro.runner import run_scenario_artifact
-
-            config = standard_config(args.scale, args.seed)
-            config = replace(config,
-                             system=config.system.with_invariants(**overrides))
-            audit = run_scenario_artifact(config).audit_report()
-            title = (f"invariant audit  (scale={args.scale}, "
-                     f"seed={args.seed})")
+        audit = run_scenario_artifact(config).audit_report()
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
@@ -393,10 +382,26 @@ def _run_audit(args) -> int:
     return 0
 
 
+def _drill_config(args, scenario: str):
+    """The drill config for ``scenario`` from ``--seed/--at/--duration``,
+    or None after printing why it cannot be built (exit code 2)."""
+    from repro.faults import SCENARIOS, drill_config, scenario_names
+
+    if scenario not in SCENARIOS:
+        print(f"unknown scenario: {scenario}", file=sys.stderr)
+        print(f"available: {', '.join(scenario_names())}", file=sys.stderr)
+        return None
+    try:
+        return drill_config(scenario, args.seed,
+                            fault_at=args.at, fault_duration=args.duration)
+    except ValueError as exc:  # bad --at/--duration
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _run_faults(args) -> int:
-    from repro.faults import (
-        SCENARIOS, DrillRequest, run_drill, run_drill_portable, scenario_names,
-    )
+    from repro.faults import SCENARIOS, drill_report, scenario_names
+    from repro.runner import default_jobs, parallel_map, run_scenario_artifact
 
     if args.list_scenarios:
         for name, factory in SCENARIOS.items():
@@ -404,41 +409,23 @@ def _run_faults(args) -> int:
             print(f"{name:24s} {doc[0] if doc else ''}")
         return 0
 
-    if args.all_scenarios:
-        from repro.runner import default_jobs, parallel_map
-
-        jobs = args.jobs if args.jobs is not None else default_jobs()
-        requests = [
-            DrillRequest(scenario=name, seed=args.seed,
-                         fault_at=args.at, fault_duration=args.duration)
-            for name in scenario_names()  # library order, always
-        ]
-        try:
-            reports = parallel_map(run_drill_portable, requests, jobs=jobs)
-        except ValueError as exc:  # bad --at/--duration (spec validation)
-            print(f"error: {exc}", file=sys.stderr)
+    # --all: the whole library, in library order, over the process pool.
+    names = scenario_names() if args.all_scenarios else [args.scenario]
+    configs = []
+    for name in names:
+        configs.append(_drill_config(args, name))
+        if configs[-1] is None:
             return 2
-        if args.json_report:
-            print(json.dumps([r.data for r in reports],
-                             indent=2, sort_keys=True))
-        else:
-            print("\n\n".join(r.text for r in reports))
-        return 0
-
-    if args.scenario not in SCENARIOS:
-        print(f"unknown scenario: {args.scenario}", file=sys.stderr)
-        print(f"available: {', '.join(scenario_names())}", file=sys.stderr)
-        return 2
-    try:
-        report = run_drill(args.scenario, args.seed,
-                           fault_at=args.at, fault_duration=args.duration)
-    except ValueError as exc:  # bad --at/--duration (spec validation)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    jobs = args.jobs if args.jobs is not None else default_jobs()
+    artifacts = parallel_map(run_scenario_artifact, configs, jobs=jobs)
+    reports = [drill_report(name, artifact)
+               for name, artifact in zip(names, artifacts)]
     if args.json_report:
-        print(json.dumps(report.as_json(), indent=2, sort_keys=True))
+        data = [r.as_json() for r in reports]
+        print(json.dumps(data if args.all_scenarios else data[0],
+                         indent=2, sort_keys=True))
     else:
-        print(report.text)
+        print("\n\n".join(r.text for r in reports))
     return 0
 
 

@@ -32,8 +32,6 @@ class ClientConfig:
     #: Maximum simultaneous upload connections a peer serves (global limit;
     #: NetSession has no per-peer reciprocity).
     max_upload_connections: int = 6
-    #: Maximum simultaneous peer download connections per transfer.
-    max_peer_connections: int = 30
     #: Cap on upload rate as a fraction of the peer's uplink capacity —
     #: uploads are "intentionally limited using custom protocols".
     upload_rate_fraction: float = 0.8
@@ -43,55 +41,12 @@ class ClientConfig:
     #: Seconds a completed object stays in the local cache / registered
     #: with the control plane.  Default one week.
     cache_retention: float = 7 * 24 * 3600.0
-    #: When the user's own traffic occupies the link, uploads throttle to
-    #: this fraction of the normal cap (back-off best practice, §3.9).
-    backoff_rate_fraction: float = 0.1
     #: Probability per hour that a peer's link is busy with other traffic.
     #: Drives the back-off machinery.
     link_busy_prob_per_hour: float = 0.05
-    #: Report usage statistics to the CN every this many seconds.
-    stats_report_interval: float = 300.0
-
-    # --- download engine ---------------------------------------------------
-    #: Work-unit sizing: a connection pulls roughly this many seconds of
-    #: transfer (at its estimated rate) per request batch.  Pieces (and
-    #: their hashes) stay at PIECE_SIZE; batching only amortises request
-    #: overhead — small batches keep work flowing to fast connections and
-    #: keep the endgame short.
-    chunk_target_seconds: float = 90.0
-    #: Ceiling on pieces per batch (bounds memory and endgame stalls).
-    chunk_max_pieces: int = 32
-    #: Pieces in a connection's first batch, before its rate is known.
-    chunk_initial_pieces: int = 2
-    #: Probability that a NAT-compatible connection attempt still succeeds
-    #: (transient network failures eat the rest).
-    connect_success_prob: float = 0.92
-    #: Handshake delay range in seconds for a peer connection attempt.
-    handshake_delay: tuple[float, float] = (0.2, 2.0)
-    #: Control-plane query round-trip range in seconds.
-    query_latency: tuple[float, float] = (0.05, 0.3)
-    #: Additional queries issued when too few peer connections succeed
-    #: (§3.7: "additional queries are issued until a sufficient number of
-    #: peer connections succeed").
-    max_extra_queries: int = 3
-
-    # --- edge backstop policy ----------------------------------------------
-    #: Keep at least one infrastructure connection and size it so that total
-    #: throughput reaches this fraction of the client's downlink; when the
-    #: peers alone exceed it, the edge connection idles at a trickle.  The
-    #: paper's Figure 4 shows peer-assisted downloads running somewhat below
-    #: edge-only line rate, i.e. production tolerates a QoS target below
-    #: 1.0 in exchange for offload.
-    edge_target_fraction: float = 0.6
-    #: Trickle rate (fraction of downlink) for the always-on edge connection.
-    edge_trickle_fraction: float = 0.02
-    #: How often the backstop policy re-evaluates the edge cap, seconds.
-    backstop_interval: float = 15.0
-    #: Re-apply the edge cap only when it moves by more than this relative
-    #: amount (hysteresis; avoids needless rate reallocation).
-    backstop_hysteresis: float = 0.15
     #: Disable to let the edge connection run at full fair share even in
-    #: peer-assisted downloads (ablation: no offload incentive).
+    #: peer-assisted downloads (ablation: no offload incentive; the policy
+    #: itself is :data:`repro.core.swarm.EDGE_TARGET_FRACTION` and friends).
     edge_backstop_enabled: bool = True
 
     # --- integrity ----------------------------------------------------------
@@ -165,16 +120,6 @@ class ControlChannelConfig:
     loss_prob: float = 0.0
     #: Seconds a request waits for its response before retrying.
     request_timeout: float = 15.0
-    #: Retries per request after the first attempt; past this the request
-    #: gives up (the caller's ``on_giveup`` fires).
-    max_retries: int = 4
-    #: First retry backoff, seconds; doubles per retry up to the cap.
-    backoff_base: float = 2.0
-    #: Ceiling on the exponential backoff, seconds.
-    backoff_cap: float = 120.0
-    #: Jitter fraction applied to each backoff delay, drawn from the
-    #: channel's own string-seeded RNG (deterministic per peer).
-    backoff_jitter: float = 0.25
     #: Consecutive failed attempts (across requests) that trip the circuit
     #: breaker into the ``degraded`` edge-only state.
     breaker_threshold: int = 5
@@ -189,12 +134,6 @@ class ControlChannelConfig:
             raise ValueError("loss_prob must be in [0, 1)")
         if self.request_timeout <= 0:
             raise ValueError("request_timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError("need 0 < backoff_base <= backoff_cap")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError("backoff_jitter must be in [0, 1)")
         if self.breaker_threshold <= 0:
             raise ValueError("breaker_threshold must be positive")
         if self.probe_interval <= 0:
@@ -261,8 +200,9 @@ class DefenseConfig:
     them CN-side inside the existing :class:`~repro.core.messages.UsageReport`
     RPC.  When enabled, the CN aggregates them into a per-peer reputation
     score that ranks query candidates, quarantines peers whose score falls
-    below ``quarantine_threshold`` (with registration eviction), and
-    re-admits them on probation after ``probation_interval``.
+    to the quarantine threshold (with registration eviction), and re-admits
+    them on probation later; the scoring constants live in
+    :mod:`repro.adversary.reputation`.
 
     **Disabled by default**: with ``enabled=False`` no reputation engine is
     constructed, no score is updated, selection consumes the exact same RNG
@@ -273,49 +213,6 @@ class DefenseConfig:
 
     #: Master switch.  False = no engine, no ranking, no quarantine.
     enabled: bool = False
-    #: Score credit per verified megabyte delivered by an uploader.
-    contribution_weight: float = 1.0
-    #: Score penalty per corrupted piece attributed to an uploader.
-    corruption_penalty: float = 8.0
-    #: Score penalty per refused/empty connection (free-riders and
-    #: stale advertisers; honest-but-busy peers eat this too, which is why
-    #: it is small — contribution credit dominates for real contributors).
-    refusal_penalty: float = 1.0
-    #: Score penalty per trickling serve (average rate below
-    #: ``slow_rate_floor`` when a connection ends).
-    slow_penalty: float = 4.0
-    #: Serve rate (bytes/s) below which a closing connection counts as a
-    #: slow-loris observation.  Well below honest back-off rates.
-    slow_rate_floor: float = 4096.0
-    #: Exponential half-life of the score, seconds (time decay: old sins
-    #: and old virtues both fade).
-    decay_half_life: float = 6 * 3600.0
-    #: Hard clamp on the score in both directions.
-    score_min: float = -100.0
-    score_max: float = 100.0
-    #: Quarantine a peer when its score falls to or below this value.
-    quarantine_threshold: float = -10.0
-    #: Seconds a quarantined peer sits out before probation re-admission.
-    probation_interval: float = 1800.0
-    #: Score a re-admitted peer restarts probation with (half-way back to
-    #: the threshold: one fresh offense re-quarantines immediately).
-    probation_score: float = -5.0
-
-    def __post_init__(self):
-        if self.decay_half_life <= 0:
-            raise ValueError("decay_half_life must be positive")
-        if self.score_min >= self.score_max:
-            raise ValueError("need score_min < score_max")
-        if not self.score_min <= self.quarantine_threshold < self.score_max:
-            raise ValueError("quarantine_threshold must lie within the score bounds")
-        if self.probation_interval <= 0:
-            raise ValueError("probation_interval must be positive")
-        if not self.quarantine_threshold <= self.probation_score <= self.score_max:
-            raise ValueError("probation_score must be in [quarantine_threshold, score_max]")
-        for name in ("contribution_weight", "corruption_penalty",
-                     "refusal_penalty", "slow_penalty", "slow_rate_floor"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ client-side robustness story on top of it:
   one-way latency and loss probability; a request whose message (or
   response) is lost is detected by a per-request timeout;
 * **retries with capped exponential backoff** — failed attempts retry at
-  ``backoff_base * 2^attempt`` seconds (capped), with deterministic jitter
+  ``BACKOFF_BASE * 2^attempt`` seconds (capped), with deterministic jitter
   drawn from the channel's own string-seeded RNG;
 * **CN failover** — when the peer's CN has died, the next request fails
   over through :meth:`ControlPlane.cn_for` and re-opens the control
@@ -61,6 +61,17 @@ PROBING = "probing"
 #: Every legal state.  PROBING is transient *within* a probe callback and is
 #: never observable at event boundaries; the invariant auditor checks that.
 ALL_STATES = frozenset((HEALTHY, RETRYING, DEGRADED, PROBING))
+
+#: Retries per request after the first attempt; past this the request
+#: gives up (the caller's ``on_giveup`` fires).
+MAX_RETRIES = 4
+#: First retry backoff, seconds; doubles per retry up to the cap.
+BACKOFF_BASE = 2.0
+#: Ceiling on the exponential backoff, seconds.
+BACKOFF_CAP = 120.0
+#: Jitter fraction applied to each backoff delay, drawn from the channel's
+#: own string-seeded RNG (deterministic per peer).
+BACKOFF_JITTER = 0.25
 
 
 @dataclass
@@ -432,18 +443,15 @@ class ControlChannel:
             self._giveup(req)
             self._trip()
             return
-        if req.attempt >= self.cfg.max_retries:
+        if req.attempt >= MAX_RETRIES:
             self._giveup(req)
             return
         req.attempt += 1
         self.stats.retries += 1
         if self.state == HEALTHY:
             self.state = RETRYING
-        delay = min(self.cfg.backoff_cap,
-                    self.cfg.backoff_base * (2.0 ** (req.attempt - 1)))
-        jitter = self.cfg.backoff_jitter
-        if jitter > 0:
-            delay *= 1.0 + jitter * self.rng.uniform(-1.0, 1.0)
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** (req.attempt - 1)))
+        delay *= 1.0 + BACKOFF_JITTER * self.rng.uniform(-1.0, 1.0)
         req.retry_event = self.system.sim.schedule(
             delay, lambda: self._attempt(req)
         )

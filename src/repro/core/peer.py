@@ -38,7 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.geo import City, Country
     from repro.net.topology import AutonomousSystem
 
-__all__ = ["PeerNode", "CacheEntry", "IdentitySnapshot"]
+__all__ = ["BACKOFF_RATE_FRACTION", "PeerNode", "CacheEntry", "IdentitySnapshot"]
+
+#: When the user's own traffic occupies the link, uploads throttle to this
+#: fraction of the uplink instead of ``ClientConfig.upload_rate_fraction``
+#: (back-off best practice, §3.9).
+BACKOFF_RATE_FRACTION = 0.1
 
 
 @dataclass
@@ -394,8 +399,8 @@ class PeerNode:
 
     def upload_rate_cap(self) -> float:
         """Current per-flow upload rate cap in bytes/s (§3.9 throttling)."""
-        cfg = self.system.config.client
-        fraction = cfg.backoff_rate_fraction if self.link_busy else cfg.upload_rate_fraction
+        fraction = (BACKOFF_RATE_FRACTION if self.link_busy
+                    else self.system.config.client.upload_rate_fraction)
         # adversary_slow_factor is 1.0 for honest peers; a slow-loris peer
         # trickles at a tiny fraction of its honest cap, pinning the
         # downloader's connection slot.

@@ -9,7 +9,7 @@ BitTorrent-like swarming protocol pulls verified pieces from peers.
 Mechanics
 ---------
 * Every connection (edge or peer) pulls *batches* of pieces from a shared
-  pool, each batch sized to ~``chunk_target_seconds`` of transfer at the
+  pool, each batch sized to ~``CHUNK_TARGET_SECONDS`` of transfer at the
   connection's observed rate — fast sources naturally deliver more bytes
   and the endgame stays short.
 * Every piece received from a peer is verified against the trusted edge
@@ -48,6 +48,52 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import NetSessionSystem
 
 __all__ = ["Chunk", "DownloadSession", "PeerConnection", "EdgeConnection"]
+
+# --- download engine constants (fixed protocol behaviour, not settings) ---
+#: Work-unit sizing: a connection pulls roughly this many seconds of
+#: transfer (at its estimated rate) per request batch.  Pieces (and their
+#: hashes) stay at PIECE_SIZE; batching only amortises request overhead —
+#: small batches keep work flowing to fast connections and keep the
+#: endgame short.
+CHUNK_TARGET_SECONDS = 90.0
+#: Ceiling on pieces per batch (bounds memory and endgame stalls).
+CHUNK_MAX_PIECES = 32
+#: Pieces in a connection's first batch, before its rate is known.
+CHUNK_INITIAL_PIECES = 2
+#: Maximum simultaneous peer download connections per transfer.
+MAX_PEER_CONNECTIONS = 30
+#: Probability that a NAT-compatible connection attempt still succeeds
+#: (transient network failures eat the rest).
+CONNECT_SUCCESS_PROB = 0.92
+#: Handshake delay range in seconds for a peer connection attempt.
+HANDSHAKE_DELAY = (0.2, 2.0)
+#: Control-plane query round-trip range in seconds.
+QUERY_LATENCY = (0.05, 0.3)
+#: Additional queries issued when too few peer connections succeed (§3.7:
+#: "additional queries are issued until a sufficient number of peer
+#: connections succeed").
+MAX_EXTRA_QUERIES = 3
+
+# --- edge backstop policy --------------------------------------------------
+#: Keep at least one infrastructure connection and size it so that total
+#: throughput reaches this fraction of the client's downlink; when the
+#: peers alone exceed it, the edge connection idles at a trickle.  The
+#: paper's Figure 4 shows peer-assisted downloads running somewhat below
+#: edge-only line rate, i.e. production tolerates a QoS target below 1.0
+#: in exchange for offload.
+EDGE_TARGET_FRACTION = 0.6
+#: Trickle rate (fraction of downlink) for the always-on edge connection.
+EDGE_TRICKLE_FRACTION = 0.02
+#: How often the backstop policy re-evaluates the edge cap, seconds.
+BACKSTOP_INTERVAL = 15.0
+#: Re-apply the edge cap only when it moves by more than this relative
+#: amount (hysteresis; avoids needless rate reallocation).
+BACKSTOP_HYSTERESIS = 0.15
+
+#: Serve rate (bytes/s) below which a closing peer connection counts as a
+#: slow-loris observation for the reputation defense.  Well below honest
+#: back-off rates.
+SLOW_RATE_FLOOR = 4096.0
 
 
 class Chunk:
@@ -257,8 +303,7 @@ class PeerConnection(_Connection):
     def _note_if_slow(self, flow: Flow) -> None:
         """Record a slow-loris observation when a serve ran at a trickle."""
         rate = flow.average_rate()
-        floor = self.session.system.config.defense.slow_rate_floor
-        if 0 < rate < floor:
+        if 0 < rate < SLOW_RATE_FLOOR:
             self.session.note_slow_serve(self.uploader.guid)
 
     def _verify_and_deliver(self, pieces: list[int]) -> None:
@@ -447,19 +492,18 @@ class DownloadSession:
     def take_chunk(self, conn: "_Connection") -> Optional[Chunk]:
         """Hand a batch of pieces to ``conn``, sized to its estimated rate.
 
-        A batch covers roughly ``chunk_target_seconds`` of transfer at the
-        connection's EWMA rate, clamped to ``chunk_max_pieces`` and to at
+        A batch covers roughly ``CHUNK_TARGET_SECONDS`` of transfer at the
+        connection's EWMA rate, clamped to ``CHUNK_MAX_PIECES`` and to at
         most half of the remaining pool — the latter keeps the endgame
         short by never letting one connection monopolise the tail.
         """
         if not self.piece_pool:
             return None
-        cfg = self.system.config.client
         if conn.rate_estimate > 0:
-            k = int(conn.rate_estimate * cfg.chunk_target_seconds / PIECE_SIZE)
+            k = int(conn.rate_estimate * CHUNK_TARGET_SECONDS / PIECE_SIZE)
         else:
-            k = cfg.chunk_initial_pieces
-        k = max(1, min(k, cfg.chunk_max_pieces))
+            k = CHUNK_INITIAL_PIECES
+        k = max(1, min(k, CHUNK_MAX_PIECES))
         if len(self.piece_pool) > 2:
             k = min(k, max(1, len(self.piece_pool) // 2))
         batch, self.piece_pool = self.piece_pool[:k], self.piece_pool[k:]
@@ -525,8 +569,7 @@ class DownloadSession:
     # ---------------------------------------------------------- peer sourcing
 
     def _schedule_query(self) -> None:
-        lo, hi = self.system.config.client.query_latency
-        self.system.sim.schedule(self.rng.uniform(lo, hi), self._run_query)
+        self.system.sim.schedule(self.rng.uniform(*QUERY_LATENCY), self._run_query)
 
     def _run_query(self) -> None:
         if self.state != "active" or not self.p2p_active:
@@ -545,7 +588,6 @@ class DownloadSession:
         self._queries_done += 1
         if self._queries_done == 1:
             self.peers_initially_returned = len(response.candidates)
-        cfg = self.system.config.client
         if not response.candidates:
             if self._recovery_requeries > 0 and self.piece_pool:
                 # Promotion raced the directory repopulating after a
@@ -559,7 +601,7 @@ class DownloadSession:
         self._recovery_requeries = 0
         for cand in response.candidates:
             self._tried_guids.add(cand.guid)
-            delay = self.rng.uniform(*cfg.handshake_delay)
+            delay = self.rng.uniform(*HANDSHAKE_DELAY)
             self._pending_attempts += 1
             self.system.sim.schedule(delay, lambda g=cand.guid: self._attempt_connection(g))
 
@@ -569,7 +611,7 @@ class DownloadSession:
             return
         target = self.system.config.control_plane.target_peer_connections
         live = sum(1 for c in self.peer_conns if not c.closed)
-        if live >= min(target, self.system.config.client.max_peer_connections):
+        if live >= min(target, MAX_PEER_CONNECTIONS):
             return
         uploader = self.system.peer_by_guid.get(guid)
         reachable = (
@@ -579,7 +621,7 @@ class DownloadSession:
             and can_connect(
                 self.peer.nat_profile.true_type, uploader.nat_profile.true_type
             )
-            and self.rng.random() < self.system.config.client.connect_success_prob
+            and self.rng.random() < CONNECT_SUCCESS_PROB
         )
         # The ban check sits *after* the success draw so that sessions with
         # no banned uploaders consume the exact same RNG stream as before
@@ -610,7 +652,7 @@ class DownloadSession:
         target = self.system.config.control_plane.target_peer_connections
         if live >= target or not self.piece_pool:
             return
-        if self._queries_done >= 1 + self.system.config.client.max_extra_queries:
+        if self._queries_done >= 1 + MAX_EXTRA_QUERIES:
             return
         self._schedule_query()
 
@@ -626,17 +668,15 @@ class DownloadSession:
     # --------------------------------------------------------- backstop policy
 
     def _start_backstop(self) -> None:
-        cfg = self.system.config.client
-        if not cfg.edge_backstop_enabled:
+        if not self.system.config.client.edge_backstop_enabled:
             return
         self._backstop_event = self.system.sim.every(
-            cfg.backstop_interval, self._backstop_tick
+            BACKSTOP_INTERVAL, self._backstop_tick
         )
 
     def _backstop_tick(self) -> None:
         if self.state != "active" or self.edge_conn is None:
             return
-        cfg = self.system.config.client
         live = [c.flow for c in self.peer_conns
                 if not c.closed and c.flow is not None and c.flow.active]
         if live:
@@ -644,11 +684,11 @@ class DownloadSession:
             self.system.flows.flush()
         peer_rate = sum(flow.rate for flow in live)
         down = self.peer.link.down_bps
-        target = cfg.edge_target_fraction * down
-        trickle = max(1.0, cfg.edge_trickle_fraction * down)
+        target = EDGE_TARGET_FRACTION * down
+        trickle = max(1.0, EDGE_TRICKLE_FRACTION * down)
         cap = max(trickle, target - peer_rate)
         old = self.edge_cap
-        if old is None or abs(cap - old) > cfg.backstop_hysteresis * old:
+        if old is None or abs(cap - old) > BACKSTOP_HYSTERESIS * old:
             self.edge_conn.set_cap(cap)
         if not self.piece_pool and self.edge_conn.chunk is None:
             self.maybe_steal_for_edge()

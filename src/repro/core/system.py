@@ -223,7 +223,7 @@ class NetSessionSystem:
         self.reputation = None
         if self.config.defense.enabled:
             from repro.adversary.reputation import ReputationEngine
-            self.reputation = ReputationEngine(self.config.defense, seed)
+            self.reputation = ReputationEngine(seed)
             self.reputation.on_quarantine = self._evict_quarantined
             self.reputation.clock = lambda: self.sim.now
             self.reputation.stats = self.defense
@@ -358,7 +358,7 @@ class NetSessionSystem:
         Fault selection and population-wide sweeps draw from this sequence;
         with a columnar store it serves lazy handles, so scanning the
         universe does not materialize anyone.  Falls back to ``all_peers``
-        for systems built without a population (unit tests, the fuzzer).
+        for systems built without a population (unit tests, scripted runs).
         """
         store = self.population_store
         if store is None:

@@ -45,9 +45,8 @@ def planned_configs(name: str, scale: str, seed: int) -> list:
 
     Uses the module's ``configs(scale, seed)`` planner when it defines
     one; the default is the single standard trace at the given scale.
-    Self-contained experiments (those that build bespoke systems inline)
-    declare an empty plan so the prefetch never runs a trace they will
-    not read.
+    Experiments that run no scenario (the managed-swarm model) declare an
+    empty plan so the prefetch never runs a trace they will not read.
     """
     import importlib
 

@@ -17,27 +17,28 @@ the reliability layer:
 
 Links are pinned to fixed speeds (not sampled) so the wave timing is
 insensitive to the broadband mix: the during-blackout downloads are
-provably still in flight when the probes succeed.
+provably still in flight when the probes succeed.  The fleet is a
+:class:`~repro.workload.script.Script`, so the run is an ordinary cached
+scenario.
 """
 
 from __future__ import annotations
 
 from repro.analysis.report import pct, render_table
 from repro.core.config import SystemConfig
-from repro.core.content import ContentObject, ContentProvider
-from repro.core.peer import CacheEntry, PeerNode
-from repro.core.system import NetSessionSystem
-from repro.experiments.common import ExperimentOutput
-from repro.faults.injector import FaultInjector
+from repro.experiments.common import ExperimentOutput, scenario_result
 from repro.faults.spec import ControlPlaneBlackout
-from repro.net.flows import Resource
-from repro.net.links import AccessLink, mbps
+from repro.workload import DAY, ScenarioConfig
+from repro.workload.script import (
+    Script, ScriptObject, Seeders, Wave, wave_records, wave_stats,
+)
 
 MB = 1024 * 1024
 
 #: Blackout window: 10 minutes starting at t=600s.
 FAULT_AT = 600.0
 FAULT_DURATION = 600.0
+HORIZON = 4 * 3600.0
 
 WAVES = ("before", "during", "after")
 #: First download of each wave, seconds (subsequent ones stagger by 30s).
@@ -47,104 +48,74 @@ WAVE_TIMES = {
     "after": FAULT_AT + FAULT_DURATION + 300.0, # control plane healthy again
 }
 
-
-def _pin_link(peer: PeerNode, down_mbps: float, up_mbps: float) -> None:
-    """Replace the sampled access link with a fixed-speed one."""
-    owner = f"pin-{peer.guid[:8]}"
-    peer.link = AccessLink(
-        downlink=Resource(f"{owner}/down", mbps(down_mbps)),
-        uplink=Resource(f"{owner}/up", mbps(up_mbps)),
-        tier="pinned",
-    )
+#: 3 GB at the pinned 20 Mbit/s downlink needs ~20 min edge-only, so a
+#: download started inside the 10-minute blackout is still in flight when
+#: the probes fire.
+RESTORE = ScriptObject("blackoutco/restore.bin", 3 * 1024 * MB, 9002,
+                       "BlackoutCo")
 
 
-
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan: self-contained (builds its own system inline)."""
-    return []
-
-
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
-    """One 10-minute self-recovery blackout against a pinned-link fleet."""
+def _config(scale: str, seed: int) -> ScenarioConfig:
     wave_size = 8 if scale == "standard" else 4
     n_seeders = 24 if scale == "standard" else 12
-
     # A short soft-state TTL makes the seeders' periodic refresh (ttl/3)
     # land inside the blackout window: their refresh RPCs fail, trip the
     # breaker, and the recovery probes re-register them minutes — not
     # hours — after the restore, which is what repopulates the directory
     # for the promoted mid-blackout downloads.
-    config = SystemConfig().with_control_plane(registration_ttl=900.0)
-    system = NetSessionSystem(config=config, seed=seed)
-    cfg = system.config.channel
-    provider = ContentProvider(cp_code=9002, name="BlackoutCo")
-    # 3 GB at the pinned 20 Mbit/s downlink needs ~20 min edge-only, so a
-    # download started inside the 10-minute blackout is still in flight
-    # when the probes fire.
-    obj = ContentObject("blackoutco/restore.bin", 3 * 1024 * MB, provider,
-                        p2p_enabled=True)
-    system.publish(obj)
-
-    country = system.world.by_code["DE"]
-    for _ in range(n_seeders):
-        seeder = system.create_peer(country=country, uploads_enabled=True)
-        _pin_link(seeder, down_mbps=30.0, up_mbps=10.0)
-        seeder.cache[obj.cid] = CacheEntry(obj.cid, completed_at=0.0)
-        seeder.boot()
-
-    blackout = ControlPlaneBlackout(
-        "blackout", start=FAULT_AT, duration=FAULT_DURATION,
-        self_recovery=True,
+    return ScenarioConfig(
+        seed=seed,
+        duration_days=HORIZON / DAY,
+        system=SystemConfig().with_control_plane(registration_ttl=900.0),
+        faults=(ControlPlaneBlackout("blackout", start=FAULT_AT,
+                                     duration=FAULT_DURATION,
+                                     self_recovery=True),),
+        script=Script(
+            objects=(RESTORE,),
+            seeders=(Seeders(n_seeders, RESTORE.url, link=(30.0, 10.0)),),
+            waves=tuple(
+                Wave(wave,
+                     tuple(WAVE_TIMES[wave] + 30.0 * i for i in range(wave_size)),
+                     link=(20.0, 4.0))
+                for wave in WAVES)),
     )
-    injector = FaultInjector(system, (blackout,), seed=seed)
-    injector.arm()
 
-    sessions: dict[str, list] = {w: [] for w in WAVES}
-    downloaders: list[PeerNode] = []
 
-    def start_wave(wave: str, peer: PeerNode) -> None:
-        if peer.online:
-            sessions[wave].append(peer.start_download(obj))
+def configs(scale: str, seed: int) -> list:
+    """Scenario plan: the one scripted blackout run."""
+    return [_config(scale, seed)]
 
-    for wave in WAVES:
-        for i in range(wave_size):
-            peer = system.create_peer(country=country, uploads_enabled=True)
-            _pin_link(peer, down_mbps=20.0, up_mbps=4.0)
-            peer.boot()
-            downloaders.append(peer)
-            system.sim.schedule_at(
-                WAVE_TIMES[wave] + 30.0 * i,
-                lambda w=wave, p=peer: start_wave(w, p),
-            )
 
-    horizon = 4 * 3600.0
-    system.run(until=horizon)
-    system.finalize_open_downloads()
+def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
+    """One 10-minute self-recovery blackout against a pinned-link fleet."""
+    artifact = scenario_result(_config(scale, seed))
+    cfg = artifact.config.system.channel
+    records = wave_records(artifact.script, artifact.logstore)
 
     # ---- recovery latency: probe-driven return after the restore ----------
     restore_t = FAULT_AT + FAULT_DURATION
-    tripped = [p for p in system.all_peers if p.channel.times_degraded > 0]
-    recovered = [p for p in tripped if p.channel.last_recovered_at is not None]
-    lags = [p.channel.last_recovered_at - restore_t for p in recovered]
+    tripped = [(trips, recovered_at) for trips, recovered_at
+               in artifact.script["breakers"].values() if trips > 0]
+    recovered = [at for _, at in tripped if at is not None]
+    lags = [at - restore_t for at in recovered]
     max_lag = max(lags) if lags else 0.0
     all_within_probe = (
         len(recovered) == len(tripped)
         and all(lag <= cfg.probe_interval for lag in lags)
     )
 
-    stats = system.channel_stats
-    during = sessions["during"]
+    stats = artifact.stats.channel
+    during = records["during"]
     promoted_with_peer_bytes = sum(1 for s in during if s.peer_bytes > 0)
 
     rows = []
     metrics: dict[str, float] = {}
     for wave in WAVES:
-        batch = sessions[wave]
-        n = len(batch)
-        completed = sum(1 for s in batch if s.state == "completed")
-        hybrid = sum(1 for s in batch if s.peer_bytes > 0)
-        mean_pf = (sum(s.peer_fraction for s in batch) / n) if n else 0.0
-        rows.append([wave, n, completed, hybrid, pct(mean_pf)])
+        summary = wave_stats(records[wave])
+        n, completed = summary["downloads"], summary["completed"]
+        hybrid = n - summary["edge_only"]
+        rows.append([wave, n, completed, hybrid,
+                     pct(summary["mean_peer_fraction"])])
         metrics[f"{wave}_downloads"] = n
         metrics[f"{wave}_completed"] = completed
         metrics[f"{wave}_hybrid"] = hybrid

@@ -17,72 +17,58 @@ import random
 
 from repro.analysis import pct, render_table
 from repro.analysis.traffic import site_local_share
-from repro.core import ContentObject, ContentProvider, NetSessionSystem
-from repro.experiments.common import ExperimentOutput
+from repro.experiments.common import ExperimentOutput, scenario_result
+from repro.workload import DAY, ScenarioConfig
+from repro.workload.script import Script, ScriptObject, Wave
 
 MB = 1024 * 1024
 HOUR = 3600.0
 
+N_SITES, SITE_SIZE = 5, 16
+UPDATE = ScriptObject("itvendor/update.bin", 800 * MB, 4001, "ITVendor")
 
-def _run_fleet(seed: int, *, with_sites: bool) -> dict[str, float]:
-    from repro.net.lan import LanSite
 
-    system = NetSessionSystem(seed=seed)
-    vendor = ContentProvider(cp_code=4001, name="ITVendor",
-                             upload_default_rate=1.0)
-    update = ContentObject("itvendor/update.bin", 800 * MB, vendor,
-                           p2p_enabled=True)
-    system.publish(update)
-
+def _config(seed: int, *, with_sites: bool) -> ScenarioConfig:
+    """Five offices of 16 machines; IT pushes the update and everyone
+    downloads it within the first hour."""
     rng = random.Random(seed)
-    germany = system.world.by_code["DE"]
-    peers = []
-    site_of_guid: dict[str, str] = {}
-    n_sites, site_size = 5, 16
-    for s in range(n_sites):
-        site = LanSite(f"office-{s}") if with_sites else None
-        for _ in range(site_size):
-            peer = system.create_peer(country=germany, uploads_enabled=True)
-            if site is not None:
-                peer.lan = site
-                site.add_member(peer.guid)
-                site_of_guid[peer.guid] = site.site_id
-            peer.boot()
-            peers.append(peer)
+    starts = [rng.uniform(0.0, HOUR) for _ in range(N_SITES * SITE_SIZE)]
+    waves = tuple(
+        Wave(f"office-{s}", tuple(starts[s * SITE_SIZE:(s + 1) * SITE_SIZE]),
+             lan_site=with_sites)
+        for s in range(N_SITES))
+    return ScenarioConfig(seed=seed, duration_days=10 * HOUR / DAY,
+                          script=Script(objects=(UPDATE,), waves=waves))
 
-    # IT pushes the update: everyone downloads within the first hour.
-    sessions = []
-    for peer in peers:
-        delay = rng.uniform(0.0, HOUR)
-        system.sim.schedule(
-            delay, lambda p=peer: sessions.append(p.start_download(update)))
-    system.run(until=10 * HOUR)
-    system.finalize_open_downloads()
 
-    completed = [r for r in system.logstore.downloads
+def _fleet(seed: int, *, with_sites: bool) -> dict[str, float]:
+    artifact = scenario_result(_config(seed, with_sites=with_sites))
+    site_of_guid = {guid: site
+                    for site, guids in artifact.script["sites"].items()
+                    for guid in guids}
+    completed = [r for r in artifact.logstore.downloads
                  if r.outcome == "completed"]
     durations = sorted(r.ended_at - r.started_at for r in completed)
     median = durations[len(durations) // 2] if durations else 0.0
     edge = sum(r.edge_bytes for r in completed)
     peer_bytes = sum(r.peer_bytes for r in completed)
     return {
-        "completed": len(completed) / len(peers),
+        "completed": len(completed) / (N_SITES * SITE_SIZE),
         "median_minutes": median / 60.0,
         "offload": peer_bytes / (edge + peer_bytes) if edge + peer_bytes else 0.0,
-        "site_local": site_local_share(system.logstore, site_of_guid),
+        "site_local": site_local_share(artifact.logstore, site_of_guid),
     }
 
 
-
 def configs(scale: str, seed: int) -> list:
-    """Scenario plan: self-contained (builds its own system inline)."""
-    return []
+    """Scenario plan: the push with and without LAN sites."""
+    return [_config(seed, with_sites=True), _config(seed, with_sites=False)]
 
 
 def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
     """Compare the fleet-update push with and without LAN sites."""
-    with_lan = _run_fleet(seed, with_sites=True)
-    without = _run_fleet(seed, with_sites=False)
+    with_lan = _fleet(seed, with_sites=True)
+    without = _fleet(seed, with_sites=False)
     rows = [
         ("LAN sites", pct(with_lan["completed"]),
          f"{with_lan['median_minutes']:.1f} min",

@@ -10,16 +10,14 @@ The subsystem has four layers:
 * :mod:`repro.faults.metrics` — recovery gauges (time-to-reconnect,
   RE-ADD convergence);
 * :mod:`repro.faults.scenarios` / :mod:`repro.faults.drill` — the named
-  scenario library and the compact drill harness behind
-  ``python -m repro faults``.
+  scenario library and the drill config behind ``python -m repro faults``.
 
 Trace-level impact analysis lives with the other analyses, in
 :mod:`repro.analysis.faults`.
 """
 
 from repro.faults.drill import (
-    DrillReport, DrillRequest, PortableDrillReport, run_drill,
-    run_drill_portable,
+    DrillReport, drill_config, drill_report, run_drill,
 )
 from repro.faults.injector import FaultInjector, InjectionEvent
 from repro.faults.metrics import FaultRecovery, RecoveryTracker
@@ -42,6 +40,5 @@ __all__ = [
     "FaultInjector", "InjectionEvent",
     "FaultRecovery", "RecoveryTracker",
     "SCENARIOS", "build_scenario", "scenario_names",
-    "DrillReport", "DrillRequest", "PortableDrillReport",
-    "run_drill", "run_drill_portable",
+    "DrillReport", "drill_config", "drill_report", "run_drill",
 ]

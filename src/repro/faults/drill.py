@@ -1,40 +1,46 @@
 """A compact, fully deterministic fault drill: one scenario, one report.
 
 The drill is the operational counterpart of the fault-matrix experiment:
-a small population with warm seeders, three waves of downloads placed
-*before*, *during*, and *after* the fault window of a named scenario from
-the library, and a report that shows the §3.8 robustness story end to
-end — what completed, what fell back to edge-only delivery, and how fast
-the control plane healed.
+warm seeders, three waves of downloads placed *before*, *during*, and
+*after* the fault window of a named scenario from the library, and a
+report that shows the §3.8 robustness story end to end — what completed,
+what fell back to edge-only delivery, and how fast the control plane
+healed.
 
-Everything runs on simulated time from seeded RNGs, so the same
-``(scenario, seed)`` produces byte-identical report text on every run —
-that property is what makes the drill usable as a regression harness
-(``python -m repro faults --scenario control_plane_blackout --seed 42``).
+:func:`drill_config` writes the drill as a scripted
+:class:`~repro.workload.scenario.ScenarioConfig`, which runs through
+:func:`repro.runner.run_scenario_artifact` like any scenario;
+:func:`drill_report` renders the artifact.  The same ``(scenario, seed)``
+prints byte-identical text on every run, in any process — which makes the
+drill a regression harness (``python -m repro faults --seed 42``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.analysis.report import pct, render_audit, render_table
 from repro.core.config import InvariantConfig, SystemConfig
-from repro.core.content import ContentObject, ContentProvider
-from repro.core.peer import CacheEntry, PeerNode
-from repro.core.swarm import DownloadSession
-from repro.core.system import NetSessionSystem
-from repro.faults.injector import FaultInjector, InjectionEvent
-from repro.faults.metrics import FaultRecovery, adversary_metrics
+from repro.faults.metrics import FaultRecovery
 from repro.faults.scenarios import DEFENSE_SCENARIOS, build_scenario
+from repro.workload.population import DAY
+from repro.workload.script import (
+    Script, ScriptObject, Seeders, Wave, wave_records, wave_stats,
+)
 
-__all__ = ["DrillReport", "DrillRequest", "PortableDrillReport",
-           "adversary_metrics", "run_drill", "run_drill_portable"]
+if TYPE_CHECKING:
+    from repro.workload.scenario import ScenarioConfig
+
+__all__ = ["DrillReport", "drill_config", "drill_report", "run_drill"]
 
 MB = 1024 * 1024
 
-#: The drill's waves: label -> when downloads start, relative to the fault
-#: window (fractions of the hold period; see :func:`run_drill`).
+#: The drill's waves, relative to the fault window (see :func:`drill_config`).
 WAVES = ("before", "during", "after")
+
+#: The one object the drill's seeders hold and its waves download.
+DRILL_OBJECT = ScriptObject("drillco/drill.bin", 300 * MB, 9001, "DrillCo")
 
 
 @dataclass
@@ -43,10 +49,11 @@ class DrillReport:
 
     scenario: str
     seed: int
-    timeline: list[InjectionEvent]
+    #: Injection timeline, one rendered line per apply/revert.
+    timeline: list[str]
     recoveries: list[FaultRecovery]
-    #: wave -> list of finished sessions (state inspected post-run).
-    sessions: dict[str, list[DownloadSession]] = field(default_factory=dict)
+    #: wave -> outcome summary (see :func:`repro.workload.script.wave_stats`).
+    waves: dict[str, dict] = field(default_factory=dict)
     #: End-of-run control-channel robustness counters (retries, timeouts,
     #: breaker trips, degraded-seconds, time-to-recover, promotions).
     channel: dict[str, float] = field(default_factory=dict)
@@ -61,28 +68,14 @@ class DrillReport:
 
     def wave_stats(self, wave: str) -> dict[str, float]:
         """Outcome summary for one wave of downloads."""
-        sessions = self.sessions.get(wave, [])
-        n = len(sessions)
-        if n == 0:
-            return {"downloads": 0, "completed": 0, "completion_rate": 0.0,
-                    "edge_only": 0, "mean_peer_fraction": 0.0}
-        completed = sum(1 for s in sessions if s.state == "completed")
-        edge_only = sum(1 for s in sessions if s.peer_bytes == 0)
-        mean_pf = sum(s.peer_fraction for s in sessions) / n
-        return {
-            "downloads": n,
-            "completed": completed,
-            "completion_rate": completed / n,
-            "edge_only": edge_only,
-            "mean_peer_fraction": mean_pf,
-        }
+        return self.waves.get(wave) or wave_stats([])
 
     def as_json(self) -> dict:
         """Machine-readable view of the drill (``repro faults --json``)."""
         return {
             "scenario": self.scenario,
             "seed": self.seed,
-            "timeline": [str(e) for e in self.timeline],
+            "timeline": list(self.timeline),
             "waves": {wave: self.wave_stats(wave) for wave in WAVES},
             "recoveries": [
                 {
@@ -114,7 +107,7 @@ def _render(report: DrillReport) -> str:
         "injection timeline",
         "------------------",
     ]
-    lines.extend(str(e) for e in report.timeline)
+    lines.extend(report.timeline)
     rows = []
     for wave in WAVES:
         stats = report.wave_stats(wave)
@@ -171,7 +164,7 @@ def _render(report: DrillReport) -> str:
     return "\n".join(lines)
 
 
-def run_drill(
+def drill_config(
     scenario: str = "control_plane_blackout",
     seed: int = 42,
     *,
@@ -181,130 +174,77 @@ def run_drill(
     fault_duration: float = 3600.0,
     horizon: float = 12 * 3600.0,
     invariants: InvariantConfig | None = None,
-) -> DrillReport:
-    """Run one scenario against a compact system and report the outcome.
+) -> ScenarioConfig:
+    """The drill of one library scenario, as a scripted config.
 
-    Three waves of ``wave_size`` downloads each start before the fault
-    (in flight when it hits), inside the fault window (these see the
-    degraded system from their first byte), and after recovery begins.
+    Three waves of ``wave_size`` downloads, 15 s apart, start before the
+    fault (in flight when it hits), inside the fault window (these see the
+    degraded system from their first byte), and 15 minutes after it ends.
+    A wave that would start at or past ``horizon`` raises ``ValueError``:
+    it would report an empty wave instead of an outcome.
 
     ``invariants`` overrides the audit layer's configuration — the strict
     fault-matrix tests pass ``InvariantConfig(mode="strict")`` so a drill
     doubles as a conservation-law regression; the default inherits the
-    usual env-resolved observe mode.  The end-of-run audit summary (and
-    any recorded violations) lands in ``DrillReport.invariants``.
+    usual env-resolved observe mode.
     """
-    config = SystemConfig() if invariants is None \
+    # Imported here: the workload layer imports the fault injector, so
+    # this package loads before the scenario module can.
+    from repro.workload.scenario import ScenarioConfig
+
+    system = SystemConfig() if invariants is None \
         else SystemConfig(invariants=invariants)
     if scenario in DEFENSE_SCENARIOS:
         # Adversarial scenarios are pointless without the thing they test;
         # every other scenario keeps the defaults-off config (and therefore
         # its byte-identical pre-defense baseline).
-        config = config.with_defense(enabled=True)
-    system = NetSessionSystem(config, seed=seed)
-    provider = ContentProvider(cp_code=9001, name="DrillCo")
-    obj = ContentObject("drillco/drill.bin", 300 * MB, provider, p2p_enabled=True)
-    system.publish(obj)
-
-    country = system.world.by_code["DE"]
-    for _ in range(n_seeders):
-        seeder = system.create_peer(country=country, uploads_enabled=True)
-        seeder.cache[obj.cid] = CacheEntry(obj.cid, completed_at=0.0)
-        seeder.boot()
-
-    specs = build_scenario(scenario, at=fault_at, duration=fault_duration)
-    injector = FaultInjector(system, specs, seed=seed)
-    injector.arm()
-
-    sessions: dict[str, list[DownloadSession]] = {w: [] for w in WAVES}
-    wave_times = {
+        system = system.with_defense(enabled=True)
+    faults = build_scenario(scenario, at=fault_at, duration=fault_duration)
+    first = {
         "before": fault_at * 0.5,
         "during": fault_at + 0.25 * fault_duration,
         "after": fault_at + fault_duration + 900.0,
     }
+    waves = tuple(
+        Wave(wave, tuple(first[wave] + 15.0 * i for i in range(wave_size)))
+        for wave in WAVES)
+    late = [w.label for w in waves if w.starts and w.starts[-1] >= horizon]
+    if late:
+        raise ValueError(
+            f"drill wave(s) {', '.join(late)} start at or past the "
+            f"{horizon:.0f}s horizon; shorten --at/--duration")
+    return ScenarioConfig(
+        seed=seed,
+        duration_days=horizon / DAY,
+        system=system,
+        faults=faults,
+        script=Script(objects=(DRILL_OBJECT,),
+                      seeders=(Seeders(n_seeders, DRILL_OBJECT.url),),
+                      waves=waves),
+    )
 
-    def start_wave(wave: str, peer: PeerNode) -> None:
-        # A churned peer may be offline right now; its wave slot is skipped
-        # rather than rescheduled, keeping the timeline trivially replayable.
-        if not peer.online:
-            return
-        sessions[wave].append(peer.start_download(obj))
 
-    for wave in WAVES:
-        for i in range(wave_size):
-            peer = system.create_peer(country=country, uploads_enabled=True)
-            peer.boot()
-            system.sim.schedule_at(
-                wave_times[wave] + 15.0 * i,
-                lambda w=wave, p=peer: start_wave(w, p),
-            )
-
-    system.run(until=horizon)
-    system.finalize_open_downloads()
-    violations = system.audit(final=True)
-
+def drill_report(scenario: str, artifact) -> DrillReport:
+    """Render a finished drill's :class:`~repro.runner.ScenarioArtifact`."""
+    records = wave_records(artifact.script, artifact.logstore)
     report = DrillReport(
         scenario=scenario,
-        seed=seed,
-        timeline=list(injector.timeline),
-        recoveries=[injector.recoveries[s.name] for s in injector.specs
-                    if s.name in injector.recoveries],
-        sessions=sessions,
-        channel=system.channel_stats.as_dict(),
-        invariants=system.auditor.stats.summary(
-            v.as_dict() for v in violations),
-        adversary=adversary_metrics(system),
+        seed=artifact.config.seed,
+        timeline=list(artifact.timeline),
+        recoveries=list(artifact.recoveries),
+        waves={wave: wave_stats(batch) for wave, batch in records.items()},
+        channel=artifact.stats.channel.as_dict(),
+        invariants=artifact.audit_report(),
+        adversary=artifact.adversary,
     )
     report.text = _render(report)
     return report
 
 
-@dataclass(frozen=True)
-class DrillRequest:
-    """One drill, fully specified — the process-pool work unit.
+def run_drill(scenario: str = "control_plane_blackout", seed: int = 42,
+              **options) -> DrillReport:
+    """Run one scenario's drill (options as :func:`drill_config`)."""
+    from repro.runner import run_scenario_artifact
 
-    A frozen value object so ``repro faults --all --jobs N`` can ship the
-    whole scenario library across a process pool; the worker rebuilds the
-    drill from the request alone (all RNGs are seeded from it).
-    """
-
-    scenario: str
-    seed: int = 42
-    fault_at: float = 600.0
-    fault_duration: float = 3600.0
-
-
-@dataclass(frozen=True)
-class PortableDrillReport:
-    """The picklable face of a :class:`DrillReport`.
-
-    A live report holds finished :class:`DownloadSession` objects (wired
-    into the simulated system, unpicklable by design); workers return this
-    projection instead — the rendered text plus the machine-readable view,
-    which is everything the CLI and CI artifacts consume.
-    """
-
-    scenario: str
-    seed: int
-    text: str
-    data: dict
-
-
-def run_drill_portable(request: DrillRequest) -> PortableDrillReport:
-    """Process-pool entry point: run one drill, return its portable report.
-
-    Deterministic from the request alone, so scenario-parallel drills
-    print byte-identical reports regardless of job count or worker RNG
-    state (the runner test layer enforces the same property for
-    scenarios).
-    """
-    report = run_drill(
-        request.scenario, request.seed,
-        fault_at=request.fault_at, fault_duration=request.fault_duration,
-    )
-    return PortableDrillReport(
-        scenario=request.scenario,
-        seed=request.seed,
-        text=report.text,
-        data=report.as_json(),
-    )
+    config = drill_config(scenario, seed, **options)
+    return drill_report(scenario, run_scenario_artifact(config))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.control.channel import ALL_STATES, DEGRADED, HEALTHY, PROBING
+from repro.core.peer import BACKOFF_RATE_FRACTION
 from repro.net.nat import DEFAULT_NAT_MIX, NATType, can_connect
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -387,20 +388,20 @@ def check_accounting_ledger(system: "NetSessionSystem", report: Report) -> None:
     "scores clamped, states legal, no quarantined peer ever selected",
 )
 def check_reputation_bounds(system: "NetSessionSystem", report: Report) -> None:
-    from repro.adversary.reputation import GOOD, PROBATION, QUARANTINED
+    from repro.adversary.reputation import (
+        GOOD, PROBATION, QUARANTINED, SCORE_MAX, SCORE_MIN,
+    )
 
     engine = system.reputation
     if engine is None:
         return
-    cfg = engine.config
     legal = {GOOD, PROBATION, QUARANTINED}
     for guid, entry in engine.entries():
         subject = f"reputation:{guid[:8]}"
         # Decay only shrinks magnitude, so the clamp bound holds lazily too.
-        if not cfg.score_min - _ABS <= entry.score <= cfg.score_max + _ABS:
+        if not SCORE_MIN - _ABS <= entry.score <= SCORE_MAX + _ABS:
             report("error", subject,
-                   f"score {entry.score:.3f} outside "
-                   f"[{cfg.score_min}, {cfg.score_max}]")
+                   f"score {entry.score:.3f} outside [{SCORE_MIN}, {SCORE_MAX}]")
         if entry.state not in legal:
             report("error", subject, f"illegal state {entry.state!r}")
         if entry.state == QUARANTINED and entry.quarantines < 1:
@@ -468,7 +469,7 @@ def check_device_budgets(system: "NetSessionSystem", report: Report) -> None:
         # and the tier's uplink budget.  Every live upload flow must obey
         # it — a cap implementation that forgets the device term fails here
         # within one audit interval.
-        fraction = (client.backoff_rate_fraction if peer.link_busy
+        fraction = (BACKOFF_RATE_FRACTION if peer.link_busy
                     else client.upload_rate_fraction)
         cap = fraction * peer.link.up_bps * peer.adversary_slow_factor
         if device.uplink_cap_bps is not None:

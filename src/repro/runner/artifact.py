@@ -76,6 +76,11 @@ class ScenarioArtifact:
     #: ``census`` (class name -> install count) and ``classes``
     #: (guid -> class name, for per-class byte attribution).
     devices: dict = field(default_factory=dict)
+    #: Scripted-cast record ({} for synthetic runs; see
+    #: :meth:`repro.workload.script.ScriptCast.record`): ``waves`` (label ->
+    #: guids), ``sites`` (LAN site -> guids) and ``breakers`` (guid ->
+    #: breaker trips and last recovery time).
+    script: dict = field(default_factory=dict)
 
     @property
     def invariants(self):
@@ -123,11 +128,12 @@ def artifact_from_result(
         violations=tuple(v.as_dict() for v in result.system.auditor.report()),
         adversary=adversary_metrics(result.system),
         devices=_device_record(result),
+        script=result.script.record() if result.script is not None else {},
     )
 
 
 def _device_record(result: ScenarioResult) -> dict:
-    if result.config.population.device is None:
+    if result.population is None or result.config.population.device is None:
         return {}
     population = result.population
     return {

@@ -36,6 +36,7 @@ from repro.workload.demand import DemandConfig, DemandGenerator
 from repro.vod.config import VodConfig
 from repro.workload.mobility import MobilityConfig, MobilityModel
 from repro.workload.population import DAY, Population, PopulationConfig, build_population
+from repro.workload.script import Script, ScriptCast
 from repro.workload.sharding import ShardingConfig
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario"]
@@ -95,6 +96,23 @@ class ScenarioConfig:
     #: peer efficiency for the whole first half of the trace.  Copies are
     #: assigned popularity-proportionally across p2p-enabled objects.
     warm_copies_per_peer: float = 4.0
+    #: Scripted demand (see :mod:`repro.workload.script`).  None (the
+    #: default) builds the synthetic trace; a script replaces the catalog,
+    #: population, warm caches, behaviour, mobility, cloning and demand
+    #: with its hand-placed cast.  The blocks that need a population
+    #: (sharding, vod, adversary, placement) are rejected alongside it.
+    script: Script | None = None
+
+    def __post_init__(self):
+        if self.script is None:
+            return
+        clash = [name for name in ("sharding", "vod", "adversary", "placement")
+                 if getattr(self, name) is not None]
+        if self.predictive_placement:
+            clash.append("predictive_placement")
+        if clash:
+            raise ValueError(f"a scripted scenario has no population for "
+                             f"{', '.join(clash)}")
 
     def resolved_demand(self) -> DemandConfig:
         """The demand config, defaulting the duration to the scenario's."""
@@ -109,9 +127,10 @@ class ScenarioResult:
 
     config: ScenarioConfig
     system: NetSessionSystem
-    population: Population
-    catalog: Catalog
-    behavior: UserBehavior
+    #: The synthetic cast; None for a scripted run.
+    population: Population | None
+    catalog: Catalog | None
+    behavior: UserBehavior | None
     mobility_census: dict[str, int]
     cloning_census: dict[str, int]
     finalized_downloads: int
@@ -121,6 +140,8 @@ class ScenarioResult:
     #: The VoD attachment, when the config enabled streaming (else None);
     #: see :class:`repro.vod.engine.VodRuntime`.
     vod_runtime: object | None = None
+    #: The scripted cast, when the config carried a script (else None).
+    script: ScriptCast | None = None
 
     @property
     def logstore(self) -> LogStore:
@@ -203,7 +224,8 @@ def run_scenario(
     world: World | None = None,
     topology: ASTopology | None = None,
 ) -> ScenarioResult:
-    """Build, run, and finalize one synthetic trace.
+    """Build, run, and finalize one trace: synthetic, or the config's
+    scripted cast (see :mod:`repro.workload.script`).
 
     ``world``/``topology`` override the internally built ones; the region
     sharder passes a region-filtered world over the full parent topology so
@@ -223,42 +245,53 @@ def run_scenario(
         locality_aware_selection=cfg.locality_aware_selection,
     )
 
-    catalog = build_catalog(random.Random(cfg.seed ^ 0xCA7), cfg.catalog)
-    for provider in catalog.providers:
-        system.register_provider(provider)
-    for obj in catalog.objects:
-        system.publish(obj)
+    cast = None
+    if cfg.script is None:
+        catalog = build_catalog(random.Random(cfg.seed ^ 0xCA7), cfg.catalog)
+        for provider in catalog.providers:
+            system.register_provider(provider)
+        for obj in catalog.objects:
+            system.publish(obj)
 
-    population = build_population(system, catalog.providers, cfg.population,
-                                  cfg.duration_days)
-    seed_warm_caches(system, population, catalog, cfg.warm_copies_per_peer,
-                     random.Random(cfg.seed ^ 0x5EED), cfg.duration_days)
+        population = build_population(system, catalog.providers, cfg.population,
+                                      cfg.duration_days)
+        seed_warm_caches(system, population, catalog, cfg.warm_copies_per_peer,
+                         random.Random(cfg.seed ^ 0x5EED), cfg.duration_days)
 
-    if cfg.adversary is not None:
-        # After warm caches (so stale-advertiser peers have something to go
-        # stale on) and from a dedicated string-seeded RNG, so the honest
-        # peers' streams are untouched.
-        assign_adversaries(population, cfg.adversary, cfg.seed,
-                           truth=system.adversary_truth)
+        if cfg.adversary is not None:
+            # After warm caches (so stale-advertiser peers have something
+            # to go stale on) and from a dedicated string-seeded RNG, so the
+            # honest peers' streams are untouched.
+            assign_adversaries(population, cfg.adversary, cfg.seed,
+                               truth=system.adversary_truth)
 
-    behavior = UserBehavior(system, cfg.behavior)
-    behavior.schedule_setting_changes(population, cfg.duration_days)
-    behavior.schedule_link_busy_periods(population, cfg.duration_days)
+        behavior = UserBehavior(system, cfg.behavior)
+        behavior.schedule_setting_changes(population, cfg.duration_days)
+        behavior.schedule_link_busy_periods(population, cfg.duration_days)
 
-    mobility = MobilityModel(system, cfg.mobility)
-    mobility_census = mobility.apply(population, cfg.duration_days)
+        mobility = MobilityModel(system, cfg.mobility)
+        mobility_census = mobility.apply(population, cfg.duration_days)
 
-    cloning = CloningModel(system, cfg.cloning)
-    cloning_census = cloning.apply(population, cfg.duration_days)
+        cloning = CloningModel(system, cfg.cloning)
+        cloning_census = cloning.apply(population, cfg.duration_days)
 
-    demand = DemandGenerator(system, population, catalog, cfg.resolved_demand())
-    demand.on_session_started = behavior.attach
-    demand.schedule_all()
+        demand = DemandGenerator(system, population, catalog, cfg.resolved_demand())
+        demand.on_session_started = behavior.attach
+        demand.schedule_all()
+    else:
+        # Seeders boot before the faults arm and the waves after: timers
+        # that tie at one instant fire seeders, faults, waves, in that
+        # order, which the drill reports depend on.
+        cast = ScriptCast(system, cfg.script)
+        catalog = population = behavior = None
+        mobility_census, cloning_census = {}, {}
 
     injector = None
     if cfg.faults:
         injector = FaultInjector(system, cfg.faults, seed=cfg.seed ^ 0xFA17)
         injector.arm()
+    if cast is not None:
+        cast.launch()
 
     if cfg.predictive_placement or cfg.placement is not None:
         from repro.core.placement import PredictivePlacer
@@ -295,4 +328,5 @@ def run_scenario(
         finalized_downloads=finalized,
         injector=injector,
         vod_runtime=vod_runtime,
+        script=cast,
     )

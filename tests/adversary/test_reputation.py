@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import DefenseConfig
+import repro.adversary.reputation as rep
 from repro.adversary.reputation import (
     GOOD, PROBATION, QUARANTINED, ReputationEngine,
 )
@@ -12,8 +12,8 @@ from repro.adversary.reputation import (
 MB = 1024 * 1024
 
 
-def engine(seed: int = 7, **overrides) -> ReputationEngine:
-    return ReputationEngine(DefenseConfig(enabled=True, **overrides), seed)
+def engine(seed: int = 7) -> ReputationEngine:
+    return ReputationEngine(seed)
 
 
 class TestScoring:
@@ -25,23 +25,22 @@ class TestScoring:
     def test_penalties_cost_score(self):
         e = engine()
         e.observe("g", 0.0, corrupted_pieces=1, refusals=2, slow_serves=1)
-        cfg = e.config
-        expected = -(cfg.corruption_penalty + 2 * cfg.refusal_penalty
-                     + cfg.slow_penalty)
+        expected = -(rep.CORRUPTION_PENALTY + 2 * rep.REFUSAL_PENALTY
+                     + rep.SLOW_PENALTY)
         assert e.score("g", 0.0) == pytest.approx(expected, abs=1e-3)
 
     def test_score_decays_with_half_life(self):
         e = engine()
         e.observe("g", 0.0, delivered_bytes=8 * MB)
-        later = e.score("g", e.config.decay_half_life)
+        later = e.score("g", rep.DECAY_HALF_LIFE)
         assert later == pytest.approx(4.0, abs=1e-3)
 
     def test_score_clamped_at_both_ends(self):
         e = engine()
         e.observe("hero", 0.0, delivered_bytes=10_000 * MB)
-        assert e.score("hero", 0.0) == e.config.score_max
+        assert e.score("hero", 0.0) == rep.SCORE_MAX
         e.observe("villain", 0.0, corrupted_pieces=1_000)
-        assert e.score("villain", 0.0) == e.config.score_min
+        assert e.score("villain", 0.0) == rep.SCORE_MIN
 
     def test_initial_jitter_is_tiny_and_deterministic(self):
         a, b = engine(seed=3), engine(seed=3)
@@ -81,14 +80,14 @@ class TestStateMachine:
     def test_admits_refuses_during_quarantine_window(self):
         e = engine()
         e.observe("g", 0.0, corrupted_pieces=2)
-        inside = e.config.probation_interval - 1.0
+        inside = rep.PROBATION_INTERVAL - 1.0
         assert not e.admits("g", inside)
         assert e.peers["g"].state == QUARANTINED
 
     def test_probation_after_interval_then_good_on_contribution(self):
         e = engine()
         e.observe("g", 0.0, corrupted_pieces=2)
-        after = e.config.probation_interval + 1.0
+        after = rep.PROBATION_INTERVAL + 1.0
         assert e.admits("g", after)
         assert e.peers["g"].state == PROBATION
         assert e.stats.probations == 1
@@ -99,9 +98,9 @@ class TestStateMachine:
     def test_probation_reoffense_requarantines(self):
         e = engine()
         e.observe("g", 0.0, corrupted_pieces=2)
-        after = e.config.probation_interval + 1.0
+        after = rep.PROBATION_INTERVAL + 1.0
         e.admits("g", after)
-        # probation_score is -5: one corrupted piece (-8) crosses -10 again.
+        # PROBATION_SCORE is -5: one corrupted piece (-8) crosses -10 again.
         assert e.observe("g", after, corrupted_pieces=1) == QUARANTINED
         assert e.stats.quarantines == 2
 

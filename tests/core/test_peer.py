@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import NetSessionSystem
-from repro.core.peer import CacheEntry
+from repro.core.peer import BACKOFF_RATE_FRACTION, CacheEntry
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ class TestUploadSlots:
         peer.set_link_busy(True)
         backoff = peer.upload_rate_cap()
         assert backoff == pytest.approx(
-            normal * cfg.backoff_rate_fraction / cfg.upload_rate_fraction)
+            normal * BACKOFF_RATE_FRACTION / cfg.upload_rate_fraction)
         peer.set_link_busy(False)
         assert peer.upload_rate_cap() == pytest.approx(normal)
 

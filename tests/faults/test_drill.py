@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.runner.artifact as artifact_module
 from repro.experiments import exp_fault_matrix
-from repro.faults import run_drill
+from repro.faults import drill_config, run_drill
 from repro.workload import ScenarioConfig, run_scenario
 from repro.workload.scenario import PopulationConfig
 from repro.workload.catalog import CatalogConfig
@@ -32,9 +33,14 @@ class TestDrill:
         assert rec.time_to_reconnect is not None
         assert rec.re_add_convergence is not None
 
-    def test_report_text_is_byte_identical_across_runs(self):
+    def test_report_text_is_byte_identical_across_runs(self, monkeypatch):
+        runs = []
+        real = artifact_module.run_scenario
+        monkeypatch.setattr(artifact_module, "run_scenario",
+                            lambda config: runs.append(config) or real(config))
         a = run_drill("control_plane_blackout", seed=42)
         b = run_drill("control_plane_blackout", seed=42)
+        assert len(runs) == 2  # simulated twice: no memo in between
         assert a.text == b.text
         assert a.text  # non-empty, renderable
 
@@ -50,6 +56,27 @@ class TestDrill:
     def test_wave_stats_empty_wave(self):
         report = run_drill("dn_wipe", seed=3)
         assert report.wave_stats("nonexistent")["downloads"] == 0
+
+    def test_wave_past_the_horizon_is_rejected(self):
+        # The after wave would start at 600 + 45000 + 900 s, past the
+        # 12 h horizon: an error, not an empty wave.
+        with pytest.raises(ValueError, match="after.*horizon"):
+            drill_config("control_plane_blackout", 42, fault_duration=45000.0)
+        # The last start (not the first) decides.
+        with pytest.raises(ValueError, match="after"):
+            drill_config("dn_wipe", 42, fault_at=600.0,
+                         fault_duration=3600.0, horizon=5100.0 + 30.0)
+        drill_config("dn_wipe", 42, fault_at=600.0, fault_duration=3600.0,
+                     horizon=5100.0 + 45.0 + 1.0)
+
+    def test_drill_is_a_scripted_config(self):
+        config = drill_config("cn_flap", 5, wave_size=2)
+        assert config.script is not None
+        assert [w.label for w in config.script.waves] == \
+            ["before", "during", "after"]
+        assert config.script.waves[1].starts == (1500.0, 1515.0)
+        assert config.duration_days == 0.5
+        assert config.faults
 
 
 class TestWorkloadIntegration:

@@ -157,7 +157,7 @@ class TestBrokenDeviceBudget:
 
         def broken(self):
             cfg = self.system.config.client
-            fraction = (cfg.backoff_rate_fraction if self.link_busy
+            fraction = (peer_mod.BACKOFF_RATE_FRACTION if self.link_busy
                         else cfg.upload_rate_fraction)
             return max(1.0, fraction * self.link.up_bps
                        * self.adversary_slow_factor)

@@ -51,7 +51,7 @@ def test_strict_drill_clean_full_matrix(name):
 def test_rolling_upgrade_warnings_do_not_fail_strict():
     # The upgrade leaves stale CN connected-table entries behind — the
     # tolerated soft-state drift the severity model exists for.
-    report = run_drill("rolling_upgrade", 42, invariants=STRICT)
+    report = run_drill("rolling_upgrade", 3, invariants=STRICT)
     assert report.invariants["errors"] == 0
     assert report.invariants["warnings"] > 0
 

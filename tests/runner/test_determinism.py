@@ -107,10 +107,16 @@ def test_fuzz_seed_runs_identically_in_a_worker():
 
 
 def test_drill_report_identical_across_the_pool():
-    from repro.faults import DrillRequest, run_drill_portable
+    """A drill is a scripted config: pool workers reproduce its artifact
+    (records, counters, script record) and therefore its report."""
+    from repro.faults import drill_config, drill_report
 
-    request = DrillRequest(scenario="dn_wipe", seed=7, fault_duration=600.0)
-    parent = run_drill_portable(request)
-    pooled = parallel_map(run_drill_portable, [request, request], jobs=2)
-    assert pooled[0].text == parent.text
-    assert pooled[1].data == parent.data
+    config = drill_config("dn_wipe", 7, fault_duration=600.0)
+    parent = run_scenario_artifact(config)
+    text = drill_report("dn_wipe", parent).text
+    for worker in parallel_map(run_scenario_artifact, [config, config], jobs=2):
+        assert worker.fingerprint == parent.fingerprint
+        assert record_digest(worker) == record_digest(parent)
+        assert event_digest(worker) == event_digest(parent)
+        assert worker.script == parent.script
+        assert drill_report("dn_wipe", worker).text == text

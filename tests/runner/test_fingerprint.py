@@ -18,6 +18,7 @@ from repro.core.placement import PlacementConfig
 from repro.faults.scenarios import build_scenario
 from repro.vod import VodConfig
 from repro.workload.devices import default_mix
+from repro.workload.script import Script, ScriptObject, Seeders, Wave
 from repro.workload.sharding import ShardingConfig
 from repro.runner import (
     CACHE_SCHEMA_VERSION, cache_namespace, canonicalize, code_fingerprint,
@@ -27,6 +28,11 @@ from repro.runner import (
 from tests.runner.conftest import tiny_config
 
 pytestmark = pytest.mark.runner
+
+#: A small scripted cast: one object, one seeder group, one wave.
+SCRIPT = Script(objects=(ScriptObject("co/file.bin", 1000, 7, "Co"),),
+                seeders=(Seeders(2, "co/file.bin"),),
+                waves=(Wave("wave", (10.0, 20.0)),))
 
 
 # --------------------------------------------------- exhaustive field sweep
@@ -59,6 +65,10 @@ def _candidates(value, name):
         return [default_mix()]
     if name == "placement":  # Optional[PlacementConfig]; None = defaults
         return [PlacementConfig(copies_target=3)]
+    if name == "script":  # Optional[Script]; None = synthetic population
+        return [SCRIPT]
+    if name == "link":  # Optional pinned (down, up) Mbit/s
+        return [(10.0, 1.0)]
     if name == "profile_mix":  # fixed-length weight vector (one per profile)
         return [(value[0] + 1.0,) + tuple(value[1:])]
     if value is None:  # Optional[float] knobs (egress caps, overrides)
@@ -101,6 +111,13 @@ def _dataclass_mutations(obj, path=""):
 def _all_config_mutations(config):
     for name, mutant in _dataclass_mutations(config):
         yield name, mutant
+
+
+def _block_mutations(base, block: str):
+    """The sweep scoped to one optional block's subtree (the top-level
+    sweep can't reach it: the default is None)."""
+    for name, inner in _dataclass_mutations(getattr(base, block), f"{block}."):
+        yield name, dataclasses.replace(base, **{block: inner})
 
 
 def test_every_field_of_the_config_tree_changes_the_fingerprint():
@@ -149,9 +166,7 @@ def test_every_vod_knob_is_a_cache_key():
     base_fp = fingerprint_config(base)
     seen = {base_fp}
     count = 0
-    for name, mutant in _dataclass_mutations(base):
-        if not name.startswith("vod."):
-            continue
+    for name, mutant in _block_mutations(base, "vod"):
         fp = fingerprint_config(mutant)
         assert fp != base_fp, f"mutating {name!r} did not change the fingerprint"
         seen.add(fp)
@@ -175,9 +190,7 @@ def test_every_adversary_knob_is_a_cache_key():
     base_fp = fingerprint_config(base)
     seen = {base_fp}
     count = 0
-    for name, mutant in _dataclass_mutations(base):
-        if not name.startswith("adversary."):
-            continue
+    for name, mutant in _block_mutations(base, "adversary"):
         fp = fingerprint_config(mutant)
         assert fp != base_fp, f"mutating {name!r} did not change the fingerprint"
         seen.add(fp)
@@ -203,15 +216,43 @@ def test_every_sharding_knob_is_a_cache_key():
     base_fp = fingerprint_config(base)
     seen = {base_fp}
     count = 0
-    for name, mutant in _dataclass_mutations(base):
-        if not name.startswith("sharding."):
-            continue
+    for name, mutant in _block_mutations(base, "sharding"):
         fp = fingerprint_config(mutant)
         assert fp != base_fp, f"mutating {name!r} did not change the fingerprint"
         seen.add(fp)
         count += 1
     assert count >= 2, f"sharding sweep only covered {count} leaf fields"
     assert len(seen) == count + 1, "two distinct sharding mutations collided"
+
+
+def test_every_script_knob_is_a_cache_key():
+    # Same contract, over every leaf of each kind of script element.
+    base = dataclasses.replace(tiny_config(), script=SCRIPT)
+    base_fp = fingerprint_config(base)
+    seen = {base_fp}
+    count = 0
+    for block in ("objects", "seeders", "waves"):
+        for name, inner in _dataclass_mutations(getattr(SCRIPT, block)[0]):
+            script = dataclasses.replace(SCRIPT, **{block: (inner,)})
+            fp = fingerprint_config(dataclasses.replace(base, script=script))
+            assert fp != base_fp, f"mutating {block}.{name} did not change it"
+            seen.add(fp)
+            count += 1
+    assert count >= 11, f"script sweep only covered {count} leaf fields"
+    assert len(seen) == count + 1, "two distinct script mutations collided"
+
+
+def test_script_rejects_the_blocks_that_need_a_population():
+    for block in ("vod", "adversary", "sharding"):
+        with pytest.raises(ValueError, match=block):
+            dataclasses.replace(tiny_config(), script=SCRIPT,
+                                **{block: _candidates(None, block)[0]})
+    with pytest.raises(ValueError, match="placement"):
+        dataclasses.replace(tiny_config(), script=SCRIPT,
+                            placement=PlacementConfig())
+    with pytest.raises(ValueError, match="predictive_placement"):
+        dataclasses.replace(tiny_config(), script=SCRIPT,
+                            predictive_placement=True)
 
 
 def test_distinct_configs_same_scale_and_seed_do_not_collide():

@@ -125,5 +125,8 @@ class TestExperimentsLayerWiring:
         fig5 = planned_configs("exp_fig5", "small", 42)
         assert len(fig5) == 1
         assert fig5[0] != standard_config("small", 42)
-        # Self-contained experiments prefetch nothing.
-        assert planned_configs("exp_lan_updates", "small", 42) == []
+        # Scripted experiments plan their scripted configs: the LAN push
+        # with and without sites, same cast and start times.
+        lan = planned_configs("exp_lan_updates", "small", 42)
+        assert [bool(c.script.waves[0].lan_site) for c in lan] == [True, False]
+        assert lan[0].script.waves[0].starts == lan[1].script.waves[0].starts

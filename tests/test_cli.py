@@ -59,13 +59,20 @@ class TestFaultsCommand:
         assert main(["faults", "--scenario", "meteor_strike"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_drill_output_is_deterministic(self, capsys):
+    def test_drill_output_is_deterministic(self, capsys, monkeypatch):
+        import repro.runner.artifact as artifact_module
+
+        runs = []
+        real = artifact_module.run_scenario
+        monkeypatch.setattr(artifact_module, "run_scenario",
+                            lambda config: runs.append(config) or real(config))
         args = ["faults", "--scenario", "dn_wipe", "--seed", "7",
                 "--duration", "600"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
         second = capsys.readouterr().out
+        assert len(runs) == 2  # simulated twice: no memo in between
         assert first == second
         assert "injection timeline" in first
         assert "recovery metrics" in first
@@ -261,6 +268,12 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert "invariant audit" in out
         assert "mode" in out
+
+    @pytest.mark.parametrize("command", ["faults", "audit"])
+    def test_wave_past_the_horizon_exits_2(self, command, capsys):
+        assert main([command, "--scenario", "control_plane_blackout",
+                     "--duration", "45000"]) == 2
+        assert "horizon" in capsys.readouterr().err
 
     def test_audit_unknown_scenario_fails(self, capsys):
         assert main(["audit", "--scenario", "meteor_strike"]) == 2
