@@ -8,7 +8,8 @@ Subpackages:
 * :mod:`repro.workload` — synthetic population, catalog, demand, behaviour;
 * :mod:`repro.baselines` — pure-infrastructure and pure-P2P CDN baselines;
 * :mod:`repro.analysis` — the measurement study (every table and figure);
-* :mod:`repro.experiments` — one runner per table/figure in the paper.
+* :mod:`repro.experiments` — the study table: one row (plan + render) per
+  table/figure in the paper.
 """
 
 __version__ = "1.0.0"

@@ -5,7 +5,7 @@ from repro.analysis.benefits import (
     figure5_efficiency_vs_copies, figure6_efficiency_vs_peers,
     figure7_pause_rates, figure8_country_contributions, offload_summary,
     reliability_outcomes, table3_setting_changes,
-    table4_upload_enabled_by_provider,
+    table4_upload_enabled_by_provider, trace_offload,
 )
 from repro.analysis.export import Anonymizer, export_trace, import_trace
 from repro.analysis.faults import fault_impact, window_outcomes
@@ -53,7 +53,7 @@ __all__ = [
     "table2_provider_regions", "figure2_peer_distribution",
     "figure3a_size_cdfs", "figure3b_popularity", "figure3c_bytes_over_time",
     "fraction_of_requests_above", "power_law_exponent",
-    "OffloadSummary", "offload_summary",
+    "OffloadSummary", "offload_summary", "trace_offload",
     "table3_setting_changes", "table4_upload_enabled_by_provider",
     "busiest_ases", "figure4_speed_cdfs",
     "figure5_efficiency_vs_copies", "figure6_efficiency_vs_peers",

@@ -16,7 +16,7 @@ from repro.analysis.stats import cdf_points, mean, percentile
 from repro.net.geo import GeoDatabase
 
 __all__ = [
-    "OffloadSummary", "offload_summary",
+    "OffloadSummary", "offload_summary", "trace_offload",
     "table3_setting_changes", "table4_upload_enabled_by_provider",
     "figure4_speed_cdfs", "busiest_ases",
     "figure5_efficiency_vs_copies", "figure6_efficiency_vs_peers",
@@ -83,6 +83,14 @@ def offload_summary(logs: LogStore) -> OffloadSummary:
         median_peer_efficiency=percentile(effs, 50) if effs else 0.0,
         byte_weighted_efficiency=peer_bytes / p2p_total if p2p_total else 0.0,
     )
+
+
+def trace_offload(logs: LogStore) -> float:
+    """Peer bytes as a fraction of all delivered bytes, across the trace
+    (every download, whatever its outcome or p2p setting)."""
+    peer = sum(rec.peer_bytes for rec in logs.downloads)
+    total = sum(rec.peer_bytes + rec.edge_bytes for rec in logs.downloads)
+    return peer / total if total else 0.0
 
 
 # ------------------------------------------------------------- Tables 3, 4

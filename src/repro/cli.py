@@ -73,13 +73,12 @@ Examples
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
 import time
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import EXPERIMENTS
 
 
 def _add_scale(parser: argparse.ArgumentParser) -> None:
@@ -242,32 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_experiments(names: list[str], scale: str, seed: int, *,
                      perf: bool = False, json_report: bool = False,
                      jobs: int | None = None, cache=None) -> int:
-    from repro.experiments import effective_scale, planned_configs
-    from repro.experiments.common import configure_runner, prefetch
+    from repro.experiments import run_experiment
+    from repro.experiments.common import configure_runner
     from repro.runner import default_jobs
 
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
+    unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(ALL_EXPERIMENTS)}", file=sys.stderr)
+        print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
 
-    configure_runner(jobs=jobs if jobs is not None else default_jobs(),
-                     cache=cache)
+    runner = configure_runner(
+        jobs=jobs if jobs is not None else default_jobs(), cache=cache)
     # Fan the whole batch's scenario plan out across the pool up front; the
     # experiments below then render from cache hits, serially and in order,
     # so stdout is byte-identical for every --jobs value.
-    plan = []
-    for name in names:
-        plan.extend(planned_configs(name, effective_scale(name, scale), seed))
-    prefetch(plan)
+    rows = [EXPERIMENTS[name] for name in names]
+    runner.run_many([config for row in rows
+                     for config in row.plan(row.scale_for(scale), seed)])
 
     reports = []
-    for name in names:
-        module = importlib.import_module(f"repro.experiments.{name}")
-        effective = effective_scale(name, scale)
+    for name, row in zip(names, rows):
+        effective = row.scale_for(scale)
         started = time.time()
-        output = module.run(effective, seed)
+        output = run_experiment(name, scale, seed)
         if json_report:
             reports.append({"name": output.name, "scale": effective,
                             "seed": seed, "metrics": output.metrics})
@@ -498,11 +495,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list":
-        for name in ALL_EXPERIMENTS:
-            module = importlib.import_module(f"repro.experiments.{name}")
-            doc = (module.__doc__ or "").strip().splitlines()
-            summary = doc[0] if doc else ""
-            print(f"{name:24s} {summary}")
+        for name, row in EXPERIMENTS.items():
+            print(f"{name:24s} {row.summary}")
         return 0
 
     if args.command == "run":
@@ -511,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
                                 jobs=args.jobs, cache=_resolve_cache(args))
 
     if args.command == "study":
-        return _run_experiments(list(ALL_EXPERIMENTS), args.scale, args.seed,
+        return _run_experiments(list(EXPERIMENTS), args.scale, args.seed,
                                 perf=args.perf, jobs=args.jobs,
                                 cache=_resolve_cache(args))
 

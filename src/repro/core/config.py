@@ -76,9 +76,6 @@ class ControlPlaneConfig:
 
     #: Peers returned per query ("By default, up to 40 peers are returned").
     peers_per_query: int = 40
-    #: Minimum successful peer connections before the client stops issuing
-    #: additional queries.
-    target_peer_connections: int = 25
     #: Probability of occasionally selecting from a less-specific locality
     #: set, "proportional to the specificity of the set" (§3.7).
     diversity_probability: float = 0.10
@@ -224,12 +221,6 @@ class SystemConfig:
     channel: ControlChannelConfig = field(default_factory=ControlChannelConfig)
     invariants: InvariantConfig = field(default_factory=InvariantConfig)
     defense: DefenseConfig = field(default_factory=DefenseConfig)
-    #: Control-plane and edge deployment density, per network region.  The
-    #: real deployment ran 197 control-plane servers over <20 network
-    #: regions; one CN/DN pair per region is the scale-appropriate default.
-    cns_per_region: int = 1
-    dns_per_region: int = 1
-    edge_servers_per_region: int = 2
     #: Edge egress per server in Mbit/s; None = overprovisioned (never the
     #: bottleneck), matching the paper's production observations.
     edge_egress_mbps: float | None = None

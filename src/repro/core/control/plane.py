@@ -28,6 +28,12 @@ from repro.core.control.stun import StunService
 from repro.core.edge import EdgeNetwork
 from repro.net.sim import Simulator
 
+#: Control-plane deployment density, per network region.  The real
+#: deployment ran 197 control-plane servers over <20 network regions; one
+#: CN/DN pair per region is the scale-appropriate default.
+CNS_PER_REGION = 1
+DNS_PER_REGION = 1
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accounting import AccountingService
     from repro.core.peer import PeerNode
@@ -71,7 +77,7 @@ class ControlPlane:
                     f"dn-{region}-{i}", region,
                     config.control_plane.registration_ttl,
                 )
-                for i in range(config.dns_per_region)
+                for i in range(DNS_PER_REGION)
             ]
             self.dns_by_region[region] = dns
             self.all_dns.extend(dns)
@@ -81,7 +87,7 @@ class ControlPlane:
                     logstore, accounting, config.control_plane, rng,
                     locality_aware=locality_aware,
                 )
-                for i in range(config.cns_per_region)
+                for i in range(CNS_PER_REGION)
             ]
             self.cns_by_region[region] = cns
             self.all_cns.extend(cns)

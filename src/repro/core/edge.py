@@ -31,6 +31,9 @@ from repro.net.links import mbps
 
 __all__ = ["EdgeServer", "EdgeNetwork", "AuthToken", "AuthorizationError"]
 
+#: Edge servers per network region in a scenario's deployment.
+SERVERS_PER_REGION = 2
+
 
 class AuthorizationError(Exception):
     """Raised when a peer requests content its provider's policy forbids."""
@@ -143,7 +146,7 @@ class EdgeNetwork:
         network_regions: list[str],
         rng: random.Random,
         *,
-        servers_per_region: int = 2,
+        servers_per_region: int = SERVERS_PER_REGION,
         egress_mbps: float | None = None,
         signing_secret: str = "netsession-secret",
     ):

@@ -22,7 +22,7 @@ Mechanics
   this is what makes 70–80% offload possible without hurting QoS, and it is
   the knob the backstop ablation turns off.
 * Peer connections are obtained by querying the control plane; additional
-  queries are issued while fewer than ``target_peer_connections`` succeed.
+  queries are issued while fewer than ``TARGET_PEER_CONNECTIONS`` succeed.
 
 States: ``active`` → (``paused`` ⇄ ``active``) → one of ``completed`` /
 ``failed`` / ``aborted``.
@@ -62,6 +62,9 @@ CHUNK_MAX_PIECES = 32
 CHUNK_INITIAL_PIECES = 2
 #: Maximum simultaneous peer download connections per transfer.
 MAX_PEER_CONNECTIONS = 30
+#: Minimum successful peer connections before the client stops issuing
+#: additional queries.
+TARGET_PEER_CONNECTIONS = 25
 #: Probability that a NAT-compatible connection attempt still succeeds
 #: (transient network failures eat the rest).
 CONNECT_SUCCESS_PROB = 0.92
@@ -609,9 +612,8 @@ class DownloadSession:
         self._pending_attempts -= 1
         if self.state != "active":
             return
-        target = self.system.config.control_plane.target_peer_connections
         live = sum(1 for c in self.peer_conns if not c.closed)
-        if live >= min(target, MAX_PEER_CONNECTIONS):
+        if live >= min(TARGET_PEER_CONNECTIONS, MAX_PEER_CONNECTIONS):
             return
         uploader = self.system.peer_by_guid.get(guid)
         reachable = (
@@ -649,8 +651,7 @@ class DownloadSession:
         if self.state != "active" or not self.p2p_active:
             return
         live = sum(1 for c in self.peer_conns if not c.closed)
-        target = self.system.config.control_plane.target_peer_connections
-        if live >= target or not self.piece_pool:
+        if live >= TARGET_PEER_CONNECTIONS or not self.piece_pool:
             return
         if self._queries_done >= 1 + MAX_EXTRA_QUERIES:
             return

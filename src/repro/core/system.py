@@ -185,7 +185,6 @@ class NetSessionSystem:
         self.edge = EdgeNetwork(
             regions,
             random.Random(seed ^ 0xED6E),
-            servers_per_region=self.config.edge_servers_per_region,
             egress_mbps=self.config.edge_egress_mbps,
         )
         self.accounting = AccountingService(self.edge)

@@ -1,8 +1,14 @@
-"""Shared experiment machinery: standard scenarios, caching, output type.
+"""Shared experiment machinery: the row type, standard scenarios, the runner.
 
-Every table/figure runner draws on the same synthetic trace (like the
-paper: one October-2012 log set feeds every analysis), so each distinct
-scenario configuration is computed once and cached for the process.
+Every table/figure draws on the same synthetic trace (like the paper: one
+October-2012 log set feeds every analysis), so each distinct scenario
+configuration is computed once and cached for the process.
+
+An :class:`Experiment` row declares the scenarios it reads (``plan``) and
+turns their artifacts into paper-style text (``render``); the runner in
+:mod:`repro.experiments` resolves the plan and hands the artifacts over, so
+a render never fetches a scenario itself and the plan a batch prefetches is
+exactly what its renders read.
 
 Caching is *content-addressed*: results are keyed by the configuration's
 fingerprint (:func:`repro.runner.fingerprint_config`), never by loose
@@ -27,16 +33,15 @@ Scales:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.runner import Orchestrator, ResultCache, ScenarioArtifact
 from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
 )
 
-__all__ = ["ExperimentOutput", "standard_config", "standard_result",
-           "scenario_result", "prefetch", "cached_results", "SCALES",
-           "configure_runner"]
+__all__ = ["Experiment", "ExperimentOutput", "standard_config",
+           "standard_plan", "cached_results", "SCALES", "configure_runner"]
 
 SCALES = ("small", "standard", "mobility")
 
@@ -53,11 +58,11 @@ _RUNNER = Orchestrator(memory=_ARTIFACTS)
 
 @dataclass
 class ExperimentOutput:
-    """What every experiment runner returns."""
+    """What every experiment render returns (the runner fills in ``name``)."""
 
-    name: str
     text: str                      # rendered table/series, paper-style
     metrics: dict[str, float] = field(default_factory=dict)
+    name: str = ""
 
 
 def configure_runner(
@@ -103,27 +108,6 @@ def standard_config(scale: str = "small", seed: int = 42) -> ScenarioConfig:
     raise ValueError(f"unknown scale {scale!r}; expected one of {SCALES}")
 
 
-def scenario_result(config: ScenarioConfig) -> ScenarioArtifact:
-    """Run (or fetch from the fingerprint-keyed cache) one scenario."""
-    return _RUNNER.result(config)
-
-
-def standard_result(scale: str = "small", seed: int = 42) -> ScenarioArtifact:
-    """Run (or fetch from cache) the standard scenario at a scale."""
-    return scenario_result(standard_config(scale, seed))
-
-
-def prefetch(configs: list[ScenarioConfig]) -> list[ScenarioArtifact]:
-    """Resolve many scenarios at once — the parallel fan-out entry point.
-
-    Deduplicates by fingerprint and schedules the misses across the active
-    orchestrator's process pool; the experiments that later ask for these
-    configs render from cache hits, in whatever order the caller runs
-    them.  Returns the artifacts in input order.
-    """
-    return _RUNNER.run_many(configs)
-
-
 def cached_results() -> dict[str, ScenarioArtifact]:
     """The scenario artifacts computed so far, keyed by config fingerprint.
 
@@ -131,3 +115,28 @@ def cached_results() -> dict[str, ScenarioArtifact]:
     scenarios a batch of experiments actually ran, without re-running them.
     """
     return _RUNNER.cached()
+
+
+def standard_plan(scale: str, seed: int) -> list[ScenarioConfig]:
+    """The default plan: the one standard trace at ``scale``."""
+    return [standard_config(scale, seed)]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the study table.
+
+    ``plan(scale, seed)`` lists the scenario configs the row reads (empty
+    for a row that runs no scenario); ``render(artifacts, seed)`` gets their
+    artifacts in plan order and returns the paper-style output.  ``scale``
+    pins the row to one scale whatever the caller asks for.
+    """
+
+    summary: str
+    render: Callable[[list[ScenarioArtifact], int], ExperimentOutput]
+    plan: Callable[[str, int], list[ScenarioConfig]] = standard_plan
+    scale: Optional[str] = None
+
+    def scale_for(self, scale: str) -> str:
+        """The scale this row runs at when ``scale`` is asked for."""
+        return self.scale or scale

@@ -26,9 +26,9 @@ defense-off and defense-on populations are identical peer for peer.
 from __future__ import annotations
 
 from repro.adversary.profiles import AdversaryConfig
-from repro.analysis.report import pct, render_table
+from repro.analysis import pct, render_table, trace_offload
 from repro.core.config import SystemConfig
-from repro.experiments.common import ExperimentOutput, scenario_result
+from repro.experiments.common import Experiment, ExperimentOutput
 from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
 )
@@ -49,20 +49,17 @@ ADVERSARY = AdversaryConfig(
 )
 
 
-def _cells() -> list[tuple[float, bool]]:
-    """The sweep plan: clean baseline, then each fraction with defense
-    off and on."""
-    cells = [(0.0, False)]
-    for fraction in FRACTIONS[1:]:
-        cells.append((fraction, False))
-        cells.append((fraction, True))
-    return cells
+#: The sweep's (fraction, defense) cells: clean baseline, then each
+#: fraction with defense off and on.
+CELLS = ((0.0, False),) + tuple(
+    (fraction, defense) for fraction in FRACTIONS[1:]
+    for defense in (False, True))
 
 
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan: one cell per (fraction, defense) sweep point."""
+def plan(scale: str, seed: int) -> list:
+    """One scenario per :data:`CELLS` entry."""
     return [_cell_config(scale, seed, fraction, defense)
-            for fraction, defense in _cells()]
+            for fraction, defense in CELLS]
 
 
 def _cell_config(scale: str, seed: int, fraction: float,
@@ -90,22 +87,14 @@ def _cell_config(scale: str, seed: int, fraction: float,
     )
 
 
-def _offload(logstore) -> float:
-    """Peer bytes as a fraction of all delivered bytes, across the trace."""
-    peer = sum(rec.peer_bytes for rec in logstore.downloads)
-    total = sum(rec.peer_bytes + rec.edge_bytes for rec in logstore.downloads)
-    return peer / total if total else 0.0
-
-
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
+def render(artifacts, seed: int) -> ExperimentOutput:
     """Sweep adversarial fraction x defense on/off over one workload."""
     rows = []
     metrics: dict[str, float] = {}
     offloads: dict[tuple[float, bool], float] = {}
-    for fraction, defense in _cells():
-        result = scenario_result(_cell_config(scale, seed, fraction, defense))
+    for (fraction, defense), result in zip(CELLS, artifacts):
         adv = result.adversary
-        offload = _offload(result.logstore)
+        offload = trace_offload(result.logstore)
         offloads[(fraction, defense)] = offload
         records = list(result.logstore.downloads)
         completed = sum(1 for r in records if r.outcome == "completed")
@@ -180,8 +169,9 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
     lines.append(
         f"inflated reports accepted across all cells: "
         f"{metrics['inflated_accepted_total']:.0f} (edge-log cross-check)")
-    return ExperimentOutput(
-        name="adversarial_resilience",
-        text="\n".join(lines),
-        metrics=metrics,
-    )
+    return ExperimentOutput(text="\n".join(lines), metrics=metrics)
+
+
+ROW = Experiment(
+    "Experiment: adversarial resilience — misbehaving peers vs. the defense.",
+    render, plan)

@@ -7,39 +7,31 @@ the pure architectures each sacrifice one side.
 
 from __future__ import annotations
 
-from repro.analysis import pct, render_table
-from repro.baselines import P2PConfig, P2PPeer, PureP2PSwarm, infrastructure_cost
-from repro.experiments.common import (
-    ExperimentOutput, scenario_result, standard_config, standard_result,
-)
+import random
 from dataclasses import replace
 
+from repro.analysis import pct, render_table
+from repro.baselines import P2PConfig, P2PPeer, PureP2PSwarm, infrastructure_cost
+from repro.experiments.common import Experiment, ExperimentOutput, standard_config
 
-def _infra_config(scale: str, seed: int):
+
+def plan(scale: str, seed: int) -> list:
+    """The hybrid standard trace plus the p2p-off rerun."""
     cfg = standard_config(scale, seed)
-    return replace(cfg, system=replace(cfg.system, p2p_globally_enabled=False))
+    return [cfg, replace(cfg, system=replace(cfg.system, p2p_globally_enabled=False))]
 
 
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan: the hybrid standard trace plus the p2p-off rerun."""
-    return [standard_config(scale, seed), _infra_config(scale, seed)]
-
-
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
+def render(artifacts, seed: int) -> ExperimentOutput:
     """Compare the three architectures on the same workload scale."""
-    # Hybrid: the cached standard scenario.
-    hybrid = standard_result(scale, seed)
+    # Hybrid: the standard scenario; pure infrastructure: p2p globally off.
+    hybrid, infra = artifacts
     hybrid_cost = infrastructure_cost(hybrid.logstore)
     hybrid_completed = hybrid_cost.completion_rate
-
-    # Pure infrastructure: same scenario, p2p globally off.
-    infra = scenario_result(_infra_config(scale, seed))
     infra_cost_rep = infrastructure_cost(infra.logstore)
 
     # Pure P2P: a BitTorrent-like swarm on an equivalent object, with the
     # same churn-prone population and no backstop.
     swarm = PureP2PSwarm(P2PConfig(), seed=seed)
-    import random
     rng = random.Random(seed)
     seeders = [P2PPeer(f"seed{i}", up_bps=2e6 / 8, down_bps=2e7 / 8) for i in range(3)]
     torrent = swarm.add_torrent("installer", 800e6, seeders)
@@ -65,7 +57,6 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
         rows,
     )
     return ExperimentOutput(
-        name="baselines",
         text=text,
         metrics={
             "hybrid_completion": hybrid_completed,
@@ -75,3 +66,8 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
             "pure_p2p_completion": p2p_stats["completed"],
         },
     )
+
+
+ROW = Experiment(
+    "Experiment: hybrid vs pure-infrastructure vs pure-P2P (§2's design space).",
+    render, plan)

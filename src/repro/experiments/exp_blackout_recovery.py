@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.analysis.report import pct, render_table
 from repro.core.config import SystemConfig
-from repro.experiments.common import ExperimentOutput, scenario_result
+from repro.experiments.common import Experiment, ExperimentOutput
 from repro.faults.spec import ControlPlaneBlackout
 from repro.workload import DAY, ScenarioConfig
 from repro.workload.script import (
@@ -55,7 +55,8 @@ RESTORE = ScriptObject("blackoutco/restore.bin", 3 * 1024 * MB, 9002,
                        "BlackoutCo")
 
 
-def _config(scale: str, seed: int) -> ScenarioConfig:
+def plan(scale: str, seed: int) -> list[ScenarioConfig]:
+    """The one scripted blackout run."""
     wave_size = 8 if scale == "standard" else 4
     n_seeders = 24 if scale == "standard" else 12
     # A short soft-state TTL makes the seeders' periodic refresh (ttl/3)
@@ -63,7 +64,7 @@ def _config(scale: str, seed: int) -> ScenarioConfig:
     # breaker, and the recovery probes re-register them minutes — not
     # hours — after the restore, which is what repopulates the directory
     # for the promoted mid-blackout downloads.
-    return ScenarioConfig(
+    return [ScenarioConfig(
         seed=seed,
         duration_days=HORIZON / DAY,
         system=SystemConfig().with_control_plane(registration_ttl=900.0),
@@ -78,17 +79,12 @@ def _config(scale: str, seed: int) -> ScenarioConfig:
                      tuple(WAVE_TIMES[wave] + 30.0 * i for i in range(wave_size)),
                      link=(20.0, 4.0))
                 for wave in WAVES)),
-    )
+    )]
 
 
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan: the one scripted blackout run."""
-    return [_config(scale, seed)]
-
-
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
+def render(artifacts, seed: int) -> ExperimentOutput:
     """One 10-minute self-recovery blackout against a pinned-link fleet."""
-    artifact = scenario_result(_config(scale, seed))
+    [artifact] = artifacts
     cfg = artifact.config.system.channel
     records = wave_records(artifact.script, artifact.logstore)
 
@@ -155,4 +151,9 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
         "sessions_promoted": stats.sessions_promoted,
         "during_with_peer_bytes": promoted_with_peer_bytes,
     })
-    return ExperimentOutput(name="blackout_recovery", text=text, metrics=metrics)
+    return ExperimentOutput(text=text, metrics=metrics)
+
+
+ROW = Experiment(
+    "Experiment: blackout recovery — probe-driven return from edge-only mode.",
+    render, plan)

@@ -30,11 +30,13 @@ The sweep holds one workload fixed and varies only the device leaves:
 
 from __future__ import annotations
 
-from repro.analysis import busiest_ases, figure4_speed_cdfs, percentile
-from repro.analysis.report import pct, render_table
+from repro.analysis import (
+    busiest_ases, figure4_speed_cdfs, pct, percentile, render_table,
+    trace_offload,
+)
 from repro.core.config import SystemConfig
 from repro.core.placement import PlacementConfig
-from repro.experiments.common import ExperimentOutput, scenario_result
+from repro.experiments.common import Experiment, ExperimentOutput
 from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
 )
@@ -56,21 +58,20 @@ def _ranked_mix() -> DeviceMixConfig:
     return DeviceMixConfig(classes=classes)
 
 
-def _cells() -> list[tuple[str, DeviceMixConfig | None, bool, bool]]:
-    """(tag, device mix, defense on, router placement) per sweep cell."""
-    return [
-        ("baseline", None, False, False),
-        ("tiers", default_mix(), False, False),
-        ("tiers_rank", _ranked_mix(), False, False),
-        ("tiers_rank_rep", _ranked_mix(), True, False),
-        ("tiers_placement", default_mix(), False, True),
-    ]
+#: (tag, device mix, defense on, router placement) per sweep cell.
+CELLS: tuple[tuple[str, DeviceMixConfig | None, bool, bool], ...] = (
+    ("baseline", None, False, False),
+    ("tiers", default_mix(), False, False),
+    ("tiers_rank", _ranked_mix(), False, False),
+    ("tiers_rank_rep", _ranked_mix(), True, False),
+    ("tiers_placement", default_mix(), False, True),
+)
 
 
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan: one cell per device-tier sweep point."""
+def plan(scale: str, seed: int) -> list:
+    """One scenario per :data:`CELLS` entry."""
     return [_cell_config(scale, seed, mix, defense, placement)
-            for _, mix, defense, placement in _cells()]
+            for _, mix, defense, placement in CELLS]
 
 
 def _cell_config(scale: str, seed: int, mix: DeviceMixConfig | None,
@@ -89,13 +90,6 @@ def _cell_config(scale: str, seed: int, mix: DeviceMixConfig | None,
         placement=(PlacementConfig(prefer_class=ROUTER, copies_target=4)
                    if placement else None),
     )
-
-
-def _offload(logstore) -> float:
-    """Peer bytes as a fraction of all delivered bytes, across the trace."""
-    peer = sum(rec.peer_bytes for rec in logstore.downloads)
-    total = sum(rec.peer_bytes + rec.edge_bytes for rec in logstore.downloads)
-    return peer / total if total else 0.0
 
 
 def _class_bytes(logstore, classes: dict[str, str]) -> dict[str, int]:
@@ -123,16 +117,14 @@ def _pooled_p2p_median(result) -> tuple[float, int]:
     return percentile(pooled, 50), len(pooled)
 
 
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
+def render(artifacts, seed: int) -> ExperimentOutput:
     """Sweep device mixes, selection ranking, and router placement."""
     rows = []
     metrics: dict[str, float] = {}
     p2p_medians: dict[str, float] = {}
-    for tag, mix, defense, placement in _cells():
-        result = scenario_result(
-            _cell_config(scale, seed, mix, defense, placement))
+    for (tag, mix, _defense, _placement), result in zip(CELLS, artifacts):
         records = list(result.logstore.downloads)
-        offload = _offload(result.logstore)
+        offload = trace_offload(result.logstore)
         census = result.devices.get("census", {})
         classes = result.devices.get("classes", {})
         total_peers = sum(census.values())
@@ -190,8 +182,9 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
     lines.append(
         f"operator placement on the router fleet moves capture by "
         f"{metrics['placement_capture_gain']:+.2f}x")
-    return ExperimentOutput(
-        name="device_tiers",
-        text="\n".join(lines),
-        metrics=metrics,
-    )
+    return ExperimentOutput(text="\n".join(lines), metrics=metrics)
+
+
+ROW = Experiment(
+    "Experiment: heterogeneous device tiers — smartrouter offload capture.",
+    render, plan)

@@ -7,7 +7,7 @@ import dataclasses
 from repro.analysis import pct, render_table, window_outcomes
 from repro.analysis.faults import fault_impact
 from repro.experiments.common import (
-    ExperimentOutput, scenario_result, standard_config,
+    Experiment, ExperimentOutput, standard_config,
 )
 from repro.faults.scenarios import build_scenario
 from repro.workload import (
@@ -59,8 +59,8 @@ def _matrix_window(base: ScenarioConfig) -> tuple[float, float]:
     return (fault_at, fault_at + fault_duration)
 
 
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan: the no-fault baseline plus one cell per scenario."""
+def plan(scale: str, seed: int) -> list:
+    """The no-fault baseline plus one cell per scenario."""
     base = _matrix_config(scale, seed)
     fault_at, end = _matrix_window(base)
     out = [base]
@@ -70,29 +70,14 @@ def configs(scale: str, seed: int) -> list:
     return out
 
 
-def _run_matrix(scale: str, seed: int) -> dict:
-    """Resolve every matrix cell through the fingerprint-keyed cache.
-
-    Each cell is a full scenario run; the orchestrator deduplicates and —
-    when ``repro run --jobs N`` prefetched the plan — serves every cell
-    from cache without running anything here.
-    """
-    base = _matrix_config(scale, seed)
-    window = _matrix_window(base)
-    cells: dict[str, tuple] = {}
-    for name, config in zip(("baseline", *MATRIX_SCENARIOS),
-                            configs(scale, seed)):
-        artifact = scenario_result(config)
-        cells[name] = (artifact, window_outcomes(
-            artifact.logstore, window[0], window[1]))
-    return {"cells": cells, "window": window}
-
-
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
+def render(artifacts, seed: int) -> ExperimentOutput:
     """Sweep the scenario library and tabulate in-window fault impact."""
-    matrix = _run_matrix(scale, seed)
-    cells = matrix["cells"]
-    base_result, base_out = cells["baseline"]
+    start, end = _matrix_window(artifacts[0].config)
+    cells = {
+        name: (artifact, window_outcomes(artifact.logstore, start, end))
+        for name, artifact in zip(("baseline", *MATRIX_SCENARIOS), artifacts)
+    }
+    _, base_out = cells["baseline"]
 
     rows = [[
         "baseline",
@@ -123,7 +108,6 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
         metrics[f"{name}_completion_delta"] = impact["completion_delta"]
         metrics[f"{name}_fallback_delta"] = impact["fallback_delta"]
 
-    start, end = matrix["window"]
     text = render_table(
         "fault matrix: downloads in flight during the fault window "
         f"[{start / 3600.0:.0f}h, {end / 3600.0:.0f}h) "
@@ -174,4 +158,9 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
         ["scenario", "mode", "audits", "errors", "warnings"],
         audit_rows,
     )
-    return ExperimentOutput(name="fault_matrix", text=text, metrics=metrics)
+    return ExperimentOutput(text=text, metrics=metrics)
+
+
+ROW = Experiment(
+    "Experiment: fault matrix — scenario sweep vs the §5.2 outcome numbers.",
+    render, plan)

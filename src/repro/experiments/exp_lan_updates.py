@@ -17,7 +17,7 @@ import random
 
 from repro.analysis import pct, render_table
 from repro.analysis.traffic import site_local_share
-from repro.experiments.common import ExperimentOutput, scenario_result
+from repro.experiments.common import Experiment, ExperimentOutput
 from repro.workload import DAY, ScenarioConfig
 from repro.workload.script import Script, ScriptObject, Wave
 
@@ -41,8 +41,7 @@ def _config(seed: int, *, with_sites: bool) -> ScenarioConfig:
                           script=Script(objects=(UPDATE,), waves=waves))
 
 
-def _fleet(seed: int, *, with_sites: bool) -> dict[str, float]:
-    artifact = scenario_result(_config(seed, with_sites=with_sites))
+def _fleet(artifact) -> dict[str, float]:
     site_of_guid = {guid: site
                     for site, guids in artifact.script["sites"].items()
                     for guid in guids}
@@ -60,15 +59,14 @@ def _fleet(seed: int, *, with_sites: bool) -> dict[str, float]:
     }
 
 
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan: the push with and without LAN sites."""
+def plan(scale: str, seed: int) -> list:
+    """The push with and without LAN sites."""
     return [_config(seed, with_sites=True), _config(seed, with_sites=False)]
 
 
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
+def render(artifacts, seed: int) -> ExperimentOutput:
     """Compare the fleet-update push with and without LAN sites."""
-    with_lan = _fleet(seed, with_sites=True)
-    without = _fleet(seed, with_sites=False)
+    with_lan, without = (_fleet(artifact) for artifact in artifacts)
     rows = [
         ("LAN sites", pct(with_lan["completed"]),
          f"{with_lan['median_minutes']:.1f} min",
@@ -83,7 +81,6 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
         rows,
     )
     return ExperimentOutput(
-        name="lan_updates",
         text=text,
         metrics={
             "lan_site_local": with_lan["site_local"],
@@ -93,3 +90,8 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
             "lan_offload": with_lan["offload"],
         },
     )
+
+
+ROW = Experiment(
+    "Extension experiment: enterprise software updates over corporate LANs.",
+    render, plan)

@@ -15,7 +15,7 @@ import random
 from repro.analysis import pct, render_table
 from repro.baselines.managed_swarm import ManagedSwarmConfig, ManagedSwarmSystem
 from repro.baselines.p2p_cdn import P2PPeer
-from repro.experiments.common import ExperimentOutput
+from repro.experiments.common import Experiment, ExperimentOutput
 
 MBPS = 1e6 / 8
 
@@ -41,14 +41,9 @@ def _build(policy: str, seed: int) -> ManagedSwarmSystem:
     return system
 
 
-
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan: self-contained (builds its own system inline)."""
-    return []
-
-
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
-    """Managed vs equal-split seeding across heterogeneous swarms."""
+def render(artifacts, seed: int) -> ExperimentOutput:
+    """Managed vs equal-split seeding across heterogeneous swarms (the
+    row's plan is empty: the swarm model runs inline, not as a scenario)."""
     rows = []
     metrics = {}
     for policy in ("managed", "equal_split"):
@@ -64,4 +59,9 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
         ["policy", "completed", "mean completion time"],
         rows,
     )
-    return ExperimentOutput(name="managed_swarm", text=text, metrics=metrics)
+    return ExperimentOutput(text=text, metrics=metrics)
+
+
+ROW = Experiment(
+    "Related-work experiment: Antfarm-style coordination (paper §7).",
+    render, plan=lambda scale, seed: [])

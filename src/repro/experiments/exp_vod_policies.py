@@ -19,7 +19,7 @@ from dataclasses import replace
 from repro.analysis import human_bytes, pct, render_table
 from repro.analysis.qoe import peak_hour_transit, peak_transit_total, qoe_summary
 from repro.experiments.common import (
-    ExperimentOutput, scenario_result, standard_config,
+    Experiment, ExperimentOutput, standard_config,
 )
 from repro.vod import POLICY_NAMES, VodConfig
 
@@ -49,25 +49,21 @@ def variants() -> list[str]:
     return [BASELINE, *POLICY_NAMES]
 
 
-def configs(scale: str, seed: int) -> list:
-    """Scenario plan (one trace per policy), for the prefetch fan-out."""
+def plan(scale: str, seed: int) -> list:
+    """One trace per policy, in :func:`variants` order."""
     return [_policy_config(scale, seed, policy) for policy in variants()]
 
 
-def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
+def render(artifacts, seed: int) -> ExperimentOutput:
     """Sweep serving policies over the VoD workload; QoE vs transit table."""
     rows = []
     metrics: dict[str, float] = {}
-    baseline_peak = None
-    for policy in variants():
-        artifact = scenario_result(_policy_config(scale, seed, policy))
+    for policy, artifact in zip(variants(), artifacts):
         qoe = qoe_summary(artifact.logstore)
         vod = artifact.stats.vod
         peak = peak_transit_total(
             peak_hour_transit(artifact.logstore, artifact.geodb)
         )
-        if baseline_peak is None:
-            baseline_peak = peak
         finished_rate = (
             vod.playbacks_finished / vod.streams_started
             if vod.streams_started else 0.0
@@ -102,7 +98,6 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
     )
     metrics["isp_local_transit_saving_bytes"] = local_delta
     return ExperimentOutput(
-        name="vod_policies",
         text=(
             text
             + "\n\nisp_local trims peer peak-hour transit by "
@@ -111,3 +106,8 @@ def run(scale: str = "small", seed: int = 42) -> ExperimentOutput:
         ),
         metrics=metrics,
     )
+
+
+ROW = Experiment(
+    "VoD serving-policy family: QoE vs ISP impact across policies (§7).",
+    render, plan)

@@ -24,6 +24,14 @@ from dataclasses import dataclass, field
 from repro.core.content import ContentObject, ContentProvider
 from repro.vod.config import VodConfig
 
+#: Days between consecutive episode releases within a series.
+RELEASE_SPACING_DAYS = 1.0
+#: Catch-up popularity half-life in days: an episode ``h`` days old is
+#: watched ``2**(-h/half_life)`` as often as a brand-new one.
+DECAY_HALF_LIFE_DAYS = 7.0
+#: Zipf exponent over series rank (hit shows vs the long tail).
+SERIES_ZIPF_EXPONENT = 0.9
+
 __all__ = ["Episode", "Series", "VodCatalog", "build_vod_catalog",
            "VOD_CP_CODE"]
 
@@ -71,13 +79,13 @@ class VodCatalog:
         """Every episode, series-major, broadcast order within a series."""
         return [ep for s in self.series for ep in s.episodes]
 
-    def weights(self, config: VodConfig) -> list[float]:
+    def weights(self) -> list[float]:
         """Decayed popularity weight per episode, aligned with
         :meth:`episodes`."""
         out: list[float] = []
         for s in self.series:
             for ep in s.episodes:
-                decay = 2.0 ** (-ep.age_days / config.decay_half_life_days)
+                decay = 2.0 ** (-ep.age_days / DECAY_HALF_LIFE_DAYS)
                 out.append(s.audience_weight * decay)
         return out
 
@@ -111,11 +119,11 @@ def build_vod_catalog(rng: random.Random, config: VodConfig) -> VodCatalog:
     last = config.episodes_per_series - 1
     for rank in range(config.n_series):
         name = f"series-{rank:02d}"
-        base = 1.0 / (rank + 1) ** config.series_zipf_exponent
+        base = 1.0 / (rank + 1) ** SERIES_ZIPF_EXPONENT
         weight = base * rng.uniform(0.8, 1.2)
         episodes = []
         for j in range(config.episodes_per_series):
-            release_day = -(last - j) * config.release_spacing_days
+            release_day = -(last - j) * RELEASE_SPACING_DAYS
             obj = ContentObject(
                 f"vod/{name}/ep-{j:02d}.mp4", size, provider,
                 p2p_enabled=True,

@@ -36,54 +36,30 @@ class VodConfig:
     # --- catalog -----------------------------------------------------------
     #: Number of series in the catch-up catalog.
     n_series: int = 6
-    #: Episodes per series, released one per ``release_spacing_days``
-    #: counting back from the trace start (newest episode is freshest).
+    #: Episodes per series, released one per day counting back from the
+    #: trace start (newest episode is freshest; see :mod:`repro.vod.catalog`
+    #: for the release spacing and popularity decay).
     episodes_per_series: int = 8
     #: Episode runtime in minutes; with the bitrate this fixes the file size.
     episode_minutes: float = 30.0
     #: Video consumption rate in kilobits per second.
     bitrate_kbps: float = 3000.0
-    #: Days between consecutive episode releases within a series.
-    release_spacing_days: float = 1.0
-    #: Catch-up popularity half-life in days: an episode ``h`` days old is
-    #: watched ``2**(-h/half_life)`` as often as a brand-new one.
-    decay_half_life_days: float = 7.0
-    #: Zipf exponent over series rank (hit shows vs the long tail).
-    series_zipf_exponent: float = 0.9
 
     # --- demand ------------------------------------------------------------
-    #: Viewing sessions scheduled over the trace.
+    #: Viewing sessions scheduled over the trace (the prime-time arrival
+    #: curve and the viewers' behavior live in :mod:`repro.vod.demand`).
     sessions: int = 300
-    #: Local hour (0-24) at which session arrivals peak.
-    prime_peak_hour: float = 20.5
-    #: Sharpness of the prime-time peak: the diurnal cosine is raised to
-    #: this power, so larger values concentrate arrivals around the peak.
-    prime_sharpness: float = 3.0
-    #: Arrival-rate floor as a fraction of the peak (overnight viewing).
-    offpeak_floor: float = 0.08
 
     # --- viewer behavior ---------------------------------------------------
     #: Seconds of video buffered before playback starts.
     startup_buffer_s: float = 10.0
-    #: Viewers give up if playback has not started after this many seconds.
-    abandon_startup_s: float = 45.0
-    #: Probability a viewer stops partway through the episode.
-    partial_watch_prob: float = 0.25
-    #: Probability of one seek (skip-ahead) during the session.
-    seek_prob: float = 0.15
-    #: Probability of starting the next episode after finishing one.
-    binge_prob: float = 0.35
 
     # --- serving policy ----------------------------------------------------
     #: One of :data:`POLICY_NAMES`; validated by the engine, not here, so
     #: config construction stays total (the fingerprint sweep mutates it).
     policy: str = "unrestricted"
-    #: Off-peak window (UTC hours) in which ``offpeak_prefetch`` may push.
-    offpeak_start_hour: float = 2.0
-    offpeak_end_hour: float = 7.0
-    #: Registered-copies target per (episode, region) for the prefetch
-    #: placer, and its per-tick start budget.
-    prefetch_copies_target: int = 6
+    #: Per-tick start budget of the ``offpeak_prefetch`` placer (its window
+    #: and copies target live in :mod:`repro.vod.policy`).
     max_prefetches_per_tick: int = 8
     #: ``popularity_seeding``: expected pre-trace cached copies per episode,
     #: apportioned by decayed popularity.
@@ -96,16 +72,8 @@ class VodConfig:
             raise ValueError("episode_minutes and bitrate_kbps must be positive")
         if self.sessions < 0:
             raise ValueError("sessions must be >= 0")
-        if self.decay_half_life_days <= 0:
-            raise ValueError("decay_half_life_days must be positive")
-        if not 0.0 < self.offpeak_floor <= 1.0:
-            raise ValueError("offpeak_floor must be in (0, 1]")
-        for name in ("partial_watch_prob", "seek_prob", "binge_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.startup_buffer_s <= 0 or self.abandon_startup_s <= 0:
-            raise ValueError("viewer timers must be positive")
+        if self.startup_buffer_s <= 0:
+            raise ValueError("startup_buffer_s must be positive")
 
     @property
     def bitrate_bytes_per_s(self) -> float:

@@ -44,9 +44,27 @@ _REGION_TZ = {
 }
 
 
+#: Local hour (0-24) at which session arrivals peak.
+PRIME_PEAK_HOUR = 20.5
+#: Sharpness of the prime-time peak: the diurnal cosine is raised to this
+#: power, so larger values concentrate arrivals around the peak.
+PRIME_SHARPNESS = 3.0
+#: Arrival-rate floor as a fraction of the peak (overnight viewing).
+OFFPEAK_FLOOR = 0.08
+
+#: Viewers give up if playback has not started after this many seconds.
+ABANDON_STARTUP_S = 45.0
+#: Probability a viewer stops partway through the episode.
+PARTIAL_WATCH_PROB = 0.25
+#: Probability of one seek (skip-ahead) during the session.
+SEEK_PROB = 0.15
+#: Probability of starting the next episode after finishing one.
+BINGE_PROB = 0.35
+
+
 def prime_time_rate(
-    t: float, tz: float, *,
-    peak_hour: float = 20.5, sharpness: float = 3.0, floor: float = 0.08,
+    t: float, tz: float, *, peak_hour: float = PRIME_PEAK_HOUR,
+    sharpness: float = PRIME_SHARPNESS, floor: float = OFFPEAK_FLOOR,
 ) -> float:
     """Relative session-arrival rate at absolute time ``t`` (UTC seconds).
 
@@ -77,7 +95,7 @@ class VodDemandGenerator:
         self.config = config
         self.rng = random.Random(f"repro-vod:{seed}")
         self._episodes = catalog.episodes()
-        self._weights = catalog.weights(config)
+        self._weights = catalog.weights()
         self._peers_by_region: dict[str, list["PeerNode"]] = {}
         for peer in population.iter_peers():
             self._peers_by_region.setdefault(peer.geo_region, []).append(peer)
@@ -112,16 +130,12 @@ class VodDemandGenerator:
         ``cdfs`` keeps this ``horizon``'s curves by region."""
         cdfs = {} if cdfs is None else cdfs
         if region not in cdfs:
-            cfg = self.config
             tz = _REGION_TZ.get(region, 0.0)
             hours = max(1, int(horizon // _HOUR))
             cdf = cdfs[region] = []
             total = 0.0
             for h in range(hours):
-                total += prime_time_rate(
-                    h * _HOUR, tz, peak_hour=cfg.prime_peak_hour,
-                    sharpness=cfg.prime_sharpness, floor=cfg.offpeak_floor,
-                )
+                total += prime_time_rate(h * _HOUR, tz)
                 cdf.append(total)
         cdf = cdfs[region]
         u = self.rng.random() * cdf[-1]
@@ -173,26 +187,26 @@ class VodDemandGenerator:
         sim = self.system.sim
 
         # Startup impatience: give up if the first frame never comes.
-        sim.schedule(cfg.abandon_startup_s,
+        sim.schedule(ABANDON_STARTUP_S,
                      lambda s=session: self._abandon_if_unstarted(s))
 
         # Partial watch: stop partway through (decided up front).
-        if self.rng.random() < cfg.partial_watch_prob:
+        if self.rng.random() < PARTIAL_WATCH_PROB:
             watched = self.rng.uniform(0.2, 0.9)
-            sim.schedule(cfg.abandon_startup_s + watched * duration,
+            sim.schedule(ABANDON_STARTUP_S + watched * duration,
                          lambda s=session: self._stop_viewing(s))
 
         # One seek ahead, sometime in the first half of the episode.
-        if self.rng.random() < cfg.seek_prob:
+        if self.rng.random() < SEEK_PROB:
             at = self.rng.uniform(0.1, 0.5) * duration
             skip = self.rng.uniform(30.0, 240.0)
             sim.schedule(at, lambda s=session, d=skip: self._seek(s, d))
 
         # Binge: once this episode has played out, maybe start the next.
-        if self.rng.random() < cfg.binge_prob:
+        if self.rng.random() < BINGE_PROB:
             nxt = self.catalog.next_episode(episode)
             if nxt is not None:
-                sim.schedule(1.15 * duration + 2 * cfg.abandon_startup_s,
+                sim.schedule(1.15 * duration + 2 * ABANDON_STARTUP_S,
                              lambda s=session, p=peer, e=nxt:
                              self._maybe_binge(s, p, e))
 

@@ -44,6 +44,11 @@ __all__ = [
 _HOUR = 3600.0
 _DAY = 86400.0
 
+#: Off-peak window (UTC hours) in which ``offpeak_prefetch`` may push.
+OFFPEAK_WINDOW = (2.0, 7.0)
+#: Registered-copies target per (episode, region) for the prefetch placer.
+PREFETCH_COPIES_TARGET = 6
+
 
 class ServingPolicy:
     """Base policy: serve from anyone, never push copies (the baseline)."""
@@ -180,13 +185,13 @@ class OffPeakPrefetchPolicy(ServingPolicy):
         episodes = [ep.obj for ep in catalog.episodes()]
         placement = PlacementConfig(
             interval=1800.0,
-            copies_target=config.prefetch_copies_target,
+            copies_target=PREFETCH_COPIES_TARGET,
             hot_threshold=2,
             max_prefetches_per_tick=config.max_prefetches_per_tick,
         )
         return OffPeakPlacer(
             system, episodes, placement,
-            window=(config.offpeak_start_hour, config.offpeak_end_hour),
+            window=OFFPEAK_WINDOW,
             counters=self.counters,
         )
 
@@ -212,7 +217,7 @@ class PopularitySeedingPolicy(ServingPolicy):
         episodes = catalog.episodes()
         if not episodes or config.seed_copies_per_episode <= 0:
             return 0
-        weights = catalog.weights(config)
+        weights = catalog.weights()
         hosts = [p for p in population.iter_peers() if p.uploads_enabled]
         if not hosts:
             return 0

@@ -26,6 +26,15 @@ from repro.workload.population import DAY, Population
 
 __all__ = ["BehaviorConfig", "UserBehavior"]
 
+#: Among users who pause rather than abort, probability the pause is
+#: temporary: the user resumes hours later (the Download Manager's flagship
+#: feature, §3.3).  The remainder pause "for later" and never resume — the
+#: trace outcome the paper counts as terminated.
+RESUME_LATER_PROB = 0.5
+#: Table 3 (once, twice) toggle probabilities over the whole trace for
+#: peers that start with uploads disabled.
+TOGGLE_IF_DISABLED = (0.0003, 0.0001)
+
 
 @dataclass(frozen=True)
 class BehaviorConfig:
@@ -44,14 +53,8 @@ class BehaviorConfig:
     other_failure_prob: float = 0.025
     #: When patience runs out: probability the user aborts outright.
     abort_vs_pause: float = 0.5
-    #: Among the non-aborting rest, probability the pause is temporary: the
-    #: user resumes hours later (the Download Manager's flagship feature,
-    #: §3.3).  The remainder pause "for later" and never resume — the trace
-    #: outcome the paper counts as terminated.
-    resume_later_prob: float = 0.5
-    #: Table 3 toggle probabilities over the whole trace, by initial setting.
-    toggle_once_if_disabled: float = 0.0003
-    toggle_twice_if_disabled: float = 0.0001
+    #: Table 3 toggle probabilities over the whole trace for peers that
+    #: start with uploads enabled (see :data:`TOGGLE_IF_DISABLED`).
     toggle_once_if_enabled: float = 0.0180
     toggle_twice_if_enabled: float = 0.0009
 
@@ -107,7 +110,7 @@ class UserBehavior:
             session.abort()
             return
         session.pause()
-        if self.rng.random() < self.config.resume_later_prob:
+        if self.rng.random() < RESUME_LATER_PROB:
             delay = self.rng.uniform(2 * 3600.0, 20 * 3600.0)
             self.system.sim.schedule(delay, lambda: self._resume_later(session))
         # else: paused "for later" and forgotten — finalized as aborted at
@@ -185,7 +188,7 @@ class UserBehavior:
             if enabled:
                 p_once, p_twice = cfg.toggle_once_if_enabled, cfg.toggle_twice_if_enabled
             else:
-                p_once, p_twice = cfg.toggle_once_if_disabled, cfg.toggle_twice_if_disabled
+                p_once, p_twice = TOGGLE_IF_DISABLED
             draw = rng.random()
             if draw < p_twice:
                 toggles = 2

@@ -58,6 +58,16 @@ PAPER_CUSTOMERS: list[tuple[str, float, dict[str, float]]] = [
 MB = 1024 * 1024
 GB = 1024 * MB
 
+#: Size range for the large installer class (p2p-enabled head).
+LARGE_SIZE_RANGE = (400 * MB, 2 * GB)
+#: Log-uniform size range for the small-object tail.
+SMALL_SIZE_RANGE = (1 * MB, 500 * MB)
+#: Providers whose binaries ship with uploads mostly disabled "use the
+#: software merely as a download manager, without the peer assist" (paper
+#: §5.1) — only providers at or above this upload-default rate publish
+#: p2p-enabled objects.
+P2P_PROVIDER_THRESHOLD = 0.10
+
 
 @dataclass(frozen=True)
 class CatalogConfig:
@@ -69,19 +79,10 @@ class CatalogConfig:
     #: Zipf exponent for object popularity within a provider (Fig 3b shows
     #: the "nearly ubiquitous power law").
     zipf_exponent: float = 1.1
-    #: Size range for the large installer class (p2p-enabled head).
-    large_size_range: tuple[int, int] = (400 * MB, 2 * GB)
-    #: Log-uniform size range for the small-object tail.
-    small_size_range: tuple[int, int] = (1 * MB, 500 * MB)
     #: Relative popularity boost for p2p-enabled objects: providers enable
     #: peer assist on their flagship (most-downloaded) files, which is how
     #: 1.7% of files carry 57% of bytes.
     p2p_head_bias: float = 0.85
-    #: Providers whose binaries ship with uploads mostly disabled "use the
-    #: software merely as a download manager, without the peer assist"
-    #: (paper §5.1) — only providers at or above this upload-default rate
-    #: publish p2p-enabled objects.
-    p2p_provider_threshold: float = 0.10
 
     def __post_init__(self):
         if self.objects_per_provider <= 0:
@@ -148,12 +149,12 @@ def build_catalog(
 
         n = cfg.objects_per_provider
         p2p_ranks: set[int] = set()
-        if upload_rate >= cfg.p2p_provider_threshold:
+        if upload_rate >= P2P_PROVIDER_THRESHOLD:
             # Keep the *global* p2p file fraction at the configured level by
             # concentrating the budget on the peer-assist-using providers.
             using = sum(
                 1 for _, rate, _ in PAPER_CUSTOMERS
-                if rate >= cfg.p2p_provider_threshold
+                if rate >= P2P_PROVIDER_THRESHOLD
             )
             # Capped at the n ranks: above a fraction of
             # using/len(PAPER_CUSTOMERS) the draw below could never end.
@@ -170,9 +171,9 @@ def build_catalog(
         for rank in range(n):
             p2p = rank in p2p_ranks
             if p2p:
-                size = rng.randint(*cfg.large_size_range)
+                size = rng.randint(*LARGE_SIZE_RANGE)
             else:
-                size = _log_uniform_int(rng, *cfg.small_size_range)
+                size = _log_uniform_int(rng, *SMALL_SIZE_RANGE)
             obj = ContentObject(
                 url=f"{name.replace(' ', '').lower()}/object-{rank:05d}",
                 size=size,

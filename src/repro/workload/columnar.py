@@ -66,6 +66,9 @@ __all__ = ["ColumnarPopulationStore", "LazyPeer", "build_columnar_store"]
 #: Peers drawn and mapped per pass of the build, bounding its temporaries.
 _BLOCK = 65_536
 
+#: Probability a peer is effectively always-on (desktops left running).
+ALWAYS_ON_FRACTION = 0.15
+
 
 class _Interner:
     """Interning: shared model objects become int32 indexes, keyed by
@@ -560,7 +563,7 @@ def build_columnar_store(
             flags[:, 0] < cfg.broken_fraction,
             cfg.broken_corruption_prob, default_corruption)
         store.attacker[rows] = flags[:, 1] < cfg.attacker_fraction
-        always_on = flags[:, 2] < cfg.always_on_fraction
+        always_on = flags[:, 2] < ALWAYS_ON_FRACTION
         always_on[forced_on] = True
         store.always_on[rows] = always_on
         if mix is not None:

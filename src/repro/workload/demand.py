@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.content import ContentObject
 from repro.core.peer import PeerNode
@@ -36,6 +36,23 @@ __all__ = ["DemandConfig", "DemandGenerator"]
 #: traffic for Table 2 statistics while keeping a realistic skew).
 DEFAULT_PROVIDER_SHARES = (0.20, 0.14, 0.12, 0.11, 0.10, 0.08, 0.08, 0.07, 0.05, 0.05)
 
+#: Probability that a download of provider X's content is performed by a
+#: peer whose NetSession install came bundled with X's software.  Users
+#: downloading a game run that game's client — this is what makes the
+#: holders of a provider's content share that provider's Table 4 upload
+#: default.
+INSTALL_AFFINITY = 0.8
+
+#: Representative timezone offsets (seconds) per region, used to phase the
+#: diurnal curve of arrivals targeted at that region.
+REGION_TZ = {
+    "US East": -5 * 3600.0, "US West": -8 * 3600.0,
+    "Americas Other": -4 * 3600.0, "Europe": 1 * 3600.0,
+    "India": 5.5 * 3600.0, "China": 8 * 3600.0,
+    "Asia Other": 8 * 3600.0, "Africa": 2 * 3600.0,
+    "Oceania": 10 * 3600.0,
+}
+
 
 @dataclass(frozen=True)
 class DemandConfig:
@@ -44,21 +61,6 @@ class DemandConfig:
     total_downloads: int = 5000
     duration_days: float = 7.0
     provider_shares: tuple[float, ...] = DEFAULT_PROVIDER_SHARES
-    #: Probability that a download of provider X's content is performed by a
-    #: peer whose NetSession install came bundled with X's software.  Users
-    #: downloading a game run that game's client — this is what makes the
-    #: holders of a provider's content share that provider's Table 4 upload
-    #: default.
-    install_affinity: float = 0.8
-    #: Representative timezone offsets (seconds) per region, used to phase
-    #: the diurnal curve of arrivals targeted at that region.
-    region_tz: dict[str, float] = field(default_factory=lambda: {
-        "US East": -5 * 3600.0, "US West": -8 * 3600.0,
-        "Americas Other": -4 * 3600.0, "Europe": 1 * 3600.0,
-        "India": 5.5 * 3600.0, "China": 8 * 3600.0,
-        "Asia Other": 8 * 3600.0, "Africa": 2 * 3600.0,
-        "Oceania": 10 * 3600.0,
-    })
 
     def __post_init__(self):
         if self.total_downloads <= 0:
@@ -136,7 +138,7 @@ class DemandGenerator:
                              cdfs: dict[float, list[float]] | None = None) -> float:
         """Inverse-CDF sample from the diurnal rate curve for a region;
         ``cdfs`` keeps this ``horizon``'s curves by timezone offset."""
-        tz = self.config.region_tz.get(region, 0.0)
+        tz = REGION_TZ.get(region, 0.0)
         cdfs = {} if cdfs is None else cdfs
         if tz not in cdfs:
             # Piecewise-constant rate at hourly resolution over the horizon.
@@ -167,7 +169,7 @@ class DemandGenerator:
     def _pick_peer(self, region: str, obj: ContentObject) -> PeerNode | None:
         peers = self.population.peers
         pools: list = []
-        if self.rng.random() < self.config.install_affinity:
+        if self.rng.random() < INSTALL_AFFINITY:
             affine = self._peers_by_region_cp.get((region, obj.provider.cp_code))
             if affine:
                 pools.append(affine)

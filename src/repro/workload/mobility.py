@@ -33,6 +33,12 @@ from repro.workload.population import DAY, Population
 
 __all__ = ["MobilityConfig", "MobilityModel"]
 
+#: Probability a commuter's work location is a different city (>10 km); the
+#: rest commute within the same city (suburb-level moves).
+COMMUTER_FAR_PROB = 0.55
+#: Locations a roamer cycles through (inclusive bounds).
+ROAMER_LOCATIONS = (3, 5)
+
 
 @dataclass(frozen=True)
 class MobilityConfig:
@@ -43,11 +49,6 @@ class MobilityConfig:
     traveler_fraction: float = 0.012
     #: Probability a commuter's work location is in a different AS.
     commuter_as_change_prob: float = 0.95
-    #: Probability a commuter's work location is a different city (>10 km);
-    #: the rest commute within the same city (suburb-level moves).
-    commuter_far_prob: float = 0.55
-    #: Locations a roamer cycles through (inclusive bounds).
-    roamer_locations: tuple[int, int] = (3, 5)
 
     def __post_init__(self):
         total = self.commuter_fraction + self.roamer_fraction + self.traveler_fraction
@@ -130,7 +131,7 @@ class MobilityModel:
         """A commuter's second site: usually another AS, sometimes far."""
         cfg = self.config
         country = peer.country
-        if self.rng.random() < cfg.commuter_far_prob and len(country.cities) > 1:
+        if self.rng.random() < COMMUTER_FAR_PROB and len(country.cities) > 1:
             others = [c for c in country.cities if c.name != peer.city.name]
             city = self.rng.choice(others)
         else:
@@ -175,7 +176,7 @@ class MobilityModel:
                 )
 
     def _schedule_roamer(self, peer: PeerNode, duration_days: float) -> None:
-        lo, hi = self.config.roamer_locations
+        lo, hi = ROAMER_LOCATIONS
         sites = [_Site(peer.country, peer.city, peer.asys)]
         sites += [self._random_site() for _ in range(self.rng.randint(lo - 1, hi - 1))]
         moves = max(2, int(duration_days))

@@ -51,8 +51,6 @@ class PopulationConfig:
     attacker_fraction: float = 0.0
     #: Mean hours per day a user's machine is on (and NetSession running).
     mean_daily_uptime_hours: float = 10.0
-    #: Probability a peer is effectively always-on (desktops left running).
-    always_on_fraction: float = 0.15
     #: When set, only this many peers (a seeded uniform subset) get daily
     #: online-session schedules; the rest stay dormant until demand or a
     #: fault touches them.  Million-peer scenarios need it — scheduling

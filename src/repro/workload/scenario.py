@@ -200,7 +200,7 @@ def seed_warm_caches(
     for _ in range(total):
         obj = rng.choices(p2p_objects, weights=weights, k=1)[0]
         # Holders of a provider's content are mostly that provider's own
-        # installs (see DemandConfig.install_affinity).
+        # installs (see repro.workload.demand.INSTALL_AFFINITY).
         pool = by_cp.get(obj.provider.cp_code)
         if pool and seeded_per_obj.get(obj.cid, 0) >= saturation_cap * len(pool):
             pool = population.peers

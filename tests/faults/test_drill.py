@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.runner.artifact as artifact_module
-from repro.experiments import exp_fault_matrix
+from repro.experiments import run_experiment
 from repro.faults import drill_config, run_drill
 from repro.workload import ScenarioConfig, run_scenario
 from repro.workload.scenario import PopulationConfig
@@ -108,7 +108,7 @@ class TestWorkloadIntegration:
 
 class TestFaultMatrix:
     def test_small_matrix_meets_the_paper_story(self):
-        out = exp_fault_matrix.run("small", 42)
+        out = run_experiment("exp_fault_matrix", "small", 42)
         assert out.text and out.metrics
         # A healthy baseline, per the §5.2 outcome numbers.
         assert out.metrics["baseline_completed"] >= 0.9
@@ -121,8 +121,8 @@ class TestFaultMatrix:
         assert blackout_worse
 
     def test_matrix_is_cached_per_scale_and_seed(self):
-        a = exp_fault_matrix.run("small", 42)
-        b = exp_fault_matrix.run("small", 42)
+        a = run_experiment("exp_fault_matrix", "small", 42)
+        b = run_experiment("exp_fault_matrix", "small", 42)
         assert a.text == b.text
 
 

@@ -59,7 +59,7 @@ def test_rolling_upgrade_warnings_do_not_fail_strict():
 @pytest.mark.slow
 def test_strict_golden_parity(monkeypatch):
     """exp_table1/exp_fig4 output is byte-identical under strict auditing."""
-    from repro.experiments import exp_fig4, exp_table1
+    from repro.experiments import run_experiment
 
     import dataclasses
 
@@ -78,7 +78,6 @@ def test_strict_golden_parity(monkeypatch):
     fp = fingerprint_config(config)
     monkeypatch.setitem(common._ARTIFACTS, fp,
                         artifact_from_result(result, fingerprint=fp))
-    for module, golden in ((exp_table1, "exp_table1_small_seed42.txt"),
-                           (exp_fig4, "exp_fig4_small_seed42.txt")):
-        expected = (GOLDEN_DIR / golden).read_text()
-        assert module.run("small", 42).text == expected
+    for name in ("exp_table1", "exp_fig4"):
+        expected = (GOLDEN_DIR / f"{name}_small_seed42.txt").read_text()
+        assert run_experiment(name, "small", 42).text == expected

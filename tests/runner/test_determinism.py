@@ -75,7 +75,7 @@ def test_polluted_worker_still_reproduces_the_goldens(monkeypatch):
     """A worker whose global RNG state is hostile still lands on the
     pinned golden bytes — the system uses no global randomness."""
     import repro.experiments.common as common
-    from repro.experiments import exp_fig4, exp_table1
+    from repro.experiments import run_experiment
     from repro.runner import Orchestrator
 
     config = common.standard_config("small", 42)
@@ -88,10 +88,9 @@ def test_polluted_worker_still_reproduces_the_goldens(monkeypatch):
     memo = {artifact.fingerprint: artifact}
     monkeypatch.setattr(common, "_ARTIFACTS", memo)
     monkeypatch.setattr(common, "_RUNNER", Orchestrator(memory=memo))
-    for module, golden in ((exp_table1, "exp_table1_small_seed42.txt"),
-                           (exp_fig4, "exp_fig4_small_seed42.txt")):
-        expected = (GOLDEN_DIR / golden).read_text()
-        assert module.run("small", 42).text == expected
+    for name in ("exp_table1", "exp_fig4"):
+        expected = (GOLDEN_DIR / f"{name}_small_seed42.txt").read_text()
+        assert run_experiment(name, "small", 42).text == expected
 
 
 def test_fuzz_seed_runs_identically_in_a_worker():

@@ -107,26 +107,26 @@ class TestExperimentsLayerWiring:
         before = common._RUNNER
         try:
             config = tiny_config(seed=9)
-            artifact = common.scenario_result(config)
+            artifact = common._RUNNER.result(config)
             common.configure_runner(jobs=1)
             assert common._RUNNER is not before
-            assert common.scenario_result(config) is artifact
+            assert common._RUNNER.result(config) is artifact
         finally:
             common._RUNNER = before
 
     def test_planned_configs_default_and_planner(self):
-        from repro.experiments import planned_configs
+        from repro.experiments import EXPERIMENTS
         from repro.experiments.common import standard_config
 
         # Default plan: the one standard trace.
-        assert planned_configs("exp_table1", "small", 42) == [
+        assert EXPERIMENTS["exp_table1"].plan("small", 42) == [
             standard_config("small", 42)]
-        # Planner-declared: exp_fig5 runs only its copies-diverse variant.
-        fig5 = planned_configs("exp_fig5", "small", 42)
+        # Row-declared: exp_fig5 runs only its copies-diverse variant.
+        fig5 = EXPERIMENTS["exp_fig5"].plan("small", 42)
         assert len(fig5) == 1
         assert fig5[0] != standard_config("small", 42)
         # Scripted experiments plan their scripted configs: the LAN push
         # with and without sites, same cast and start times.
-        lan = planned_configs("exp_lan_updates", "small", 42)
+        lan = EXPERIMENTS["exp_lan_updates"].plan("small", 42)
         assert [bool(c.script.waves[0].lan_site) for c in lan] == [True, False]
         assert lan[0].script.waves[0].starts == lan[1].script.waves[0].starts

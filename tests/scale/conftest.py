@@ -21,6 +21,7 @@ from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
 )
 from repro.workload.catalog import build_catalog
+from repro.workload.columnar import ALWAYS_ON_FRACTION
 from repro.workload.population import (
     Population, _finish_population, build_population,
 )
@@ -51,7 +52,7 @@ def build_object_population(system, providers, config=None,
         peers.append(peer)
         # Local solar time from longitude: 15 degrees per hour.
         tz_offset[peer.guid] = (peer.city.lon / 15.0) * 3600.0
-        if rng.random() < cfg.always_on_fraction:
+        if rng.random() < ALWAYS_ON_FRACTION:
             always_on.add(peer.guid)
         if cfg.device is not None:
             cls = cfg.device.pick(rng.random())

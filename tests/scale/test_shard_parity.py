@@ -19,7 +19,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import common, exp_fig4, exp_table1, exp_vod_policies
+from repro.experiments import common, run_experiment
 from repro.runner import (
     Orchestrator, event_digest, record_digest, run_scenario_artifact,
 )
@@ -39,18 +39,18 @@ def fresh_memo(monkeypatch):
     return memo
 
 
-@pytest.mark.parametrize("module", [
-    exp_table1,
-    exp_fig4,
+@pytest.mark.parametrize("name", [
+    "exp_table1",
+    "exp_fig4",
     # The policy sweep runs four full scenarios per store; keep it out of
     # the tier-1 wall clock.
-    pytest.param(exp_vod_policies, marks=pytest.mark.slow),
+    pytest.param("exp_vod_policies", marks=pytest.mark.slow),
 ])
-def test_experiment_text_is_store_independent(module, fresh_memo):
+def test_experiment_text_is_store_independent(name, fresh_memo):
     with object_store_oracle():
-        object_text = module.run("small", 42).text
+        object_text = run_experiment(name, "small", 42).text
     fresh_memo.clear()  # same fingerprint: the columnar side must be cold
-    columnar_text = module.run("small", 42).text
+    columnar_text = run_experiment(name, "small", 42).text
     assert columnar_text == object_text
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import EXPERIMENTS
 
 
 class TestParser:
@@ -27,7 +27,7 @@ class TestCommands:
         assert main(["list"]) == 0
         listed = [line.split()[0]
                   for line in capsys.readouterr().out.splitlines()]
-        assert listed == ALL_EXPERIMENTS  # each name once, in order
+        assert listed == list(EXPERIMENTS)  # each name once, in order
 
     def test_run_unknown_experiment_fails(self, capsys):
         assert main(["run", "exp_nonsense"]) == 2

@@ -1,16 +1,16 @@
-"""The experiment runners and their paper-shape checks.
+"""The experiment rows and their paper-shape checks.
 
-Every runner must produce renderable output and its advertised metrics on
-the small scale, and those metrics must hold the paper's qualitative
-shape — who wins, what rises with what, where the skew is.  ``SHAPES``
-holds that check once per experiment; the runners in ``HEAVY`` run extra
-scenarios of their own and are ``slow``.  The scenario cache in
-``experiments.common`` makes the light entries cost one small simulation.
+Every row must render output and its advertised metrics on the small
+scale, and those metrics must hold the paper's qualitative shape — who
+wins, what rises with what, where the skew is.  ``SHAPES`` holds that check
+once per experiment; the rows in ``HEAVY`` plan extra scenarios of their
+own and are ``slow``.  The scenario cache in ``experiments.common`` makes
+the light entries cost one small simulation.
 """
 
 from __future__ import annotations
 
-import importlib
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -18,9 +18,10 @@ import pytest
 
 import repro.experiments
 from repro.experiments import (
-    ALL_EXPERIMENTS, ExperimentOutput, effective_scale, standard_config,
+    EXPERIMENTS, Experiment, ExperimentOutput, common, run_experiment,
+    standard_config,
 )
-from repro.experiments.common import SCALES, standard_result
+from repro.experiments.common import SCALES
 
 #: Experiments that run extra scenarios of their own (``slow``).
 HEAVY = {"exp_baselines", "exp_ablation_locality", "exp_ablation_backstop",
@@ -279,38 +280,50 @@ class TestScales:
             standard_config("galactic")
 
     def test_result_cached_per_scale_and_seed(self):
-        a = standard_result("small", 42)
-        b = standard_result("small", 42)
+        a = common._RUNNER.result(standard_config("small", 42))
+        b = common._RUNNER.result(standard_config("small", 42))
         assert a is b
 
 
 class TestRegistry:
     def test_every_module_is_registered_once(self):
+        """Every row a module under ``repro/experiments`` defines is in the
+        table exactly once, and every module but the shared ones and the
+        ``repro scale`` driver defines a row."""
         package = Path(repro.experiments.__file__).parent
-        modules = {p.stem for p in package.glob("exp_*.py")} - {"exp_scale"}
-        assert len(ALL_EXPERIMENTS) == len(set(ALL_EXPERIMENTS))
-        assert set(ALL_EXPERIMENTS) == modules
+        defined = set()
+        for path in sorted(package.glob("*.py")):
+            if path.stem in ("__init__", "common", "exp_scale"):
+                continue
+            module = sys.modules[f"repro.experiments.{path.stem}"]
+            rows = [v for v in vars(module).values()
+                    if isinstance(v, Experiment)]
+            assert rows, f"{path.name} defines no row"
+            defined.update(id(row) for row in rows)
+        registered = [id(row) for row in EXPERIMENTS.values()]
+        assert len(registered) == len(set(registered))
+        assert set(registered) == defined
 
     def test_every_experiment_has_a_shape(self):
-        assert set(SHAPES) == set(ALL_EXPERIMENTS)
+        assert set(SHAPES) == set(EXPERIMENTS)
 
     def test_effective_scale(self):
-        for name in ALL_EXPERIMENTS:
+        pinned = {name: row.scale for name, row in EXPERIMENTS.items()
+                  if row.scale is not None}
+        assert pinned == {"exp_fig12": "mobility", "exp_mobility": "mobility"}
+        for name, row in EXPERIMENTS.items():
             for scale in SCALES:
-                expected = ("mobility" if name in {"exp_mobility", "exp_fig12"}
-                            else scale)
-                assert effective_scale(name, scale) == expected
+                assert row.scale_for(scale) == pinned.get(name, scale)
 
 
 @pytest.mark.parametrize("name", [
     pytest.param(name, marks=pytest.mark.slow) if name in HEAVY else name
-    for name in ALL_EXPERIMENTS
+    for name in EXPERIMENTS
 ])
 def test_runner_produces_output(name):
-    module = importlib.import_module(f"repro.experiments.{name}")
-    out = module.run(effective_scale(name, "small"), 42)
+    out = run_experiment(name, "small", 42)
     assert isinstance(out, ExperimentOutput)
-    assert out.name
+    assert out.name == name.removeprefix("exp_")
     assert len(out.text) > 40
     assert out.metrics
     for key, value in out.metrics.items():

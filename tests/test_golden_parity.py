@@ -7,9 +7,9 @@ reproduce them exactly.  If an intentional modelling change breaks them,
 regenerate with::
 
     PYTHONPATH=src python -c "
-    from repro.experiments import exp_table1, exp_fig4
-    open('tests/golden/exp_table1_small_seed42.txt', 'w').write(exp_table1.run('small', 42).text)
-    open('tests/golden/exp_fig4_small_seed42.txt', 'w').write(exp_fig4.run('small', 42).text)"
+    from repro.experiments import run_experiment
+    for name in ('exp_table1', 'exp_fig4'):
+        open(f'tests/golden/{name}_small_seed42.txt', 'w').write(run_experiment(name).text)"
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import common, exp_fig4, exp_table1
+from repro.experiments import common, run_experiment
 from repro.runner import (
     Orchestrator, event_digest, record_digest, run_scenario_artifact,
 )
@@ -28,13 +28,10 @@ from tests.scale.conftest import object_store_oracle
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("module, golden", [
-    (exp_table1, "exp_table1_small_seed42.txt"),
-    (exp_fig4, "exp_fig4_small_seed42.txt"),
-])
-def test_small_scale_output_is_byte_identical(module, golden):
-    expected = (GOLDEN_DIR / golden).read_text()
-    assert module.run("small", 42).text == expected
+@pytest.mark.parametrize("name", ["exp_table1", "exp_fig4"])
+def test_small_scale_output_is_byte_identical(name):
+    expected = (GOLDEN_DIR / f"{name}_small_seed42.txt").read_text()
+    assert run_experiment(name, "small", 42).text == expected
 
 
 @pytest.mark.parametrize("store", ["object", "columnar"])
@@ -49,13 +46,13 @@ def test_goldens_are_store_independent(store, monkeypatch):
     """
     expected = (GOLDEN_DIR / "exp_table1_small_seed42.txt").read_text()
     if store == "columnar":
-        assert exp_table1.run("small", 42).text == expected
+        assert run_experiment("exp_table1", "small", 42).text == expected
         return
     memo: dict = {}
     monkeypatch.setattr(common, "_ARTIFACTS", memo)
     monkeypatch.setattr(common, "_RUNNER", Orchestrator(memory=memo))
     with object_store_oracle():
-        assert exp_table1.run("small", 42).text == expected
+        assert run_experiment("exp_table1", "small", 42).text == expected
 
 
 # --------------------------------------------------------------- streaming

@@ -20,15 +20,15 @@ from tests.conftest import env_with_src
 
 #: The two experiments' cores at toy size: a BitTorrent-like swarm where
 #: finished leechers join the seeder set, the managed/equal-split stage of
-#: ``exp_managed_swarm``, and ``exp_fig8``'s text over a hand-made log with
-#: all three contribution classes.
+#: ``exp_managed_swarm``, and ``exp_fig8``'s render fed a hand-made
+#: artifact whose log holds all three contribution classes.
 _CORE = """
 from types import SimpleNamespace
 
 from repro.analysis.logstore import LogStore
 from repro.analysis.records import DownloadRecord
 from repro.baselines.p2p_cdn import P2PPeer, PureP2PSwarm
-from repro.experiments import exp_fig8, exp_managed_swarm
+from repro.experiments import exp_managed_swarm, paper
 from repro.net.geo import GeoDatabase, GeoRecord
 
 swarm = PureP2PSwarm(seed=3)
@@ -57,9 +57,7 @@ for n, (cc, edge) in enumerate(shares.items()):
         guid=f"g{n}", url="u", cid="c", cp_code=1004, size=100,
         started_at=0.0, ended_at=1.0, edge_bytes=edge, peer_bytes=100 - edge,
         p2p_enabled=True, outcome="completed", ip=cc))
-exp_fig8.standard_result = lambda scale, seed: SimpleNamespace(
-    logstore=store, geodb=geodb)
-print(exp_fig8.run("small", 42).text)
+print(paper.fig8([SimpleNamespace(logstore=store, geodb=geodb)], 42).text)
 """
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.vod import VOD_CP_CODE, VodConfig, build_vod_catalog
+from repro.vod.catalog import DECAY_HALF_LIFE_DAYS, RELEASE_SPACING_DAYS
 
 
 @pytest.fixture
@@ -37,7 +38,7 @@ class TestStructure:
             assert days == sorted(days)
             assert days[-1] == 0.0  # newest episode airs at the window open
             assert days[0] == -(config.episodes_per_series - 1) * \
-                config.release_spacing_days
+                RELEASE_SPACING_DAYS
 
     def test_cids_are_unique(self, catalog):
         cids = [ep.obj.cid for ep in catalog.episodes()]
@@ -56,18 +57,17 @@ class TestDeterminism:
 
 class TestPopularity:
     def test_newer_episodes_weigh_more_within_a_series(self, catalog, config):
-        weights = catalog.weights(config)
+        weights = catalog.weights()
         per_series = config.episodes_per_series
         first_series = weights[:per_series]
         assert first_series == sorted(first_series)  # decay: older is lighter
 
     def test_half_life_is_honoured(self, catalog, config):
-        weights = catalog.weights(config)
+        weights = catalog.weights()
         series = catalog.series[0]
         for older, newer in zip(series.episodes, series.episodes[1:]):
             ratio = (weights[newer.index] / weights[older.index])
-            expected = 2.0 ** (
-                config.release_spacing_days / config.decay_half_life_days)
+            expected = 2.0 ** (RELEASE_SPACING_DAYS / DECAY_HALF_LIFE_DAYS)
             assert ratio == pytest.approx(expected)
 
     def test_hit_series_outweigh_the_tail(self, catalog):

@@ -1,4 +1,4 @@
-"""exp_vod_policies: planner shape, orchestrator parity, full sweep."""
+"""exp_vod_policies: plan shape, orchestrator parity, full sweep."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import planned_configs
-from repro.experiments.exp_vod_policies import BASELINE, configs, run, variants
+from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments.exp_vod_policies import BASELINE, variants
 from repro.runner import Orchestrator
 from repro.runner.fingerprint import fingerprint_config
 from repro.vod import POLICY_NAMES, VodConfig
@@ -15,30 +15,34 @@ from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
 )
 
+plan = EXPERIMENTS["exp_vod_policies"].plan
+
 
 class TestPlanner:
     def test_one_config_per_variant(self):
-        cfgs = configs("small", 42)
+        cfgs = plan("small", 42)
         assert len(cfgs) == len(variants()) == 1 + len(POLICY_NAMES)
         fps = [fingerprint_config(c) for c in cfgs]
         assert len(set(fps)) == len(fps), "variants must not share a cache key"
 
     def test_baseline_disables_p2p_globally(self):
-        baseline = configs("small", 42)[0]
+        baseline = plan("small", 42)[0]
         assert variants()[0] == BASELINE
         assert baseline.system.p2p_globally_enabled is False
         assert baseline.vod is not None
 
     def test_policy_variants_cover_the_registry(self):
-        cfgs = configs("small", 42)
+        cfgs = plan("small", 42)
         assert [c.vod.policy for c in cfgs[1:]] == list(POLICY_NAMES)
         for cfg in cfgs:
             assert cfg.vod.sessions > 0
 
     def test_prefetch_plan_matches_the_planner(self):
-        planned = planned_configs("exp_vod_policies", "small", 42)
-        assert [fingerprint_config(c) for c in planned] == \
-            [fingerprint_config(c) for c in configs("small", 42)]
+        # A batch plans once to prefetch and ``run_experiment`` plans again
+        # to render: both calls must name the same cache keys, or the
+        # render would run the sweep a second time.
+        assert [fingerprint_config(c) for c in plan("small", 42)] == \
+            [fingerprint_config(c) for c in plan("small", 42)]
 
 
 def _tiny_vod_configs():
@@ -77,7 +81,7 @@ class TestJobsParity:
 @pytest.mark.slow
 class TestFullSweep:
     def test_small_sweep_reports_qoe_and_transit_per_policy(self):
-        out = run("small", 42)
+        out = run_experiment("exp_vod_policies", "small", 42)
         assert "peak transit" in out.text
         for name in (BASELINE, *POLICY_NAMES):
             key = name.replace("-", "_")

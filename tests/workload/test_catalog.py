@@ -11,7 +11,8 @@ import pytest
 from tests.conftest import env_with_src
 
 from repro.workload.catalog import (
-    Catalog, CatalogConfig, PAPER_CUSTOMERS, build_catalog,
+    LARGE_SIZE_RANGE, P2P_PROVIDER_THRESHOLD, PAPER_CUSTOMERS,
+    SMALL_SIZE_RANGE, Catalog, CatalogConfig, build_catalog,
 )
 
 MB = 1024 * 1024
@@ -51,7 +52,7 @@ class TestP2PGating:
         p2p_cps = {o.provider.cp_code for o in catalog.p2p_objects()}
         for index, (name, rate, _mix) in enumerate(PAPER_CUSTOMERS):
             cp = 1001 + index
-            if rate < CatalogConfig().p2p_provider_threshold:
+            if rate < P2P_PROVIDER_THRESHOLD:
                 assert cp not in p2p_cps, name
 
     def test_global_p2p_file_fraction_near_target(self, catalog):
@@ -59,15 +60,13 @@ class TestP2PGating:
         assert frac == pytest.approx(0.017, abs=0.01)
 
     def test_p2p_objects_are_large(self, catalog):
-        cfg = CatalogConfig()
         for obj in catalog.p2p_objects():
-            assert obj.size >= cfg.large_size_range[0]
+            assert obj.size >= LARGE_SIZE_RANGE[0]
 
     def test_small_objects_within_range(self, catalog):
-        cfg = CatalogConfig()
         for obj in catalog.objects:
             if not obj.p2p_enabled:
-                assert obj.size <= cfg.small_size_range[1] * 1.01
+                assert obj.size <= SMALL_SIZE_RANGE[1] * 1.01
 
 
 class TestSampling:

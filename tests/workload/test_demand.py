@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import NetSessionSystem
 from repro.workload.catalog import CatalogConfig, build_catalog
-from repro.workload.demand import DemandConfig, DemandGenerator
+from repro.workload.demand import REGION_TZ, DemandConfig, DemandGenerator
 from repro.workload.population import DAY, PopulationConfig, build_population
 
 
@@ -110,7 +110,7 @@ class TestDiurnalCdf:
                               DemandConfig(total_downloads=400, duration_days=4.0))
         times = [gen._sample_arrival_time("Europe", 4 * DAY)
                  for _ in range(800)]
-        tz = gen.config.region_tz["Europe"]
+        tz = REGION_TZ["Europe"]
         def local_hour(t):
             return ((t + tz) % DAY) / 3600.0
         evening = sum(1 for t in times if 17 <= local_hour(t) <= 23)
