@@ -17,10 +17,10 @@ this engine.  The engine maintains one scalar score per peer:
   drawn from ``random.Random(f"repro-defense:{seed}:{guid}")``, which
   breaks ranking ties stably and independently of call order.
 
-Scores feed candidate ranking in :func:`repro.core.selection.select_peers`
-(``rank_key``), a quarantine/ban state machine with probation re-admission
-(good → quarantined → probation → good), and CN registration eviction via
-the ``on_quarantine`` hook.  Everything is lazy and event-free: no
+As the plane's ``"reputation"`` candidate stage, scores rank candidates
+and the quarantine/ban state machine (good → quarantined → probation →
+good) filters them; quarantine evicts CN registrations via the
+``on_quarantine`` hook.  Everything is lazy and event-free: no
 simulator events are scheduled, no RNG stream shared with the simulation
 is consumed, and with ``DefenseConfig.enabled=False`` the engine is never
 constructed at all.
@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Iterator
 
+from repro.core.selection import CandidateStage
 from repro.core.system import DefenseStats
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
@@ -88,17 +89,16 @@ class PeerScore:
         self.quarantines = 0
 
 
-class ReputationEngine:
+class ReputationEngine(CandidateStage):
     """CN-side aggregate of session-reported per-uploader observations."""
+
+    kind = "reputation"
 
     def __init__(self, seed: int):
         self._seed_token = f"repro-defense:{seed}"
         self.peers: dict[str, PeerScore] = {}
         #: Installed by the system: callable(guid) -> registrations evicted.
         self.on_quarantine: Callable[[str], int] | None = None
-        #: Installed by the system: the simulation clock.  CNs read it so
-        #: they need no simulator reference of their own.
-        self.clock: Callable[[], float] = lambda: 0.0
         #: Aggregate counters; the system installs its own
         #: :class:`~repro.core.system.DefenseStats` here.
         self.stats = DefenseStats()
@@ -185,8 +185,12 @@ class ReputationEngine:
         return (entry is not None and entry.state == QUARANTINED
                 and now - entry.quarantined_at < PROBATION_INTERVAL)
 
+    def candidate_filter(self, now: float):
+        """The quarantine gate: :meth:`admits` for every candidate."""
+        return lambda query, reg: self.admits(reg.guid, now)
+
     def rank_key(self, now: float) -> Callable[["PeerRegistration"], float]:
-        """Key for ``select_peers(rank_key=...)``: decayed score, higher first."""
+        """Decayed score, higher first."""
         return lambda reg: self.score(reg.guid, now)
 
     # ------------------------------------------------------------ aggregation

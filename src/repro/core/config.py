@@ -96,6 +96,10 @@ class ControlPlaneConfig:
             raise ValueError("peers_per_query must be positive")
         if not 0.0 <= self.diversity_probability <= 1.0:
             raise ValueError("diversity_probability must be in [0, 1]")
+        if not self.reconnect_rate_limit > 0:
+            raise ValueError("reconnect_rate_limit must be positive")
+        if self.remote_search_threshold < 0:
+            raise ValueError("remote_search_threshold must be >= 0")
 
 
 @dataclass(frozen=True)

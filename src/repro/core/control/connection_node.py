@@ -11,36 +11,26 @@ The peer objects a CN holds must provide the small protocol documented in
 (``asn``, ``country_code``, ``geo_region``), connectivity (``nat_profile``),
 preferences (``uploads_enabled``), ``shareable_cids()`` and the
 ``channel`` its RE-ADD replies ride.
+
+Queries compose the plane's candidate stages (``ControlPlane.stages``)
+into one :func:`~repro.core.selection.select_peers` call.
 """
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING
 
-from repro.analysis.logstore import LogStore
 from repro.analysis.records import LoginRecord, RegistrationRecord
-from repro.core.config import ControlPlaneConfig
 from repro.core.control.database_node import DatabaseNode, PeerRegistration
-from repro.core.control.stun import StunService
-from repro.core.edge import AuthToken, EdgeNetwork
+from repro.core.edge import AuthToken
 from repro.core.messages import PeerCandidate, PeerQueryResponse, UsageReport
-from repro.core.selection import QueryContext, device_rank_key, select_peers
+from repro.core.selection import QueryContext, compose_stages, select_peers
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.accounting import AccountingService
+    from repro.core.control.plane import ControlPlane
     from repro.core.peer import PeerNode
 
 __all__ = ["ConnectionNode"]
-
-
-def _compose_admission(policy_admits, reputation, now):
-    """Serving-policy filter ∧ reputation quarantine gate."""
-    if policy_admits is None:
-        return lambda query, reg: reputation.admits(reg.guid, now)
-    return lambda query, reg: (
-        reputation.admits(reg.guid, now) and policy_admits(query, reg)
-    )
 
 
 class ConnectionNode:
@@ -51,47 +41,16 @@ class ConnectionNode:
         name: str,
         network_region: str,
         local_dns: list[DatabaseNode],
-        edge: EdgeNetwork,
-        stun: StunService,
-        logstore: LogStore,
-        accounting: "AccountingService",
-        config: ControlPlaneConfig,
-        rng: random.Random,
-        *,
-        locality_aware: bool = True,
+        plane: "ControlPlane",
     ):
         if not local_dns:
             raise ValueError(f"CN {name} needs at least one local DN")
         self.name = name
         self.network_region = network_region
         self.local_dns = local_dns
-        self.edge = edge
-        self.stun = stun
-        self.logstore = logstore
-        self.accounting = accounting
-        self.config = config
-        self.rng = rng
-        self.locality_aware = locality_aware
+        self.plane = plane
         self.alive = True
         self.connected: dict[str, "PeerNode"] = {}
-        #: Set by the control plane: callable(cid, exclude_region) returning
-        #: registrations from remote regions (§3.7: the CN/DN system is
-        #: interconnected, so cross-region search is possible).
-        self.remote_lookup = None
-        #: Optional serving policy (see :mod:`repro.vod.policy`): filters
-        #: candidates and can veto cross-region widening for the cids it
-        #: governs.  None (the default) changes nothing.
-        self.serving_policy = None
-        #: Optional reputation engine (see :mod:`repro.adversary.reputation`),
-        #: installed by the system when ``SystemConfig.defense.enabled``:
-        #: quarantined peers are filtered out of (and evicted from) the
-        #: directory and candidates are ranked by score.  None = no defense.
-        self.reputation = None
-        #: Optional device-tier ranking weights (class name -> weight),
-        #: installed by population synthesis when a device mix declares
-        #: non-zero selection weights.  Composes with the reputation rank
-        #: (class dominates, score breaks ties).  None = class-blind.
-        self.device_rank_weights = None
 
     # ----------------------------------------------------------------- login
 
@@ -104,8 +63,8 @@ class ConnectionNode:
         if not self.alive:
             raise ConnectionError(f"CN {self.name} is down")
         self.connected[peer.guid] = peer
-        self.stun.probe(peer.nat_profile)
-        self.logstore.add_login(LoginRecord(
+        self.plane.stun.probe(peer.nat_profile)
+        self.plane.logstore.add_login(LoginRecord(
             guid=peer.guid,
             ip=peer.ip,
             timestamp=now,
@@ -138,8 +97,8 @@ class ConnectionNode:
         """Record that ``peer`` holds a complete copy of ``cid``."""
         if not peer.uploads_enabled:
             return
-        if (self.reputation is not None
-                and self.reputation.is_quarantined(peer.guid, now)):
+        reputation = self.plane.reputation
+        if reputation is not None and reputation.is_quarantined(peer.guid, now):
             # Quarantined peers stay out of the directory: eviction would be
             # pointless if the next refresh re-registered them.
             return
@@ -160,7 +119,7 @@ class ConnectionNode:
             device_class=peer.device_class,
         ))
         if added:
-            self.logstore.add_registration(RegistrationRecord(
+            self.plane.logstore.add_registration(RegistrationRecord(
                 guid=peer.guid, cid=cid, timestamp=now,
                 network_region=self.network_region,
             ))
@@ -190,7 +149,8 @@ class ConnectionNode:
         """
         if not self.alive:
             raise ConnectionError(f"CN {self.name} is down")
-        if not self.edge.verify_token(token, peer.guid, cid):
+        plane = self.plane
+        if not plane.edge.verify_token(token, peer.guid, cid):
             return PeerQueryResponse(cid=cid, candidates=())
         dn = self._dn_for(cid)
         if dn is None:
@@ -204,45 +164,33 @@ class ConnectionNode:
             nat_reported=peer.nat_profile.reported_type.value,
             lan_id=peer.lan_id,
         )
+        config = plane.config.control_plane
+        stages = plane.stages
         pool = dn.peers_for(cid)
-        # Widen to remote regions when the local directory is thin (§3.7).
-        # With locality disabled (ablation), the structural level is ablated
-        # too: candidates always come from the whole interconnected CN/DN
-        # system, not just the local region.
-        policy = self.serving_policy
-        threshold = self.config.remote_search_threshold
+        # Widen to remote regions when the local directory is thin (§3.7)
+        # and no stage vetoes it.  With locality disabled (ablation), the
+        # structural level is ablated too: candidates always come from the
+        # whole interconnected CN/DN system, not just the local region.
+        threshold = config.remote_search_threshold
         widen = (
-            (threshold > 0 and len(pool) < threshold) or not self.locality_aware
+            (threshold > 0 and len(pool) < threshold) or not plane.locality_aware
         )
-        if widen and policy is not None and not policy.allow_widening(
-                context, cid):
-            widen = False  # e.g. isp_local: remote regions stay closed
-        if widen and self.remote_lookup is not None:
-            pool = pool + self.remote_lookup(cid, self.network_region)
-        # Compose the serving-policy filter with the reputation gate and
-        # ranking.  Both hooks are None by default, in which case the call
-        # below is identical (argument-for-argument) to the undefended one.
-        candidate_filter = policy.admits if policy is not None else None
-        rank_key = None
-        reputation = self.reputation
-        if reputation is not None:
-            now = reputation.clock()
-            rank_key = reputation.rank_key(now)
-            candidate_filter = _compose_admission(
-                candidate_filter, reputation, now)
-        if self.device_rank_weights is not None:
-            rank_key = device_rank_key(self.device_rank_weights, rank_key)
+        if widen and all(s.allow_widening(context, cid) for s in stages):
+            pool = pool + plane.remote_peers_for(cid, self.network_region)
+        now = plane.sim.now
+        candidate_filter, rank_key = compose_stages(stages, now)
         selected = select_peers(
             pool,
             context,
-            self.config.peers_per_query,
-            self.rng,
+            config.peers_per_query,
+            plane.rng,
             exclude=exclude,
-            diversity_probability=self.config.diversity_probability,
-            locality_aware=self.locality_aware,
+            diversity_probability=config.diversity_probability,
+            locality_aware=plane.locality_aware,
             candidate_filter=candidate_filter,
             rank_key=rank_key,
         )
+        reputation = plane.reputation
         if reputation is not None:
             # The quarantined-never-selected audit: the filter above must
             # make this dead code; the counter proves it stayed that way.
@@ -271,9 +219,10 @@ class ConnectionNode:
         same RPC the peer already sends — and because rejected reports stop
         here, an accounting inflator can't poison anyone's score.
         """
-        accepted = self.accounting.ingest(report)
-        if accepted and self.reputation is not None:
-            self.reputation.ingest_report(report, self.reputation.clock())
+        accepted = self.plane.accounting.ingest(report)
+        reputation = self.plane.reputation
+        if accepted and reputation is not None:
+            reputation.ingest_report(report, self.plane.sim.now)
         return accepted
 
     # -------------------------------------------------------------- failures

@@ -26,6 +26,7 @@ from repro.core.control.database_node import DatabaseNode
 from repro.core.control.monitoring import MonitoringService
 from repro.core.control.stun import StunService
 from repro.core.edge import EdgeNetwork
+from repro.core.selection import CandidateStage
 from repro.net.sim import Simulator
 
 #: Control-plane deployment density, per network region.  The real
@@ -34,11 +35,16 @@ from repro.net.sim import Simulator
 CNS_PER_REGION = 1
 DNS_PER_REGION = 1
 
+#: Candidate-stage order by ``kind``, whatever the install order: class
+#: weight dominates the rank and the score breaks ties; the quarantine gate
+#: filters first, so a refused peer is never counted as policy-filtered.
+STAGE_ORDER = ("device", "reputation", "policy")
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accounting import AccountingService
     from repro.core.peer import PeerNode
 
-__all__ = ["ControlPlane"]
+__all__ = ["STAGE_ORDER", "ControlPlane"]
 
 
 class ControlPlane:
@@ -64,8 +70,12 @@ class ControlPlane:
         self.logstore = logstore
         self.accounting = accounting
         self.rng = rng
+        self.locality_aware = locality_aware
         self.stun = StunService()
         self.monitoring = MonitoringService()
+        self._stage_slots = dict.fromkeys(STAGE_ORDER)
+        #: The installed candidate stages in :data:`STAGE_ORDER`.
+        self.stages: tuple[CandidateStage, ...] = ()
 
         self.dns_by_region: dict[str, list[DatabaseNode]] = {}
         self.cns_by_region: dict[str, list[ConnectionNode]] = {}
@@ -82,18 +92,11 @@ class ControlPlane:
             self.dns_by_region[region] = dns
             self.all_dns.extend(dns)
             cns = [
-                ConnectionNode(
-                    f"cn-{region}-{i}", region, dns, edge, self.stun,
-                    logstore, accounting, config.control_plane, rng,
-                    locality_aware=locality_aware,
-                )
+                ConnectionNode(f"cn-{region}-{i}", region, dns, self)
                 for i in range(CNS_PER_REGION)
             ]
             self.cns_by_region[region] = cns
             self.all_cns.extend(cns)
-
-        for cn in self.all_cns:
-            cn.remote_lookup = self._remote_peers_for
 
         #: Tokens available for rate-limited reconnection (§3.8).
         self._reconnect_tokens = config.control_plane.reconnect_rate_limit
@@ -101,6 +104,22 @@ class ControlPlane:
 
         # Periodic soft-state expiry sweep (hourly).
         sim.every(3600.0, self._expire_sweep)
+
+    # ----------------------------------------------------- candidate stages
+
+    def install_stage(self, stage: CandidateStage) -> None:
+        """Put ``stage`` in its ``kind``'s slot, replacing what was there."""
+        if stage.kind not in self._stage_slots:
+            raise ValueError(f"unknown candidate stage kind {stage.kind!r}")
+        self._stage_slots[stage.kind] = stage
+        self.stages = tuple(s for s in self._stage_slots.values()
+                            if s is not None)
+
+    @property
+    def reputation(self):
+        """The reputation stage (None without the defense), for the CN's
+        registration gate, usage feed and quarantine-leak audit."""
+        return self._stage_slots["reputation"]
 
     # --------------------------------------------------------------- mapping
 
@@ -232,7 +251,7 @@ class ControlPlane:
         self._reconnect_tokens = min(rate, self._reconnect_tokens + elapsed * rate)
         self._last_token_refill = now
 
-    def _remote_peers_for(self, cid: str, exclude_region: str) -> list:
+    def remote_peers_for(self, cid: str, exclude_region: str) -> list:
         """Cross-region directory search (§3.7's interconnected CN/DN)."""
         found = []
         for region, dns in self.dns_by_region.items():

@@ -29,8 +29,8 @@ from repro.net.nat import NATType, can_connect
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
     from repro.core.control.database_node import PeerRegistration
 
-__all__ = ["QueryContext", "device_rank_key", "select_peers",
-           "specificity_level"]
+__all__ = ["CandidateStage", "DeviceTierStage", "QueryContext",
+           "compose_stages", "select_peers", "specificity_level"]
 
 #: Specificity levels, most specific first.  Same-LAN peers (§5.3's
 #: corporate-network case) beat everything: bytes never leave the building.
@@ -66,17 +66,57 @@ def specificity_level(query: QueryContext, reg: "PeerRegistration") -> int:
     return _LEVEL_WORLD
 
 
-def device_rank_key(weights: dict, inner=None):
-    """Class-aware rank key: device-tier weight first, inner score second.
+class CandidateStage:
+    """One stage of the CN candidate pipeline (``ControlPlane.stages``);
+    ``kind`` names its slot there.  Every hook defaults to doing nothing."""
 
-    ``weights`` maps device-class names to ranking weights (an operator
-    boosting its always-on smartrouter fleet, say); an ``inner`` key — the
-    reputation score, typically — breaks ties within a class.  Ranking
-    consumes no RNG, so installing it never moves an unrelated draw.
-    """
-    if inner is None:
-        return lambda reg: (weights.get(reg.device_class, 0.0), 0.0)
-    return lambda reg: (weights.get(reg.device_class, 0.0), inner(reg))
+    kind: str
+
+    def candidate_filter(self, now: float):
+        """Per-query ``(query, reg) -> bool`` filter, or None."""
+        return None
+
+    def rank_key(self, now: float):
+        """Per-query ``reg -> key`` (higher ranks first), or None."""
+        return None
+
+    def allow_widening(self, query: QueryContext, cid: str) -> bool:
+        """May the CN widen the search for ``cid`` to remote regions?"""
+        return True
+
+
+class DeviceTierStage(CandidateStage):
+    """Rank candidates by device-class weight (an operator boosting its
+    smartrouter fleet, say); ranking consumes no RNG."""
+
+    kind = "device"
+
+    def __init__(self, weights: dict[str, float]):
+        self.weights = weights
+
+    def rank_key(self, now: float):
+        weights = self.weights
+        return lambda reg: weights.get(reg.device_class, 0.0)
+
+
+def compose_stages(stages, now: float):
+    """``(candidate_filter, rank_key)`` for ``select_peers``: filters
+    and-ed in stage order, keys as a tuple in stage order (earlier stages
+    dominate).  A lone filter or key passes through unwrapped."""
+    filters = [f for f in (s.candidate_filter(now) for s in stages)
+               if f is not None]
+    keys = [k for k in (s.rank_key(now) for s in stages) if k is not None]
+    if len(filters) > 1:
+        def candidate_filter(query, reg):
+            return all(f(query, reg) for f in filters)
+    else:
+        candidate_filter = filters[0] if filters else None
+    if len(keys) > 1:
+        def rank_key(reg):
+            return tuple([k(reg) for k in keys])
+    else:
+        rank_key = keys[0] if keys else None
+    return candidate_filter, rank_key
 
 
 def select_peers(
@@ -100,19 +140,17 @@ def select_peers(
     nested-set logic is bypassed and candidates are drawn uniformly — the
     ablation baseline for the §6.1 locality claims.
 
-    ``candidate_filter`` is the serving-policy hook (see
-    :mod:`repro.vod.policy`): when given, a registration is only eligible
+    ``candidate_filter`` and ``rank_key`` are the composed candidate stages
+    (:func:`compose_stages`).  When given, a registration is only eligible
     if ``candidate_filter(query, reg)`` is true.  The filter runs before
     any RNG is consulted, so a pass-everything filter (or None) leaves the
     selection — and its random draws — bit-identical.
 
-    ``rank_key`` is the reputation hook (see
-    :mod:`repro.adversary.reputation`): when given, candidates *within each
-    locality set* are stably sorted by descending key before selection, so
-    high-contribution peers are preferred while locality still dominates
-    and ties keep the DN's fairness rotation order.  Sorting consumes no
-    RNG; ``None`` (the default) leaves the order — and therefore every
-    draw — untouched.
+    When ``rank_key`` is given, candidates *within each locality set* are
+    stably sorted by descending key before selection, so preferred peers
+    come first while locality still dominates and ties keep the DN's
+    fairness rotation order.  Sorting consumes no RNG; ``None`` (the
+    default) leaves the order — and therefore every draw — untouched.
     """
     if count <= 0:
         return []

@@ -217,17 +217,13 @@ class NetSessionSystem:
         #: Device-tier mix (:class:`repro.workload.devices.DeviceMixConfig`)
         #: installed by population synthesis; None for homogeneous desktops.
         self.device_mix = None
-        #: CN-side reputation engine; None unless the defense is enabled,
-        #: in which case every CN ranks and filters candidates through it.
-        self.reputation = None
+        # With the defense on, its engine is the plane's reputation stage.
         if self.config.defense.enabled:
             from repro.adversary.reputation import ReputationEngine
-            self.reputation = ReputationEngine(seed)
-            self.reputation.on_quarantine = self._evict_quarantined
-            self.reputation.clock = lambda: self.sim.now
-            self.reputation.stats = self.defense
-            for cn in self.control.all_cns:
-                cn.reputation = self.reputation
+            engine = ReputationEngine(seed)
+            engine.on_quarantine = self._evict_quarantined
+            engine.stats = self.defense
+            self.control.install_stage(engine)
 
         #: The sanitizer layer (see :mod:`repro.invariants`).  Constructed
         #: last so its checkers can observe every subsystem above.

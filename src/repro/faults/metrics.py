@@ -39,7 +39,7 @@ def adversary_metrics(system: "NetSessionSystem") -> dict:
     projection can snapshot it without pulling in the drill machinery.
     """
     truth = system.adversary_truth
-    engine = system.reputation
+    engine = system.control.reputation
     if not truth and engine is None:
         return {}
     defense = system.defense

@@ -543,7 +543,7 @@ class ReputationWipe(FaultSpec):
     """
 
     def apply(self, ctx: InjectionContext) -> object:
-        engine = ctx.system.reputation
+        engine = ctx.system.control.reputation
         if engine is None:
             return 0
         return engine.wipe()

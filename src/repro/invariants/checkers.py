@@ -392,7 +392,7 @@ def check_reputation_bounds(system: "NetSessionSystem", report: Report) -> None:
         GOOD, PROBATION, QUARANTINED, SCORE_MAX, SCORE_MIN,
     )
 
-    engine = system.reputation
+    engine = system.control.reputation
     if engine is None:
         return
     legal = {GOOD, PROBATION, QUARANTINED}
@@ -422,7 +422,7 @@ def check_reputation_bounds(system: "NetSessionSystem", report: Report) -> None:
     "no directory entry for a peer inside its quarantine window",
 )
 def check_quarantine_exclusion(system: "NetSessionSystem", report: Report) -> None:
-    engine = system.reputation
+    engine = system.control.reputation
     if engine is None:
         return
     now = system.sim.now

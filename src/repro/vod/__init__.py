@@ -20,7 +20,7 @@ from repro.vod.demand import VodDemandGenerator, prime_time_rate
 from repro.vod.engine import VodRuntime, attach_vod
 from repro.vod.policy import (
     IspLocalOnlyPolicy, OffPeakPlacer, OffPeakPrefetchPolicy,
-    PopularitySeedingPolicy, ServingPolicy, UnrestrictedPolicy, make_policy,
+    PopularitySeedingPolicy, ServingPolicy, make_policy,
 )
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "Episode", "Series", "VodCatalog", "build_vod_catalog",
     "VodDemandGenerator", "prime_time_rate",
     "VodRuntime", "attach_vod",
-    "ServingPolicy", "UnrestrictedPolicy", "IspLocalOnlyPolicy",
+    "ServingPolicy", "IspLocalOnlyPolicy",
     "OffPeakPrefetchPolicy", "PopularitySeedingPolicy", "OffPeakPlacer",
     "make_policy",
 ]

@@ -2,9 +2,9 @@
 
 :func:`attach_vod` is the single entry point the scenario driver calls
 (late in assembly, after the download workload is scheduled): it builds
-and publishes the episode catalog, installs the serving policy on every
-CN, runs any pre-trace seeding, arms the policy's placer, and schedules
-the viewing sessions.
+and publishes the episode catalog, installs the serving policy as the
+control plane's policy stage, runs any pre-trace seeding, arms the
+policy's placer, and schedules the viewing sessions.
 
 Every random draw comes from string-seeded RNGs derived from the scenario
 seed — never from ``system.rng`` or any other existing stream — so a
@@ -66,7 +66,7 @@ def attach_vod(
         (episode.obj.cid for episode in catalog.episodes()),
         counters=counters,
     )
-    policy.install(system)
+    system.control.install_stage(policy)
 
     seeded = policy.pre_seed(
         system, population, catalog, config,

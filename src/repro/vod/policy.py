@@ -7,10 +7,10 @@ the BBC iPlayer and *Pushing BitTorrent Locality to the Limit* studies
 map out).  Policies hook into the existing machinery through two narrow
 protocols instead of hard-coded branches:
 
-* **selection** — :class:`~repro.core.control.connection_node.ConnectionNode`
-  consults ``serving_policy.admits`` (a candidate filter passed through to
-  :func:`repro.core.selection.select_peers`) and
-  ``serving_policy.allow_widening`` (veto on cross-region search);
+* **selection** — a policy is the control plane's ``"policy"``
+  :class:`~repro.core.selection.CandidateStage`: its ``candidate_filter``
+  (``admits``, where a subclass defines it) and ``allow_widening`` (veto
+  on cross-region search) default to doing nothing;
 * **placement** — a policy may contribute a
   :class:`~repro.core.placement.PredictivePlacer` subclass whose
   ``_should_run`` hook gates *when* copies move (e.g. only in the demand
@@ -27,6 +27,7 @@ import random
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.core.placement import PlacementConfig, PredictivePlacer
+from repro.core.selection import CandidateStage
 from repro.vod.config import POLICY_NAMES, VodConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.vod.catalog import VodCatalog
 
 __all__ = [
-    "ServingPolicy", "UnrestrictedPolicy", "IspLocalOnlyPolicy",
+    "ServingPolicy", "IspLocalOnlyPolicy",
     "OffPeakPrefetchPolicy", "PopularitySeedingPolicy", "OffPeakPlacer",
     "make_policy",
 ]
@@ -50,10 +51,11 @@ OFFPEAK_WINDOW = (2.0, 7.0)
 PREFETCH_COPIES_TARGET = 6
 
 
-class ServingPolicy:
+class ServingPolicy(CandidateStage):
     """Base policy: serve from anyone, never push copies (the baseline)."""
 
     name = "unrestricted"
+    kind = "policy"
 
     def __init__(self, vod_cids: Iterable[str], counters=None):
         self.vod_cids = frozenset(vod_cids)
@@ -61,16 +63,6 @@ class ServingPolicy:
         #: outside a system context): policies account their interventions
         #: there.
         self.counters = counters
-
-    # ------------------------------------------------------- selection hooks
-
-    def admits(self, query: "QueryContext", reg: "PeerRegistration") -> bool:
-        """May ``reg`` be returned to ``query``?  Non-VoD cids always pass."""
-        return True
-
-    def allow_widening(self, query: "QueryContext", cid: str) -> bool:
-        """May the CN widen the search to remote regions for ``cid``?"""
-        return True
 
     # ------------------------------------------------------- placement hooks
 
@@ -88,23 +80,6 @@ class ServingPolicy:
         """Pre-trace cache seeding; returns copies seeded (0 by default)."""
         return 0
 
-    # -------------------------------------------------------------- plumbing
-
-    def install(self, system: "NetSessionSystem") -> None:
-        """Point every CN's ``serving_policy`` at this policy."""
-        for cn in system.control.all_cns:
-            cn.serving_policy = self
-
-    def _count_filtered(self) -> None:
-        if self.counters is not None:
-            self.counters.policy_filtered += 1
-
-
-class UnrestrictedPolicy(ServingPolicy):
-    """Explicit alias of the base: any holder may serve any viewer."""
-
-    name = "unrestricted"
-
 
 class IspLocalOnlyPolicy(ServingPolicy):
     """Serve VoD only from peers in the viewer's own AS (ISP-local).
@@ -119,14 +94,20 @@ class IspLocalOnlyPolicy(ServingPolicy):
 
     name = "isp_local"
 
+    def candidate_filter(self, now: float):
+        """The VoD-scoped same-AS filter, :meth:`admits`."""
+        return self.admits
+
     def admits(self, query: "QueryContext", reg: "PeerRegistration") -> bool:
+        """May ``reg`` be returned to ``query``?  Non-VoD cids always pass."""
         if reg.cid not in self.vod_cids:
             return True
         if reg.asn == query.asn:
             return True
         if query.lan_id and reg.lan_id == query.lan_id:
             return True
-        self._count_filtered()
+        if self.counters is not None:
+            self.counters.policy_filtered += 1
         return False
 
     def allow_widening(self, query: "QueryContext", cid: str) -> bool:
@@ -242,7 +223,7 @@ class PopularitySeedingPolicy(ServingPolicy):
 
 
 _POLICY_CLASSES = {
-    "unrestricted": UnrestrictedPolicy,
+    "unrestricted": ServingPolicy,
     "isp_local": IspLocalOnlyPolicy,
     "offpeak_prefetch": OffPeakPrefetchPolicy,
     "popularity_seeding": PopularitySeedingPolicy,

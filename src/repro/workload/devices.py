@@ -18,6 +18,7 @@ store parity holds with tiers enabled too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _MOBILITY_KINDS = ("default", "stationary", "nomadic")
@@ -50,6 +51,9 @@ class DeviceClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("device class needs a name")
+        for value_name in ("share", "selection_weight"):
+            if not math.isfinite(getattr(self, value_name)):
+                raise ValueError(f"{self.name}: {value_name} must be finite")
         if self.share < 0:
             raise ValueError(f"{self.name}: share must be >= 0")
         for prob_name in ("always_on_prob", "daily_skip_prob"):

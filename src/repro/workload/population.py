@@ -29,6 +29,7 @@ from typing import Iterator
 
 from repro.core.content import ContentProvider
 from repro.core.peer import PeerNode
+from repro.core.selection import DeviceTierStage
 from repro.core.system import NetSessionSystem
 from repro.workload.columnar import build_columnar_store
 from repro.workload.devices import DeviceMixConfig
@@ -216,8 +217,7 @@ def _finish_population(system: NetSessionSystem, population: Population,
     if cfg.device is not None:
         weights = cfg.device.rank_weights()
         if weights is not None:
-            for cn in system.control.all_cns:
-                cn.device_rank_weights = weights
+            system.control.install_stage(DeviceTierStage(weights))
 
 
 def _schedule_sessions(

@@ -47,6 +47,15 @@ class TestControlPlaneConfig:
         with pytest.raises(ValueError):
             ControlPlaneConfig(diversity_probability=1.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("reconnect_rate_limit", 0.0),
+        ("reconnect_rate_limit", -5.0),
+        ("remote_search_threshold", -1),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ControlPlaneConfig(**{field: value})
+
 
 class TestSystemConfig:
     def test_with_client_returns_modified_copy(self):

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
+from repro.adversary.reputation import ReputationEngine
+from repro.core.control.database_node import PeerRegistration
 from repro.core.peer import CacheEntry
+from repro.core.selection import (
+    DeviceTierStage, QueryContext, compose_stages, select_peers,
+)
+from repro.core.system import VodStats
+from repro.vod.policy import make_policy
 
 
 @pytest.fixture
@@ -141,3 +151,97 @@ class TestFailure:
         cn.fail()
         with pytest.raises(ConnectionError):
             cn.login(querier, system.sim.now)
+
+
+# ---------------------------------------------------------- candidate stages
+
+VOD_CID = "aaaa1111" * 8
+
+
+def _reg(guid, *, asn=100, device_class="desktop", cid=VOD_CID):
+    return PeerRegistration(
+        guid=guid, cid=cid, asn=asn, country_code="DE", region="Europe",
+        nat_reported="open", uploads_enabled=True, registered_at=0.0,
+        refreshed_at=0.0, device_class=device_class,
+    )
+
+
+def _query(asn=100):
+    return QueryContext(guid="viewer", asn=asn, country_code="DE",
+                        region="Europe", nat_reported="open")
+
+
+def _stages():
+    """One stage of each kind, in declared order."""
+    return (DeviceTierStage({"smartrouter": 1.0, "desktop": 0.0}),
+            ReputationEngine(seed=1),
+            make_policy("isp_local", [VOD_CID], counters=VodStats()))
+
+
+class TestCandidateStages:
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_stage_order_is_declared_not_installed(self, system, order):
+        stages = _stages()
+        for i in order:
+            system.control.install_stage(stages[i])
+        assert system.control.stages == stages
+
+    def test_second_install_adds_no_stage(self, system):
+        stages = _stages()
+        for stage in stages + stages:
+            system.control.install_stage(stage)
+        assert system.control.stages == stages
+
+    def test_unknown_stage_kind_rejected(self, system):
+        class Odd(DeviceTierStage):
+            kind = "oracle"
+
+        with pytest.raises(ValueError, match="oracle"):
+            system.control.install_stage(Odd({}))
+
+    def test_class_weight_dominates_and_score_breaks_ties(self, system):
+        device, engine, _ = _stages()
+        system.control.install_stage(engine)
+        system.control.install_stage(device)
+        engine.observe("desk-hero", 0.0, delivered_bytes=50 * 1024 * 1024)
+        engine.observe("router-hero", 0.0, delivered_bytes=5 * 1024 * 1024)
+        regs = [_reg("desk-hero"), _reg("router-zero", device_class="smartrouter"),
+                _reg("router-hero", device_class="smartrouter")]
+        candidate_filter, rank_key = compose_stages(system.control.stages, 0.0)
+        chosen = select_peers(regs, _query(), 3, random.Random(0),
+                              diversity_probability=0.0,
+                              candidate_filter=candidate_filter,
+                              rank_key=rank_key)
+        assert [r.guid for r in chosen] == [
+            "router-hero", "router-zero", "desk-hero"]
+
+    def test_reputation_refusal_is_not_counted_as_policy_filtered(self,
+                                                                  system):
+        _, engine, policy = _stages()
+        system.control.install_stage(policy)
+        system.control.install_stage(engine)
+        engine.observe("villain", 0.0, corrupted_pieces=2)
+        assert engine.is_quarantined("villain", 0.0)
+        candidate_filter, _ = compose_stages(system.control.stages, 0.0)
+        assert not candidate_filter(_query(), _reg("villain", asn=200))
+        assert policy.counters.policy_filtered == 0
+        assert not candidate_filter(_query(), _reg("stranger", asn=200))
+        assert policy.counters.policy_filtered == 1
+
+    def test_policy_stage_vetoes_remote_search(self, system, big_object,
+                                               querier):
+        # The remote-search case above, with isp_local governing the cid.
+        system.publish(big_object)
+        seeder = system.create_peer(country=system.world.by_code["JP"],
+                                    uploads_enabled=True)
+        seeder.cache[big_object.cid] = CacheEntry(big_object.cid, 0.0)
+        seeder.boot()
+        policy = make_policy("isp_local", [big_object.cid])
+        system.control.install_stage(policy)
+        widened = []
+        real = system.control.remote_peers_for
+        system.control.remote_peers_for = lambda *a: widened.append(a) or real(*a)
+        token = system.edge.authorize(querier.guid, big_object)
+        resp = querier.cn.query(querier, big_object.cid, token)
+        assert resp.candidates == ()
+        assert widened == []

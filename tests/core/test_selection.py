@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.control.database_node import PeerRegistration
-from repro.core.selection import QueryContext, select_peers, specificity_level
+from repro.core.selection import (
+    QueryContext, compose_stages, select_peers, specificity_level,
+)
 from repro.net.nat import NATType
 
 
@@ -155,6 +157,21 @@ class TestRandomPolicy:
                                  locality_aware=False)
             firsts.add(picks[0].guid)
         assert len(firsts) > 3
+
+    @pytest.mark.parametrize("policy", ["unrestricted", "isp_local"])
+    def test_no_rank_stage_keeps_the_uniform_draw(self, policy):
+        from repro.vod.policy import make_policy
+
+        regs = [reg(f"p{i}", asn=100 + i) for i in range(40)]
+        stages = (make_policy(policy, ["some-vod-cid"]),)
+        candidate_filter, rank_key = compose_stages(stages, 0.0)
+        assert rank_key is None
+        rng, ref = random.Random(3), random.Random(3)
+        picks = select_peers(regs, ctx(), 10, rng, locality_aware=False,
+                             candidate_filter=candidate_filter,
+                             rank_key=rank_key)
+        assert picks == ref.sample(regs, 10)
+        assert rng.getstate() == ref.getstate()
 
     def test_random_policy_still_filters_nat(self, rng):
         regs = [reg("sym", nat=NATType.SYMMETRIC)]

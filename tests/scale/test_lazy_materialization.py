@@ -101,7 +101,7 @@ class TestFaultsOnDormantPeers:
         )
         result = run_scenario(cfg)
         assert not result.system.auditor.violations
-        assert result.system.reputation is not None
+        assert result.system.control.reputation is not None
 
 
 class TestActivePeerCap:

@@ -10,7 +10,7 @@ from repro.core.control.database_node import PeerRegistration
 from repro.core.selection import QueryContext
 from repro.core.system import VodStats
 from repro.vod import (
-    POLICY_NAMES, IspLocalOnlyPolicy, OffPeakPlacer, UnrestrictedPolicy,
+    POLICY_NAMES, IspLocalOnlyPolicy, OffPeakPlacer, ServingPolicy,
     VodConfig, make_policy,
 )
 
@@ -45,8 +45,10 @@ class TestFactory:
 
 class TestUnrestricted:
     def test_admits_everyone_everywhere(self):
-        policy = UnrestrictedPolicy([VOD_CID])
-        assert policy.admits(_query(), _reg(asn=999))
+        policy = make_policy("unrestricted", [VOD_CID])
+        assert type(policy) is ServingPolicy
+        assert policy.candidate_filter(0.0) is None
+        assert policy.rank_key(0.0) is None
         assert policy.allow_widening(_query(), VOD_CID)
 
 
@@ -157,8 +159,9 @@ class TestPopularitySeeding:
 
 
 class TestInstall:
-    def test_install_reaches_every_cn(self, system):
+    def test_policy_is_one_plane_stage(self, system):
         policy = make_policy("isp_local", [VOD_CID])
-        policy.install(system)
-        for cn in system.control.all_cns:
-            assert cn.serving_policy is policy
+        system.control.install_stage(policy)
+        system.control.install_stage(policy)
+        assert system.control.stages == (policy,)
+        assert policy.candidate_filter(0.0) == policy.admits

@@ -153,7 +153,7 @@ class TestIspLocalTinyIsp:
         system = NetSessionSystem(seed=21)
         video, viewer = self._scene(system)
         policy = make_policy("isp_local", [video.cid], counters=system.vod)
-        policy.install(system)
+        system.control.install_stage(policy)
         session = start_streaming(viewer, video, bitrate=0.4 * MB,
                                   startup_buffer_s=5.0)
         system.run(until=4 * HOUR)
