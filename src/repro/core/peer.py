@@ -66,10 +66,6 @@ class IdentitySnapshot:
 class PeerNode:
     """One NetSession installation on one user machine."""
 
-    #: Row index in the columnar population store this node was materialized
-    #: from; None for object-mode peers and event-time extras (clones).
-    _store_index: int | None = None
-
     def __init__(
         self,
         system: "NetSessionSystem",
@@ -86,9 +82,10 @@ class PeerNode:
         rng: random.Random | None = None,
     ):
         self.system = system
-        # ``rng`` lets the columnar store materialize a peer with the exact
-        # per-peer stream object mode would have given it (replayed from the
-        # recorded 64-bit seed) without consuming a fresh system.rng draw.
+        # ``rng`` lets the population store materialize a peer with the
+        # exact per-peer stream the eager build would have given it (replayed
+        # from the recorded 64-bit seed) without consuming a fresh
+        # system.rng draw.
         self.rng: random.Random = (
             rng if rng is not None else random.Random(system.rng.getrandbits(64))
         )

@@ -36,6 +36,7 @@ from repro.core.control.channel import ControlChannelStats
 from repro.core.control.plane import ControlPlane
 from repro.core.edge import EdgeNetwork
 from repro.core.peer import PeerNode
+from repro.core.population_store import ColumnarPopulationStore
 from repro.counters import Counters, counter, family
 from repro.invariants import InvariantAuditor, InvariantStats, InvariantViolation
 from repro.net.addressing import IPAllocator
@@ -194,16 +195,11 @@ class NetSessionSystem:
             locality_aware=locality_aware_selection,
         )
 
-        self.all_peers: list[PeerNode] = []
         self.peer_by_guid: dict[str, PeerNode] = {}
-        #: Monotonic per-system peer sequence, used to name access-link
-        #: resources.  Tracks creation order independently of ``all_peers``
-        #: so a columnar population (which materializes lazily) hands out
-        #: the same ``peerN`` names object mode would.
-        self._peer_seq = 0
-        #: The columnar population store, when the workload layer attached
-        #: one (see :mod:`repro.workload.columnar`); None in object mode.
-        self.population_store = None
+        #: Every peer is a row of this store, in creation order: dormant
+        #: rows from population synthesis, live rows from
+        #: :meth:`create_peer` (see :mod:`repro.core.population_store`).
+        self.population_store = ColumnarPopulationStore(self)
         self.providers: dict[int, ContentProvider] = {}
         #: Streaming/serving-policy counters (stay all-zero unless a VoD
         #: workload is attached; see :mod:`repro.vod`).
@@ -256,14 +252,16 @@ class NetSessionSystem:
 
         ``uploads_enabled`` defaults to a draw from the bundling provider's
         binary mix (Table 4); with neither given, it defaults to enabled.
-        The peer starts offline — call :meth:`PeerNode.boot`.
+        The peer starts offline — call :meth:`PeerNode.boot`.  It is the
+        population store's next row, live from the start, and its access
+        link is named after that row (``peerN``).
         """
         if country is None:
             country = self.world.sample_country(self.rng)
         city = self.world.sample_city(country, self.rng)
         asys = self.topology.sample_as(country.code, self.rng)
         link = self.broadband.sample(
-            f"peer{self.next_peer_name_index()}",
+            f"peer{len(self.population_store)}",
             speed_multiplier=country.speed_multiplier,
         )
         nat = self.nat_model.sample()
@@ -278,16 +276,8 @@ class NetSessionSystem:
             installed_from_cp=installed_from.cp_code if installed_from else 0,
             guid=guid,
         )
-        self.all_peers.append(peer)
-        self.peer_by_guid[peer.guid] = peer
+        self.population_store.append(peer)
         return peer
-
-    def next_peer_name_index(self, count: int = 1) -> int:
-        """Claim the next ``count`` ``peerN`` naming slots; returns the first
-        (creation order, store-agnostic)."""
-        index = self._peer_seq
-        self._peer_seq += count
-        return index
 
     def _evict_quarantined(self, guid: str) -> int:
         """Reputation-engine hook: drop a quarantined peer's registrations."""
@@ -334,45 +324,26 @@ class NetSessionSystem:
     def iter_peer_nodes(self) -> list[PeerNode]:
         """Live :class:`PeerNode` objects, in creation order.
 
-        In object mode this is ``all_peers``.  With a columnar population
-        attached it is the *materialized* nodes in column order followed by
-        peers created after the build — the same relative order object
-        mode produces, which order-sensitive sweeps (end-of-trace session
-        finalization, stranded-peer reconnection) rely on for byte parity.
+        Order-sensitive sweeps (end-of-trace session finalization,
+        stranded-peer reconnection) rely on that order for byte parity.
         """
-        store = self.population_store
-        if store is None:
-            return list(self.all_peers)
-        nodes = store.materialized_nodes()
-        nodes.extend(p for p in self.all_peers if p._store_index is None)
-        return nodes
+        return self.population_store.materialized_nodes()
 
     def peer_universe(self):
-        """Every known peer — dormant column rows included — in creation order.
+        """Every peer — dormant rows included — in creation order.
 
-        Fault selection and population-wide sweeps draw from this sequence;
-        with a columnar store it serves lazy handles, so scanning the
-        universe does not materialize anyone.  Falls back to ``all_peers``
-        for systems built without a population (unit tests, scripted runs).
+        Fault selection and population-wide sweeps draw from this sequence
+        of lazy handles, so scanning the universe materializes no one.
         """
-        store = self.population_store
-        if store is None:
-            return list(self.all_peers)
-        universe = list(store.handles())
-        universe.extend(p for p in self.all_peers if p._store_index is None)
-        return universe
+        return list(self.population_store)
 
     def peer_count_total(self) -> int:
-        """Number of installations, dormant column rows included."""
-        store = self.population_store
-        if store is None:
-            return len(self.all_peers)
-        extras = sum(1 for p in self.all_peers if p._store_index is None)
-        return len(store) + extras
+        """Number of installations, dormant rows included."""
+        return len(self.population_store)
 
     def online_peer_count(self) -> int:
         """Peers currently online."""
-        return sum(1 for p in self.all_peers if p.online)
+        return sum(1 for p in self.iter_peer_nodes() if p.online)
 
     def stats(self) -> SystemStats:
         """Snapshot the simulator and allocation-engine counters."""
@@ -396,6 +367,6 @@ class NetSessionSystem:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<NetSessionSystem peers={len(self.all_peers)} "
+            f"<NetSessionSystem peers={self.peer_count_total()} "
             f"objects={len(self.edge.catalog)} t={self.sim.now:.0f}s>"
         )

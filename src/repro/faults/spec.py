@@ -81,6 +81,13 @@ class FaultSpec:
             raise ValueError(
                 f"fault {self.name!r}: duration must be >= 0, got {self.duration}"
             )
+        # One check for every spec that declares a ``fraction`` scope;
+        # the chained comparison is False for NaN too.
+        fraction = getattr(self, "fraction", 0.0)
+        if not 0 <= fraction <= 1:
+            raise ValueError(
+                f"fault {self.name!r}: fraction must be in [0, 1], got {fraction}"
+            )
 
     @property
     def instantaneous(self) -> bool:

@@ -454,7 +454,7 @@ def check_device_budgets(system: "NetSessionSystem", report: Report) -> None:
         return
     legal = {cls.name for cls in mix.classes}
     client = system.config.client
-    for peer in system.all_peers:
+    for peer in system.iter_peer_nodes():
         device = peer.device
         name = peer.device_class
         subject = f"device:{peer.guid[:8]}"

@@ -69,8 +69,8 @@ class ScenarioArtifact:
     adversary: dict = field(default_factory=dict)
     #: Region-shard record for sharded runs (see
     #: :mod:`repro.runner.sharding`): shard regions, resolved pool width,
-    #: per-region peer counts, and — when ``reconcile`` is on — the
-    #: cross-region reconciliation matrix.  {} for unsharded runs.
+    #: per-region peer counts, and the cross-region reconciliation
+    #: matrix.  {} for unsharded runs.
     sharding: dict = field(default_factory=dict)
     #: Device-tier record for tiered runs ({} without a device mix):
     #: ``census`` (class name -> install count) and ``classes``

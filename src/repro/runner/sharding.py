@@ -342,9 +342,8 @@ def merge_shard_artifacts(
         "peers_per_region": {
             region: art.config.population.n_peers for region, art in shards
         },
+        "reconcile": _reconcile(shards),
     }
-    if cfg.sharding.reconcile:
-        sharding_record["reconcile"] = _reconcile(shards)
 
     # The merged artifact carries the *parent* config and fingerprint: it
     # is the answer to "run this sharded config", cached under that key.

@@ -50,17 +50,10 @@ class VodConfig:
     #: curve and the viewers' behavior live in :mod:`repro.vod.demand`).
     sessions: int = 300
 
-    # --- viewer behavior ---------------------------------------------------
-    #: Seconds of video buffered before playback starts.
-    startup_buffer_s: float = 10.0
-
     # --- serving policy ----------------------------------------------------
     #: One of :data:`POLICY_NAMES`; validated by the engine, not here, so
     #: config construction stays total (the fingerprint sweep mutates it).
     policy: str = "unrestricted"
-    #: Per-tick start budget of the ``offpeak_prefetch`` placer (its window
-    #: and copies target live in :mod:`repro.vod.policy`).
-    max_prefetches_per_tick: int = 8
     #: ``popularity_seeding``: expected pre-trace cached copies per episode,
     #: apportioned by decayed popularity.
     seed_copies_per_episode: float = 3.0
@@ -72,8 +65,6 @@ class VodConfig:
             raise ValueError("episode_minutes and bitrate_kbps must be positive")
         if self.sessions < 0:
             raise ValueError("sessions must be >= 0")
-        if self.startup_buffer_s <= 0:
-            raise ValueError("startup_buffer_s must be positive")
 
     @property
     def bitrate_bytes_per_s(self) -> float:

@@ -178,11 +178,8 @@ class VodDemandGenerator:
 
     def _start_viewing(self, peer: "PeerNode", episode: Episode) -> None:
         cfg = self.config
-        session = start_streaming(
-            peer, episode.obj,
-            bitrate=cfg.bitrate_bytes_per_s,
-            startup_buffer_s=cfg.startup_buffer_s,
-        )
+        session = start_streaming(peer, episode.obj,
+                                  bitrate=cfg.bitrate_bytes_per_s)
         duration = cfg.episode_minutes * 60.0
         sim = self.system.sim
 

@@ -49,6 +49,8 @@ _DAY = 86400.0
 OFFPEAK_WINDOW = (2.0, 7.0)
 #: Registered-copies target per (episode, region) for the prefetch placer.
 PREFETCH_COPIES_TARGET = 6
+#: Prefetch downloads the placer may start per tick.
+PREFETCHES_PER_TICK = 8
 
 
 class ServingPolicy(CandidateStage):
@@ -168,7 +170,7 @@ class OffPeakPrefetchPolicy(ServingPolicy):
             interval=1800.0,
             copies_target=PREFETCH_COPIES_TARGET,
             hot_threshold=2,
-            max_prefetches_per_tick=config.max_prefetches_per_tick,
+            max_prefetches_per_tick=PREFETCHES_PER_TICK,
         )
         return OffPeakPlacer(
             system, episodes, placement,

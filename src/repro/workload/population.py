@@ -11,24 +11,26 @@ user is logged in (§3.4), so sessions track the user's computer-use day —
 long daily sessions with a diurnal phase per timezone, unlike the short
 sessions of launch-on-demand p2p clients.
 
-One store backs the population: struct-of-arrays with lazy materialization
-(:mod:`repro.workload.columnar`), the only one that reaches paper-scale
-populations (§4.1's tens of millions).  The eager graph it replaced — one
-:class:`PeerNode` per install — is its byte-for-byte oracle in
-``tests/scale/``; that and hand-built populations reach :class:`Population`
-as a plain list (``store=None``).
+The population is the system's population store
+(:mod:`repro.core.population_store`): struct-of-arrays with lazy
+materialization, which reaches paper-scale populations (§4.1's tens of
+millions).  :func:`build_population` grows it in bulk
+(:mod:`repro.workload.columnar`).  The eager graph that build replaced —
+``create_peer`` per install, one live row each — is its byte-for-byte
+oracle in ``tests/scale/``; that oracle and hand-built casts reach
+:class:`Population` through the same store.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Set
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.content import ContentProvider
 from repro.core.peer import PeerNode
+from repro.core.population_store import ColumnarPopulationStore
 from repro.core.selection import DeviceTierStage
 from repro.core.system import NetSessionSystem
 from repro.workload.columnar import build_columnar_store
@@ -67,8 +69,11 @@ class PopulationConfig:
     def __post_init__(self):
         if self.n_peers <= 0:
             raise ValueError("n_peers must be positive")
-        if not 0 <= self.broken_fraction <= 1:
-            raise ValueError("broken_fraction must be in [0, 1]")
+        # Chained comparisons are False for NaN, so NaN is rejected too.
+        for name in ("broken_fraction", "broken_corruption_prob",
+                     "attacker_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
         if not 0 < self.mean_daily_uptime_hours <= 24:
             raise ValueError("mean_daily_uptime_hours must be in (0, 24]")
         if self.active_peer_cap is not None and self.active_peer_cap <= 0:
@@ -86,20 +91,18 @@ class PopulationConfig:
 class Population:
     """The installed base plus per-peer session schedules.
 
-    ``peers`` is a sequence view of lazy handles over the columnar store, or
-    (hand-built, ``store=None``) a list of :class:`PeerNode` — both support
-    ``len``, indexing, and iteration.  Prefer :meth:`iter_peers` /
+    ``peers`` is the store itself, a sequence of lazy handles over its
+    rows (``len``, indexing, iteration).  Prefer :meth:`iter_peers` /
     :meth:`sample_peers` in workload code: they spell out the contract that
     a full scan must not materialize anyone.
     """
 
-    peers: list[PeerNode]
-    #: Local-midnight offset (seconds) per peer, derived from longitude.
-    tz_offset: dict[str, float]
-    #: A view over the store's flag column (a ``set`` when hand-built).
-    always_on: Set[str]
-    #: The columnar store behind ``peers`` (None when hand-built).
-    store: object = None
+    #: The system's population store; every peer is one of its rows.
+    store: ColumnarPopulationStore
+
+    @property
+    def peers(self) -> ColumnarPopulationStore:
+        return self.store
 
     def peer_count(self) -> int:
         """Number of installations."""
@@ -108,9 +111,9 @@ class Population:
     def iter_peers(self, device_class: str | None = None) -> Iterator[PeerNode]:
         """Iterate the installed base in creation order.
 
-        The one sanctioned way to write a population-wide scan: with a
-        columnar store it yields lazy handles whose reads come from the
-        columns, so sweeping a million peers materializes none of them.
+        The one sanctioned way to write a population-wide scan: it yields
+        lazy handles whose reads come from the columns, so sweeping a
+        million peers materializes none of them.
         ``device_class`` filters to one tier (``peer.device_class`` is a
         dormant column read, so the filtered scan is scan-cheap too).
         """
@@ -123,23 +126,16 @@ class Population:
         """Draw ``k`` distinct peers with ``rng.sample`` semantics.
 
         The draw sequence depends only on the (filtered) population size,
-        so object and columnar stores select the same creation-order
-        indexes from the same RNG state — fault and adversary selections
-        stay parity.  ``device_class`` restricts the draw to one tier.
+        so it picks the same creation-order rows from the same RNG state
+        however the rows were built, and materializes no one.
+        ``device_class`` restricts the draw to one tier.
         """
-        if device_class is None:
-            k = min(k, self.peer_count())
-            if self.store is None:
-                return rng.sample(list(self.peers), k)
-            store = self.store
-            return [store.handle(i) for i in rng.sample(range(len(store)), k)]
-        indices = [i for i, p in enumerate(self.peers)
-                   if p.device_class == device_class]
-        k = min(k, len(indices))
-        picked = rng.sample(indices, k)
-        if self.store is None:
-            return [self.peers[i] for i in picked]
-        return [self.store.handle(i) for i in picked]
+        rows = range(self.peer_count())
+        if device_class is not None:
+            rows = [i for i, name in enumerate(self.column("device_class"))
+                    if name == device_class]
+        return [self.store.handle(i)
+                for i in rng.sample(rows, min(k, len(rows)))]
 
     def device_census(self) -> dict[str, int]:
         """Install count per device class (``{}`` when tiers are off)."""
@@ -160,20 +156,10 @@ class Population:
         """Attribute ``name`` of every peer, in creation order.
 
         For set-up passes that classify every install but act on few:
-        scan this, index ``peers`` only for the rows to schedule, and a
-        columnar store hands out no handle (and derives no GUID) otherwise.
+        scan this, index ``peers`` only for the rows to schedule, and the
+        store hands out no handle (and derives no GUID) otherwise.
         """
-        if self.store is None:
-            return [getattr(p, name) for p in self.peers]
         return self.store.column(name)
-
-    def _session_row(self, i: int):
-        """(tz_offset, always_on, device) of install ``i``; makes no handle."""
-        store = self.store
-        if store is None:
-            p = self.peers[i]
-            return self.tz_offset[p.guid], p.guid in self.always_on, p.device
-        return float(store.tz[i]), bool(store.always_on[i]), store.device_at(i)
 
 
 def build_population(
@@ -193,14 +179,8 @@ def build_population(
     cfg = config if config is not None else PopulationConfig()
     rng = random.Random(system.rng.getrandbits(64))
 
-    store = build_columnar_store(system, providers, cfg, rng)
-    system.population_store = store
-    population = Population(
-        peers=store.peers_view(),
-        tz_offset=store.tz_view(),
-        always_on=store.always_on_view(),
-        store=store,
-    )
+    build_columnar_store(system, providers, cfg, rng)
+    population = Population(store=system.population_store)
     _finish_population(system, population, cfg, rng, duration_days)
     return population
 
@@ -208,8 +188,8 @@ def build_population(
 def _finish_population(system: NetSessionSystem, population: Population,
                        cfg: PopulationConfig, rng: random.Random,
                        duration_days: float | None) -> None:
-    """Everything after the peers exist; store-agnostic, so the eager
-    oracle in ``tests/scale/`` ends its build with the same call."""
+    """Everything after the peers exist, so the eager oracle in
+    ``tests/scale/`` ends its build with the same call."""
     _schedule_sessions(
         system, population, cfg, rng,
         math.inf if duration_days is None else duration_days * DAY)
@@ -242,19 +222,20 @@ def _schedule_sessions(
     if cfg.active_peer_cap is not None and cfg.active_peer_cap < count:
         scheduled = sorted(rng.sample(scheduled, cfg.active_peer_cap))
     uptime_mean = cfg.mean_daily_uptime_hours * 3600.0
-    peers = population.peers
+    store = population.store
     for index in scheduled:
-        tz, is_always_on, device = population._session_row(index)
-        if is_always_on:
-            sim.schedule(rng.uniform(0, 3600.0), peers[index].boot)
+        # Column reads: a row makes no handle until it gets an event.
+        tz, device = float(store.tz[index]), store.device_at(index)
+        if store.always_on[index]:
+            sim.schedule(rng.uniform(0, 3600.0), store[index].boot)
             continue
         if device is None:
-            _schedule_peer_days(sim, peers, index, tz, uptime_mean, rng, until)
+            _schedule_peer_days(sim, store, index, tz, uptime_mean, rng, until)
         else:
             # Class-driven availability: a mobile install keeps short,
             # frequently skipped sessions; a settop box sits in between.
             _schedule_peer_days(
-                sim, peers, index, tz, device.uptime_hours_mean * 3600.0,
+                sim, store, index, tz, device.uptime_hours_mean * 3600.0,
                 rng, until, skip_prob=device.daily_skip_prob)
 
 

@@ -38,9 +38,6 @@ class ShardingConfig:
     #: Process-pool fan-out for the region sub-scenarios: a positive int.
     #: Output bytes are invariant to this knob by construction.
     shards: int = 2
-    #: Run the cross-region flow-reconciliation pass after the merge and
-    #: record its import/export matrix in ``ScenarioArtifact.sharding``.
-    reconcile: bool = True
 
     def __post_init__(self):
         if not isinstance(self.shards, int) or isinstance(self.shards, bool) \

@@ -505,7 +505,7 @@ class TestBlackoutPromotion:
 
         # restore with scheduled reconnects (the §3.8 rate-limited path):
         # seeders re-register and the degraded downloader is promoted
-        system.control.restore(peers=list(system.all_peers))
+        system.control.restore(peers=system.iter_peer_nodes())
         system.run(until=12 * HOUR)
         assert session.state == "completed"
         assert session.peer_bytes > 0

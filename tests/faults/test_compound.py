@@ -55,10 +55,10 @@ class TestNewSpecsApplyRevert:
         injector = FaultInjector(system, (spec,), seed=3)
         injector.arm()
         system.run(until=30.0)
-        lossy = [p for p in system.all_peers if p.channel.loss_prob == 0.4]
-        assert 0 < len(lossy) < len(system.all_peers)
+        lossy = [p for p in system.iter_peer_nodes() if p.channel.loss_prob == 0.4]
+        assert 0 < len(lossy) < len(system.iter_peer_nodes())
         system.run(until=120.0)
-        assert all(p.channel.loss_prob == 0.0 for p in system.all_peers)
+        assert all(p.channel.loss_prob == 0.0 for p in system.iter_peer_nodes())
 
     def test_latency_spike_sets_and_restores_latency(self):
         system, _ = build_system()
@@ -67,9 +67,9 @@ class TestNewSpecsApplyRevert:
         injector = FaultInjector(system, (spec,), seed=3)
         injector.arm()
         system.run(until=30.0)
-        assert all(p.channel.latency == 5.0 for p in system.all_peers)
+        assert all(p.channel.latency == 5.0 for p in system.iter_peer_nodes())
         system.run(until=120.0)
-        assert all(p.channel.latency == 0.0 for p in system.all_peers)
+        assert all(p.channel.latency == 0.0 for p in system.iter_peer_nodes())
 
     def test_partition_scopes_to_region(self):
         system, _ = build_system()
@@ -81,11 +81,11 @@ class TestNewSpecsApplyRevert:
         injector = FaultInjector(system, (spec,), seed=3)
         injector.arm()
         system.run(until=30.0)
-        eu = [p for p in system.all_peers if p.network_region == "eu"]
+        eu = [p for p in system.iter_peer_nodes() if p.network_region == "eu"]
         assert eu and all(not p.channel.reachable for p in eu)
         assert outsider.channel.reachable
         system.run(until=120.0)
-        assert all(p.channel.reachable for p in system.all_peers)
+        assert all(p.channel.reachable for p in system.iter_peer_nodes())
 
 
 class TestDNWipeDuringChurnStorm:
@@ -107,7 +107,7 @@ class TestDNWipeDuringChurnStorm:
         system.run(until=3000.0)
         # every online peer answered RE-ADD or re-registered on its
         # come-back login; nobody is stuck degraded
-        online = [p for p in system.all_peers if p.online]
+        online = [p for p in system.iter_peer_nodes() if p.online]
         assert online
         assert system.control.total_registrations() >= len(online)
         assert all(p.channel.state != DEGRADED for p in online)
@@ -150,14 +150,14 @@ class TestSoftStateExpiryRacingPartition:
         injector.arm()
         system.run(until=HOUR + 600.0)  # mid-partition, past the sweep
         assert system.control.total_registrations() == 0
-        degraded = [p for p in system.all_peers if p.channel.state == DEGRADED]
+        degraded = [p for p in system.iter_peer_nodes() if p.channel.state == DEGRADED]
         assert degraded  # refreshes failed into the breaker
 
         # heal: probes reconnect, logins re-register the cached objects
         probe = system.config.channel.probe_interval
         system.run(until=heal_t + probe + ttl)
         assert all(p.channel.state != DEGRADED
-                   for p in system.all_peers if p.online)
+                   for p in system.iter_peer_nodes() if p.online)
         assert system.control.total_registrations() >= sum(
-            1 for p in system.all_peers if p.online)
+            1 for p in system.iter_peer_nodes() if p.online)
         assert system.channel_stats.recoveries >= len(degraded)

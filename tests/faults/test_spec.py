@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -12,9 +14,17 @@ from repro.faults import (
     CNOutage, ControlPlaneBlackout, DNWipe, EdgeBrownout, FlakyUploader,
     InjectionContext, LinkDegradation, NATRebind, PeerChurnStorm,
 )
+from repro.faults import spec as spec_module
 from repro.faults.spec import FaultSpec
 
 HOUR = 3600.0
+
+#: Every spec class that declares a ``fraction`` scope.
+FRACTION_SPECS = [
+    cls for cls in (getattr(spec_module, name) for name in spec_module.__all__)
+    if isinstance(cls, type) and issubclass(cls, FaultSpec)
+    and "fraction" in {f.name for f in dataclasses.fields(cls)}
+]
 
 
 def build_system(seed=11, n_peers=10):
@@ -60,6 +70,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             FlakyUploader("flaky", start=0.0, corruption_prob=1.5)
 
+    def test_ten_specs_declare_a_fraction(self):
+        assert len(FRACTION_SPECS) == 10
+
+    @pytest.mark.parametrize("cls", FRACTION_SPECS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -0.5, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, cls, fraction):
+        # Was accepted: NaN crashed the run at apply time, -0.5 injected
+        # nothing and 1.5 clamped to every peer.
+        duration = 0.0 if cls is DNWipe else 60.0
+        cls("x", start=600.0, duration=duration, fraction=0.5)
+        with pytest.raises(ValueError, match="fraction must be in"):
+            cls("x", start=600.0, duration=duration, fraction=fraction)
+
     def test_dn_wipe_rejects_a_duration(self):
         assert DNWipe("wipe", start=0.0).instantaneous
         assert not CNOutage("out", start=0.0, duration=50.0).instantaneous
@@ -84,16 +107,16 @@ class TestRNG:
     def test_select_is_deterministic(self):
         system, _ = build_system()
         spec = LinkDegradation("deg", start=0.0, fraction=0.5)
-        picked1 = ctx_for(system, spec).select(system.all_peers, 0.5)
-        picked2 = ctx_for(system, spec).select(system.all_peers, 0.5)
+        picked1 = ctx_for(system, spec).select(system.iter_peer_nodes(), 0.5)
+        picked2 = ctx_for(system, spec).select(system.iter_peer_nodes(), 0.5)
         assert picked1 == picked2
         assert len(picked1) == 5
 
     def test_select_at_least_one(self):
         system, _ = build_system()
         ctx = ctx_for(system, LinkDegradation("deg", start=0.0))
-        assert len(ctx.select(system.all_peers, 0.001)) == 1
-        assert ctx.select(system.all_peers, 0.0) == []
+        assert len(ctx.select(system.iter_peer_nodes(), 0.001)) == 1
+        assert ctx.select(system.iter_peer_nodes(), 0.0) == []
         assert ctx.select([], 0.5) == []
 
 
@@ -122,7 +145,7 @@ class TestRevertSymmetry:
         assert all(dn.alive for dn in system.control.all_dns)
         # Stranded peers reconnect once the rate-limited schedule drains.
         system.run(until=system.sim.now + 60.0)
-        assert system.control.connected_peer_count() == len(system.all_peers)
+        assert system.control.connected_peer_count() == len(system.iter_peer_nodes())
 
     def test_edge_brownout(self):
         system, _ = build_system()
@@ -137,33 +160,33 @@ class TestRevertSymmetry:
 
     def test_link_degradation(self):
         system, _ = build_system()
-        caps_before = [(p.link.down_bps, p.link.up_bps) for p in system.all_peers]
+        caps_before = [(p.link.down_bps, p.link.up_bps) for p in system.iter_peer_nodes()]
         spec = LinkDegradation("deg", start=0.0, duration=60.0, fraction=0.5)
         ctx = ctx_for(system, spec)
         token = spec.apply(ctx)
         assert all(p.link.degraded for p in token)
         spec.revert(ctx, token)
-        caps_after = [(p.link.down_bps, p.link.up_bps) for p in system.all_peers]
+        caps_after = [(p.link.down_bps, p.link.up_bps) for p in system.iter_peer_nodes()]
         assert caps_after == caps_before
 
     def test_nat_rebind_durational_restores_profiles(self):
         system, _ = build_system()
-        profiles_before = [p.nat_profile for p in system.all_peers]
+        profiles_before = [p.nat_profile for p in system.iter_peer_nodes()]
         spec = NATRebind("rebind", start=0.0, duration=60.0, fraction=1.0)
         ctx = ctx_for(system, spec)
         token = spec.apply(ctx)
-        assert all(p.nat_rebinds == 1 for p in system.all_peers)
+        assert all(p.nat_rebinds == 1 for p in system.iter_peer_nodes())
         spec.revert(ctx, token)
-        assert [p.nat_profile for p in system.all_peers] == profiles_before
+        assert [p.nat_profile for p in system.iter_peer_nodes()] == profiles_before
 
     def test_nat_rebind_instantaneous_is_permanent(self):
         system, _ = build_system()
         spec = NATRebind("rebind", start=0.0, duration=0.0, fraction=1.0)
         ctx = ctx_for(system, spec)
         token = spec.apply(ctx)
-        rebound = [p.nat_profile for p in system.all_peers]
+        rebound = [p.nat_profile for p in system.iter_peer_nodes()]
         spec.revert(ctx, token)
-        assert [p.nat_profile for p in system.all_peers] == rebound
+        assert [p.nat_profile for p in system.iter_peer_nodes()] == rebound
 
     def test_flaky_uploader(self):
         system, _ = build_system()
@@ -182,9 +205,9 @@ class TestRevertSymmetry:
         ctx = ctx_for(system, spec)
         spec.apply(ctx)
         system.run(until=60.0)
-        assert any(not p.online for p in system.all_peers)
+        assert any(not p.online for p in system.iter_peer_nodes())
         system.run(until=300.0)
-        assert all(p.online for p in system.all_peers)
+        assert all(p.online for p in system.iter_peer_nodes())
 
 
 class TestBaseClass:

@@ -79,7 +79,7 @@ class TestSwarmInvariants:
         assert downloader.has_complete(obj.cid)
 
         # 7. Upload slot accounting returned to zero everywhere.
-        for peer in system.all_peers:
+        for peer in system.iter_peer_nodes():
             assert peer.active_upload_count == 0
             assert not peer.upload_flows
 

@@ -155,7 +155,7 @@ class TestDirectoryConsistency:
     def test_evicted_replica_is_warning_not_error(self):
         system, _, obj = live_system()
         # Evict the seeder's replica without an unregister landing.
-        seeder = next(p for p in system.all_peers if obj.cid in p.cache)
+        seeder = next(p for p in system.iter_peer_nodes() if obj.cid in p.cache)
         seeder.cache.pop(obj.cid)
         violations = system.audit(final=False)
         drift = [v for v in violations if "evicted replica" in v.detail]
@@ -249,7 +249,7 @@ class TestDeviceBudget:
         # Retroactively declare the live uploader a smartrouter: its
         # in-flight flow was capped at the raw link rate, far above the
         # tier's 1 kB/s budget.
-        uploader = next(p for p in system.all_peers if p.upload_flows)
+        uploader = next(p for p in system.iter_peer_nodes() if p.upload_flows)
         uploader.device = router
         assert f"device:{uploader.guid[:8]}" in subjects(
             system.audit(final=False), "device-budget")

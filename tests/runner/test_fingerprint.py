@@ -220,7 +220,8 @@ def test_every_sharding_knob_is_a_cache_key():
         assert fp != base_fp, f"mutating {name!r} did not change the fingerprint"
         seen.add(fp)
         count += 1
-    assert count >= 2, f"sharding sweep only covered {count} leaf fields"
+    assert count == len(dataclasses.fields(ShardingConfig)), \
+        f"sharding sweep covered {count} leaf fields"
     assert len(seen) == count + 1, "two distinct sharding mutations collided"
 
 

@@ -14,7 +14,6 @@ import dataclasses
 import random
 from unittest import mock
 
-from repro.core.peer import PeerNode
 from repro.core.system import NetSessionSystem
 from repro.net.nat import NATProfile, NATType
 from repro.workload import (
@@ -29,45 +28,54 @@ from repro.workload.population import (
 
 def build_object_population(system, providers, config=None,
                             duration_days=None) -> Population:
-    """The eager object-graph build: one :class:`PeerNode` per install.
+    """The eager object-graph build: one live row per install.
 
-    ``build_population`` as it was before the columnar store — the peer
-    loop is the old ``store="object"`` branch verbatim — ending in the
-    tail the production build ends in.
+    ``build_population`` as it was before the bulk columnar build — the
+    peer loop is the old ``store="object"`` branch, with ``create_peer``
+    appending each row — plus the ``tz``, ``always_on`` and device columns
+    the session schedule reads, ending in the tail the production build
+    ends in.
     """
     cfg = config if config is not None else PopulationConfig()
     rng = random.Random(system.rng.getrandbits(64))
-
-    peers: list[PeerNode] = []
-    tz_offset: dict[str, float] = {}
-    always_on: set[str] = set()
+    store = system.population_store
+    mix = cfg.device
+    if mix is not None:
+        store._device_classes = mix.classes
 
     for _ in range(cfg.n_peers):
         installed_from = rng.choice(providers) if providers else None
         peer = system.create_peer(installed_from=installed_from)
+        row = len(store) - 1
         if rng.random() < cfg.broken_fraction:
             peer.piece_corruption_prob = cfg.broken_corruption_prob
         if rng.random() < cfg.attacker_fraction:
             peer.accounting_attacker = True
-        peers.append(peer)
         # Local solar time from longitude: 15 degrees per hour.
-        tz_offset[peer.guid] = (peer.city.lon / 15.0) * 3600.0
-        if rng.random() < ALWAYS_ON_FRACTION:
-            always_on.add(peer.guid)
-        if cfg.device is not None:
-            cls = cfg.device.pick(rng.random())
+        store.tz[row] = (peer.city.lon / 15.0) * 3600.0
+        always_on = rng.random() < ALWAYS_ON_FRACTION
+        if mix is not None:
+            cls = mix.pick(rng.random())
             peer.device = cls
+            store.device_i[row] = mix.classes.index(cls)
             if rng.random() < cls.always_on_prob:
-                always_on.add(peer.guid)
+                always_on = True
             if cls.nat_open_prob is not None \
                     and rng.random() < cls.nat_open_prob:
                 peer.nat_profile = NATProfile(
                     true_type=NATType.OPEN, reported_type=NATType.OPEN)
+        store.always_on[row] = always_on
 
-    population = Population(
-        peers=peers, tz_offset=tz_offset, always_on=always_on)
+    population = Population(store=store)
     _finish_population(system, population, cfg, rng, duration_days)
     return population
+
+
+def session_columns(population) -> tuple[list, list]:
+    """The ``tz`` and ``always_on`` columns the session schedule reads."""
+    store = population.store
+    n = len(store)
+    return store.tz[:n].tolist(), store.always_on[:n].tolist()
 
 
 def object_store_oracle():

@@ -5,13 +5,13 @@ each RNG stream in its own loop and maps whole columns.  These tests pin
 what that must still guarantee —
 
 * the store equals the object-mode oracle on every column value and every
-  materialized node, and all four streams (plus ``system._peer_seq``) end
-  the build in the oracle's exact state, across block boundaries, with and
+  materialized node, and all four streams (plus the row count) end the
+  build in the oracle's exact state, across block boundaries, with and
   without providers, device tiers, a session cap, a degenerate
   broadband tier and frequent NAT misclassification;
 * a population-wide set-up hands out a handle only for rows it schedules
-  something for, and derives no GUID at all (``Population.always_on`` is a
-  view over the flag column that derives them when read);
+  something for, and derives no GUID at all (the always-on flags are a
+  column);
 * running a scenario pulls neither ``numpy.random`` nor ``numpy.ma`` into
   the process (each costs megabytes of RSS the small workloads notice).
 """
@@ -29,6 +29,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.core.config import ClientConfig, SystemConfig  # noqa: E402
+from repro.core.population_store import LazyPeer  # noqa: E402
 from repro.core.system import NetSessionSystem  # noqa: E402
 from repro.net.links import (  # noqa: E402
     DEFAULT_BROADBAND_TIERS, BroadbandModel, BroadbandTier,
@@ -38,13 +39,12 @@ from repro.workload import (  # noqa: E402
     PopulationConfig, ScenarioConfig, columnar,
 )
 from repro.workload.catalog import build_catalog  # noqa: E402
-from repro.workload.columnar import LazyPeer  # noqa: E402
 from repro.workload.devices import default_mix  # noqa: E402
 from repro.workload.population import build_population  # noqa: E402
 from repro.workload.scenario import run_scenario  # noqa: E402
 
 from tests.conftest import env_with_src  # noqa: E402
-from tests.scale.conftest import BUILDERS  # noqa: E402
+from tests.scale.conftest import BUILDERS, session_columns  # noqa: E402
 from tests.scale.test_device_parity import DEVICE_ATTRS  # noqa: E402
 
 pytestmark = pytest.mark.scale
@@ -106,12 +106,12 @@ def test_array_build_equals_the_object_oracle(**shape):
     store = pop_c.store
     assert len(store) == pop_o.peer_count() == shape["n_peers"]
 
-    # Every stream — and the peerN counter — ends where the oracle's does.
+    # Every stream ends where the oracle's does (the row count, which names
+    # peers, is the length checked above).
     assert rng_c.getstate() == rng_o.getstate()
     assert sys_c.rng.getstate() == sys_o.rng.getstate()
     assert sys_c.broadband._rng.getstate() == sys_o.broadband._rng.getstate()
     assert sys_c.nat_model._rng.getstate() == sys_o.nat_model._rng.getstate()
-    assert sys_c._peer_seq == sys_o._peer_seq
 
     # Every column value, read dormant…
     nodes = list(pop_o.iter_peers())
@@ -123,22 +123,13 @@ def test_array_build_equals_the_object_oracle(**shape):
         assert handle.city == node.city
         assert handle.asys == node.asys
         assert handle.nat_profile == node.nat_profile
-        assert handle.tz_offset == pop_o.tz_offset[node.guid]
     assert store.materialized_count() == 0
     # …and in bulk, which is what the set-up scans read.
     for attr in ("uploads_enabled", "installed_from_cp", "geo_region",
                  "device", "asn"):
         assert pop_c.column(attr) == pop_o.column(attr), attr
-    assert pop_c.always_on == pop_o.always_on
-    assert pop_o.always_on == pop_c.always_on
-    assert len(pop_c.always_on) == len(pop_o.always_on)
-    assert sorted(pop_c.always_on) == sorted(pop_o.always_on)
-    assert [n.guid in pop_c.always_on for n in nodes] \
-        == [n.guid in pop_o.always_on for n in nodes]
-    assert "no-such-guid" not in pop_c.always_on
-    everyone = {n.guid for n in nodes}
-    assert everyone - pop_c.always_on == everyone - pop_o.always_on
-    assert pop_c.always_on & everyone == pop_o.always_on
+    assert session_columns(pop_c) == session_columns(pop_o)
+    assert store.materialized_count() == 0
     assert sys_c.stats().as_dict() == sys_o.stats().as_dict()
 
     # Every materialized node is the eager node.
@@ -216,14 +207,9 @@ def test_setup_touches_only_the_rows_it_schedules():
                 if guid is not None}
 
     # Nothing in set-up reads a GUID: booting a handle does not need one,
-    # and counting the always-on set reads the flag column.
-    always_on = set(store.always_on.nonzero()[0].tolist())
-    assert 0 < len(result.population.always_on) == len(always_on) \
-        < 0.25 * n_peers
+    # and the always-on flags are a column.
+    assert 0 < store.always_on.sum() < 0.25 * n_peers
     assert derived() == set()
-    # Iterating the view derives the flagged rows' GUIDs and no others.
-    assert len(set(result.population.always_on)) == len(always_on)
-    assert derived() == always_on
 
 
 def test_a_scenario_imports_no_numpy_random_or_ma():

@@ -17,7 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from tests.scale.conftest import build_store_world  # noqa: E402
+from tests.scale.conftest import build_store_world, session_columns  # noqa: E402
 
 pytestmark = pytest.mark.scale
 
@@ -74,8 +74,7 @@ def test_build_is_field_for_field_equal_without_materializing(
     assert store.materialized_count() == 0
 
     # Population-level structures match.
-    assert pop_c.always_on == pop_o.always_on
-    assert dict(pop_c.tz_offset) == dict(pop_o.tz_offset)
+    assert session_columns(pop_c) == session_columns(pop_o)
 
     # Every shared RNG stream ends the build at the identical position —
     # the property that makes everything downstream byte-identical.

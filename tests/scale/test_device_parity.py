@@ -28,7 +28,7 @@ from repro.runner import (  # noqa: E402
 from repro.workload.devices import PRESET_MIXES, default_mix  # noqa: E402
 
 from tests.scale.conftest import (  # noqa: E402
-    build_store_world, object_store_oracle, tiny_scenario,
+    build_store_world, object_store_oracle, session_columns, tiny_scenario,
 )
 from tests.scale.test_columnar_equivalence import DORMANT_ATTRS  # noqa: E402
 
@@ -80,8 +80,7 @@ def test_tiered_build_is_dormant_equal(seed, n_peers, mix_name, attacker, cap):
     # (class always_on_prob ORs into the base draw), session schedule.
     assert pop_c.device_census() == pop_o.device_census()
     assert pop_c.device_classes() == pop_o.device_classes()
-    assert pop_c.always_on == pop_o.always_on
-    assert dict(pop_c.tz_offset) == dict(pop_o.tz_offset)
+    assert session_columns(pop_c) == session_columns(pop_o)
     assert sys_c.stats().as_dict() == sys_o.stats().as_dict()
 
     # Device draws consume the same stream positions in both builds.

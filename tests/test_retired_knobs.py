@@ -25,6 +25,7 @@ from repro.net.sim import Simulator
 from repro.runner import (
     event_digest, fingerprint_config, record_digest, run_scenario_artifact,
 )
+from repro.vod.config import VodConfig
 from repro.workload import PopulationConfig
 from repro.workload.sharding import ShardingConfig
 
@@ -44,6 +45,14 @@ def test_retired_arguments_are_rejected():
         FlowNetwork(Simulator(), batching=False)
     with pytest.raises(ValueError, match="positive int"):
         ShardingConfig(shards="auto")
+    # Leaves nothing set, now module constants (the reconcile pass always
+    # runs; the startup buffer is ``start_streaming``'s default).
+    with pytest.raises(TypeError):
+        ShardingConfig(reconcile=False)
+    with pytest.raises(TypeError):
+        VodConfig(startup_buffer_s=5.0)
+    with pytest.raises(TypeError):
+        VodConfig(max_prefetches_per_tick=2)
     assert fingerprint_config(ShardingConfig()) == \
         fingerprint_config(ShardingConfig(shards=2))
 
@@ -65,13 +74,15 @@ def test_fuzz_seed_stream_is_pinned():
     """Pins the current seed stream: ``repr(generate(s))`` for s in 0…29.
     Anything that moves this digest is a stream bump to document in
     ``generate``: a new draw, a reordered draw, or a changed default of a
-    leaf the fuzzer leaves alone.  Re-recorded twice without a stream bump,
-    when ``ScenarioConfig`` gained ``script`` and 29 leaves nothing set
-    became module constants, and when 28 more did: each time every shared
-    leaf and every ``run_spec`` digest stayed equal."""
+    leaf the fuzzer leaves alone.  Re-recorded three times without a
+    stream bump, when ``ScenarioConfig`` gained ``script`` and 29 leaves
+    nothing set became module constants, when 28 more did, and when the
+    last three (``sharding.reconcile``, ``vod.startup_buffer_s``,
+    ``vod.max_prefetches_per_tick``) did: each time every shared leaf and
+    every ``run_spec`` digest stayed equal."""
     rows = [repr(fuzz.generate(seed)) for seed in range(30)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
-        "62ebbeb983123d1f08a1a4fc65cc88c00d11fd3562fe53e21f31f5c3c301da4a"
+        "263859c1d009c76b6ae336dc1995d068718667b82774564a6af4a7325c50fea9"
 
 
 # ------------------------------------------------------------------ the guard

@@ -10,10 +10,9 @@ from repro.workload.population import DAY, Population
 
 
 def make_population(system, n=50, uploads_enabled=True):
-    peers = [system.create_peer(uploads_enabled=uploads_enabled)
-             for _ in range(n)]
-    return Population(peers=peers, tz_offset={p.guid: 0.0 for p in peers},
-                      always_on=set())
+    for _ in range(n):
+        system.create_peer(uploads_enabled=uploads_enabled)
+    return Population(store=system.population_store)
 
 
 class TestAbandonment:
@@ -123,9 +122,8 @@ class TestBusyLinks:
         from repro.core import NetSessionSystem, SystemConfig
         quiet = NetSessionSystem(
             SystemConfig().with_client(link_busy_prob_per_hour=0.0), seed=4)
-        peers = [quiet.create_peer() for _ in range(10)]
-        population = Population(peers=peers,
-                                tz_offset={p.guid: 0.0 for p in peers},
-                                always_on=set())
+        for _ in range(10):
+            quiet.create_peer()
+        population = Population(store=quiet.population_store)
         behavior = UserBehavior(quiet, BehaviorConfig())
         assert behavior.schedule_link_busy_periods(population, 5.0) == 0

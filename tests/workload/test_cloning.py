@@ -13,9 +13,9 @@ from repro.workload.population import DAY, Population
 
 
 def make_population(system, n):
-    peers = [system.create_peer() for _ in range(n)]
-    return Population(peers=peers, tz_offset={p.guid: 0.0 for p in peers},
-                      always_on=set())
+    for _ in range(n):
+        system.create_peer()
+    return Population(store=system.population_store)
 
 
 def boot_daily(system, peers, days):

@@ -10,11 +10,9 @@ from repro.workload.population import DAY, Population
 
 
 def make_population(system, n):
-    peers = [system.create_peer() for _ in range(n)]
-    for p in peers:
-        p.boot()
-    return Population(peers=peers, tz_offset={p.guid: 0.0 for p in peers},
-                      always_on={p.guid for p in peers})
+    for _ in range(n):
+        system.create_peer().boot()
+    return Population(store=system.population_store)
 
 
 class TestClasses:

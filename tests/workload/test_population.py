@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -59,6 +60,13 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             PopulationConfig(mean_daily_uptime_hours=25.0)
 
+    @pytest.mark.parametrize("field", ["broken_fraction", "attacker_fraction",
+                                       "broken_corruption_prob"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, -1.0, math.nan, math.inf])
+    def test_probabilities_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PopulationConfig(**{field: value})
+
 
 class TestSessions:
     def test_peers_come_online_during_first_day(self, built):
@@ -76,8 +84,8 @@ class TestSessions:
     def test_always_on_peers_stay_online(self, built):
         system, population = built
         system.run(until=3 * DAY)
-        for peer in population.peers:
-            if peer.guid in population.always_on:
+        for peer, always_on in zip(population.peers, population.store.always_on):
+            if always_on:
                 assert peer.online
 
 

@@ -28,7 +28,7 @@ class TestScenarioRun:
         assert len(tiny_result.logstore.logins) >= 120 * 0.5
 
     def test_no_open_sessions_after_finalize(self, tiny_result):
-        for peer in tiny_result.system.all_peers:
+        for peer in tiny_result.system.iter_peer_nodes():
             assert peer.sessions == {}
 
     def test_every_download_has_terminal_outcome(self, tiny_result):
