@@ -66,7 +66,7 @@ class ClientConfig:
             raise ValueError("upload_rate_fraction must be in (0, 1]")
         if self.max_uploads_per_object <= 0:
             raise ValueError("max_uploads_per_object must be positive")
-        if self.cache_retention <= 0:
+        if not self.cache_retention > 0:
             raise ValueError("cache_retention must be positive")
 
 
@@ -98,6 +98,8 @@ class ControlPlaneConfig:
             raise ValueError("diversity_probability must be in [0, 1]")
         if not self.reconnect_rate_limit > 0:
             raise ValueError("reconnect_rate_limit must be positive")
+        if not 0 < self.registration_ttl < float("inf"):
+            raise ValueError("registration_ttl must be finite and positive")
         if self.remote_search_threshold < 0:
             raise ValueError("remote_search_threshold must be >= 0")
 
@@ -129,16 +131,15 @@ class ControlChannelConfig:
     probe_interval: float = 60.0
 
     def __post_init__(self):
-        if self.latency < 0:
-            raise ValueError("latency must be >= 0")
+        if not 0 <= self.latency < float("inf"):
+            raise ValueError("latency must be finite and >= 0")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError("loss_prob must be in [0, 1)")
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
+        for name in ("request_timeout", "probe_interval"):
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and positive")
         if self.breaker_threshold <= 0:
             raise ValueError("breaker_threshold must be positive")
-        if self.probe_interval <= 0:
-            raise ValueError("probe_interval must be positive")
 
 
 @dataclass(frozen=True)

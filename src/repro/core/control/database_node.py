@@ -53,7 +53,7 @@ class DatabaseNode:
     """
 
     def __init__(self, name: str, network_region: str, registration_ttl: float):
-        if registration_ttl <= 0:
+        if not registration_ttl > 0:
             raise ValueError("registration TTL must be positive")
         self.name = name
         self.network_region = network_region

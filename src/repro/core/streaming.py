@@ -12,29 +12,19 @@ initial buffer is filled, consumes bytes at the video bitrate, and stalls
 QoE metrics exposed: startup delay, rebuffer count, total stall time — the
 quantities a LiveSky-style streaming study (paper §7) would measure.
 
-Cost model: the playback clock ticks every ``playback_tick_s`` only while a
-tick can change something beyond *when* playout ends.  That is the
-``active`` transfer, where each tick rebalances peer caps and may steal
-the head piece, and a paused stream still playing out its buffer.  Two
-idle phases stop the clock:
-
-* **Downloaded and playing.**  Every remaining tick adds
-  ``min(budget, size - played)``, so the first tick that finds the
-  transfer completed replays them as arithmetic (the same float additions,
-  on the same chained grid) and schedules one playout-end event at the
-  instant the last tick would fire.  Reads of the playhead in between
-  (``played_bytes``, ``buffered_seconds``, ``skip_ahead``,
-  ``stop_playback``) catch up lazily; a skip re-plans the end.
-* **Paused and not playing.**  Nothing is delivered while paused, so the
-  ready-to-play test gives the same answer at every tick.  ``pause`` (or
-  the tick that stalls a paused stream) suspends the clock and keeps the
-  next grid instant; ``resume`` re-arms it on the first grid instant not
-  yet due.
-
-A grid instant equal to ``now`` counts as due outside the event loop
-(``run(until=now)`` has fired it) and as not yet due inside an event (its
-tick was queued a tick ago, after anything queued before it).  Either way
-the trace is the one the fixed-period clock gives.
+Cost model (DESIGN.md §10): the playback clock is a
+:class:`~repro.net.sim.Clock` ticking every ``playback_tick_s`` only while
+a tick can change something beyond *when* playout ends: the ``active``
+transfer (each tick rebalances peer caps and may steal the head piece) and
+a paused stream still playing out its buffer.  It is suspended through two
+idle phases.  **Downloaded and playing:** the first tick that finds the
+transfer completed replays the remaining ticks' float additions and
+schedules one playout-end event at the last tick's instant; reads of the
+playhead fold in the ticks now due (``Clock.catch_up``), and a skip
+re-plans the end.  **Paused and not playing:** nothing is delivered, so
+every tick would find the stream not ready; ``resume`` wakes the clock on
+the first grid instant not yet due.  Either way the trace is the one the
+fixed-period clock gives.
 
 A tick must not cost O(pieces).  The contiguous prefix is tracked by a
 lazy in-order cursor that only moves forward — valid because
@@ -49,6 +39,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.content import ContentObject
 from repro.core.swarm import Chunk, DownloadSession, EdgeConnection
+from repro.net.sim import Clock, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.peer import PeerNode
@@ -106,14 +97,11 @@ class StreamingSession(DownloadSession):
         self.rebuffer_time = 0.0
         self.playback_finished_at: Optional[float] = None
         self._stall_since: Optional[float] = None
-        #: The pending clock event: a recurring tick, a re-armed first
-        #: tick, or a collapsed playout's end (None when nothing is armed).
-        self._tick_event = None
-        #: Next grid instant of a suspended clock (paused, not playing).
-        self._resume_at: Optional[float] = None
-        #: Next grid instant of a collapsed playout not yet folded into
-        #: ``_played`` (None when the playout is not collapsed).
-        self._playout_next: Optional[float] = None
+        #: The playback clock (None until ``start`` arms it).
+        self._clock: Optional[Clock] = None
+        #: A collapsed playout's end event; its suspended clock's cursor is
+        #: the next tick not yet folded into ``_played``.
+        self._playout_end: Optional[Event] = None
         # In-order cursor (see contiguous_bytes): pieces [0, _prefix_pieces)
         # are all in ``received`` and total _prefix_bytes.
         self._prefix_pieces = 0
@@ -125,7 +113,7 @@ class StreamingSession(DownloadSession):
         """Begin the transfer and arm the playback clock."""
         super().start()
         if self.state == "active":
-            self._tick_event = self.system.sim.every(
+            self._clock = self.system.sim.every(
                 self.playback_tick_s, self._playback_tick
             )
             self.system.vod.streams_started += 1
@@ -135,25 +123,13 @@ class StreamingSession(DownloadSession):
         if self.state != "active":
             return
         super().pause()
-        if self._tick_event is not None:
-            self._idle_clock(self._tick_event.time)
+        self._idle_clock()
 
     def resume(self) -> None:
-        """Resume the transfer and re-arm a suspended clock on its grid."""
+        """Resume the transfer and wake a suspended clock on its grid."""
         super().resume()
-        if self.state != "active" or self._resume_at is None:
-            return
-        at, self._resume_at = self._resume_at, None
-        while self._due(at):
-            at += self.playback_tick_s
-
-        def first_tick() -> None:
-            self._playback_tick()
-            if self._tick_event is event:  # the tick left the clock running
-                self._tick_event = self.system.sim.every(
-                    self.playback_tick_s, self._playback_tick)
-
-        event = self._tick_event = self.system.sim.schedule_at(at, first_tick)
+        if self.state == "active":
+            self._clock.wake()
 
     # -------------------------------------------------- in-order scheduling
 
@@ -308,14 +284,13 @@ class StreamingSession(DownloadSession):
 
     @property
     def played_bytes(self) -> float:
-        """Bytes played so far (a collapsed playout catches up on read)."""
-        if self._playout_next is not None:
-            self._catch_up()
+        """Bytes played so far.  A collapsed playout folds in its ticks now
+        due; never the last, whose end event has fired by then."""
+        if self._playout_end is not None:
+            budget, size = self.bitrate * self.playback_tick_s, self.obj.size
+            for _ in range(self._clock.catch_up()):
+                self._played += max(0.0, min(budget, size - self._played))
         return self._played
-
-    @played_bytes.setter
-    def played_bytes(self, value: float) -> None:
-        self._played = value
 
     def buffered_seconds(self) -> float:
         """Playable seconds ahead of the playhead."""
@@ -331,8 +306,6 @@ class StreamingSession(DownloadSession):
 
     def _playback_tick(self) -> None:
         now = self.system.sim.now
-        if self.playback_finished_at is not None:
-            return
         if self.state in ("failed", "aborted"):
             self._stop_clock()
             return
@@ -369,7 +342,7 @@ class StreamingSession(DownloadSession):
                 self.rebuffer_events += 1
                 self.system.vod.rebuffer_events += 1
                 self._stall_since = now
-        self._idle_clock(now + self.playback_tick_s)
+        self._idle_clock()
 
     def _finish_playback(self) -> None:
         self._played = float(self.obj.size)
@@ -378,59 +351,39 @@ class StreamingSession(DownloadSession):
         self._stop_clock()
 
     def _stop_clock(self) -> None:
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
+        if self._clock is not None:
+            self._clock.cancel()
+        if self._playout_end is not None:
+            self._playout_end.cancel()
+            self._playout_end = None
 
     # ------------------------------------------------------ idle-phase clock
 
-    def _idle_clock(self, next_at: float) -> None:
-        """Stop ticking through an idle phase; ``next_at`` is the next grid
-        instant.  Downloaded and playing: collapse the playout into its
-        end event.  Paused and not about to play: suspend until resume."""
+    def _idle_clock(self) -> None:
+        """Suspend the clock through an idle phase.  Downloaded and
+        playing: collapse the playout into its end event.  Paused and not
+        about to play: suspend until resume."""
         if self.state == "completed" and self.playing:
-            self._playout_next = next_at
+            self._clock.suspend()
             self._plan_playout_end()
         elif (self.state == "paused" and not self.playing
               and not self._ready_to_play(self.contiguous_bytes())):
-            self._stop_clock()
-            self._resume_at = next_at
-
-    def _due(self, t: float) -> bool:
-        """Has the grid tick at ``t`` fired by now?  At ``t == now`` it has
-        outside the event loop, and has not inside an event (see Cost
-        model)."""
-        sim = self.system.sim
-        return t < sim.now or (t == sim.now and not sim.in_event)
-
-    def _catch_up(self) -> None:
-        """Fold the collapsed ticks that are due into ``_played``.
-
-        Never reaches the last tick: the end event fires at its instant,
-        so a due last tick has already ended the playout.
-        """
-        budget, size = self.bitrate * self.playback_tick_s, self.obj.size
-        while self._due(self._playout_next):
-            self._played += max(0.0, min(budget, size - self._played))
-            self._playout_next += self.playback_tick_s
+            self._clock.suspend()
 
     def _plan_playout_end(self) -> None:
         """(Re-)schedule the playout end at the instant the last remaining
         tick would fire, replaying the tick's float additions (a tight loop:
         a collapse replays every tick left in the video)."""
         budget, size = self.bitrate * self.playback_tick_s, self.obj.size
-        t, played = self._playout_next, self._played
+        t, played = self._clock.next_at, self._played
         while True:
             played += max(0.0, min(budget, size - played))
             if played >= size - 0.5:
                 break
             t += self.playback_tick_s
-        self._stop_clock()
-        self._tick_event = self.system.sim.schedule_at(t, self._end_playout)
-
-    def _end_playout(self) -> None:
-        self._tick_event = self._playout_next = None
-        self._finish_playback()
+        if self._playout_end is not None:
+            self._playout_end.cancel()
+        self._playout_end = self.system.sim.schedule_at(t, self._finish_playback)
 
     # --------------------------------------------------------- viewer actions
 
@@ -449,7 +402,7 @@ class StreamingSession(DownloadSession):
         target = min(self.played_bytes + seconds * self.bitrate, ceiling)
         if target > self._played:
             self._played = target
-            if self._playout_next is not None:
+            if self._playout_end is not None:
                 self._plan_playout_end()
 
     def stop_playback(self) -> None:
@@ -462,7 +415,6 @@ class StreamingSession(DownloadSession):
         if self.playback_finished_at is not None:
             return
         self._played = self.played_bytes  # a collapsed playout stops here
-        self._playout_next = self._resume_at = None
         self.playing = False
         self._stall_since = None
         self._stop_clock()

@@ -141,9 +141,7 @@ class RecoveryTracker:
         self._sample()  # the dip may already have healed
         if self._done():
             return
-        self._event = self.system.sim.every(
-            self.sample_interval, self._tick, first_delay=self.sample_interval
-        )
+        self._event = self.system.sim.every(self.sample_interval, self._tick)
 
     def _connected_target(self) -> int:
         # In a workload run the online population breathes with the diurnal
@@ -178,6 +176,5 @@ class RecoveryTracker:
         assert self._started_at is not None
         timed_out = self.system.sim.now - self._started_at >= self.timeout
         if self._done() or timed_out:
-            if self._event is not None:
-                self._event.cancel()
-                self._event = None
+            self._event.cancel()
+            self._event = None

@@ -4,7 +4,7 @@ This subpackage replaces the real Internet in the reproduction.  See
 DESIGN.md §2 for the substitution rationale.
 """
 
-from repro.net.sim import Simulator, Event, SimulationError
+from repro.net.sim import Simulator, Clock, Event, SimulationError
 from repro.net.flows import FlowNetwork, Flow, Resource
 from repro.net.links import AccessLink, BroadbandModel, mbps
 from repro.net.nat import NATType, NATProfile, NATModel, can_connect
@@ -17,7 +17,7 @@ from repro.net.addressing import IPAllocator
 from repro.net.lan import LanSite
 
 __all__ = [
-    "Simulator", "Event", "SimulationError",
+    "Simulator", "Clock", "Event", "SimulationError",
     "FlowNetwork", "Flow", "Resource",
     "AccessLink", "BroadbandModel", "mbps",
     "NATType", "NATProfile", "NATModel", "can_connect",

@@ -5,7 +5,8 @@ servers, the peers, and the fluid bandwidth model are all driven by a single
 :class:`Simulator` event loop.  The engine is intentionally small — a binary
 heap of timestamped callbacks plus a handful of conveniences (recurring
 timers, cancellable events, a monotonic tiebreaker so same-time events fire
-in scheduling order).
+in scheduling order).  A recurring timer is a :class:`Clock`, which can
+suspend through an idle phase and wake on its own grid.
 
 The heap holds plain ``(time, seq, event)`` tuples — the hot loop pushes and
 pops millions of entries per run, and tuple comparison is several times
@@ -25,7 +26,7 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-__all__ = ["Event", "Simulator", "SimulationError"]
+__all__ = ["Clock", "Event", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -42,16 +43,17 @@ class Event:
 
     __slots__ = ("time", "callback", "cancelled", "fired", "_sim")
 
-    def __init__(self, time: float, callback: Callable[[], None]):
+    def __init__(self, time: float, callback: Callable[[], None],
+                 sim: "Simulator"):
         self.time = time
         self.callback = callback
         self.cancelled = False
         self.fired = False
-        self._sim: Optional["Simulator"] = None
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent; no-op if already fired."""
-        if not (self.cancelled or self.fired) and self._sim is not None:
+        if not (self.cancelled or self.fired):
             self._sim._live -= 1
         self.cancelled = True
 
@@ -63,6 +65,82 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<Event t={self.time:.3f} {state}>"
+
+
+class Clock:
+    """A recurring timer on a fixed grid (:meth:`Simulator.every`).
+
+    An :class:`Event`-compatible handle (``cancel``, ``pending``, ``time``)
+    that can also :meth:`suspend` and :meth:`wake` on its grid.  Each arming
+    pushes a new :class:`Event` (re-pushed by each tick after its callback);
+    reusing one a suspend cancelled would revive its stale heap entry.
+    """
+
+    __slots__ = ("interval", "until", "next_at", "suspended", "_callback",
+                 "_sim", "_entry")
+
+    def __init__(self, sim: "Simulator", interval: float,
+                 callback: Callable[[], None], until: Optional[float]):
+        self.interval, self.until = interval, until
+        self._callback, self._sim = callback, sim
+        #: Grid cursor: the pending tick's instant, or the next one if suspended.
+        self.next_at = sim.now + interval
+        self.suspended = True
+        self.wake()  # every arming is a wake
+
+    def _tick(self) -> None:
+        entry = self._entry
+        self._callback()
+        if self._entry is not entry:  # suspended, woken or cancelled
+            return
+        next_at = self._sim._now + self.interval
+        if self.until is not None and next_at > self.until:
+            self._entry = None
+            return
+        entry.time = self.next_at = next_at
+        entry.fired = False
+        self._sim._push(entry)
+
+    time = property(lambda self: self.next_at,
+                    doc="The pending tick's instant (as :attr:`Event.time`).")
+
+    @property
+    def pending(self) -> bool:
+        """True while a tick is queued."""
+        return self._entry is not None and self._entry.pending
+
+    def cancel(self) -> None:
+        """Stop for good; a later :meth:`wake` is a no-op."""
+        if self._entry is not None:
+            self._entry.cancel()
+            self._entry = None
+        self.suspended = False
+
+    def suspend(self) -> None:
+        """Stop ticking and keep the next grid instant: the pending tick's,
+        or ``now + interval`` inside the clock's own tick."""
+        if self._entry is not None:
+            if self._entry.fired:  # inside its own tick: nothing queued
+                self.next_at = self._sim._now + self.interval
+            self.cancel()
+            self.suspended = True
+
+    def catch_up(self) -> int:
+        """Move the cursor past every grid instant already due
+        (:meth:`Simulator.due`); return how many it passed."""
+        due, passed = self._sim.due, 0
+        while due(self.next_at):
+            self.next_at += self.interval
+            passed += 1
+        return passed
+
+    def wake(self) -> None:
+        """Re-arm a suspended clock on the first grid instant not yet due."""
+        if self.suspended:
+            self.suspended = False
+            self.catch_up()
+            self._entry = Event(self.next_at, self._tick, self._sim)
+            self._sim._push(self._entry)
 
 
 class Simulator:
@@ -131,8 +209,8 @@ class Simulator:
         self._audit_every = every_events
         self._audit_countdown = every_events
 
-    def _push(self, time: float, event: Event) -> None:
-        heapq.heappush(self._queue, (time, next(self._seq), event))
+    def _push(self, event: Event) -> None:
+        heapq.heappush(self._queue, (event.time, next(self._seq), event))
         self._live += 1
         self.heap_pushes += 1
 
@@ -147,70 +225,42 @@ class Simulator:
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at an absolute simulated time."""
-        if time < self._now:
+        """Schedule ``callback`` at an absolute simulated time (not NaN)."""
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.3f} (now is t={self._now:.3f})"
             )
-        event = Event(time, callback)
-        event._sim = self
-        self._push(time, event)
+        event = Event(time, callback, self)
+        self._push(event)
         return event
 
-    def every(
-        self,
-        interval: float,
-        callback: Callable[[], None],
-        *,
-        first_delay: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> Event:
-        """Schedule ``callback`` to run every ``interval`` seconds.
-
-        Returns the Event for the *next* occurrence; cancelling it stops the
-        recurrence.  The same Event object is reused for each tick so a held
-        reference stays valid across occurrences.
-        """
-        if interval <= 0:
+    def every(self, interval: float, callback: Callable[[], None], *,
+              until: Optional[float] = None) -> Clock:
+        """Run ``callback`` every ``interval`` seconds from now on; a tick
+        re-arms only up to ``until``.  Returns the :class:`Clock`."""
+        if not interval > 0:
             raise SimulationError(f"recurring interval must be positive, got {interval}")
-        delay = interval if first_delay is None else first_delay
+        return Clock(self, interval, callback, until)
 
-        event = Event(self._now + delay, lambda: None)
-        event._sim = self
+    def due(self, t: float) -> bool:
+        """Has an event at ``t`` had its turn?  At ``t == now``: outside the
+        loop yes (``run(until=now)`` fired it), inside an event not yet."""
+        return t < self._now or (t == self._now and not self._in_event)
 
-        def tick() -> None:
-            callback()
-            next_time = self._now + interval
-            if until is not None and next_time > until:
-                return
-            if event.cancelled:
-                return
-            event.time = next_time
-            event.fired = False
-            self._push(next_time, event)
-
-        event.callback = tick
-        self._push(event.time, event)
-        return event
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Process events in timestamp order.
 
-        Stops when the queue is empty, when the next event is later than
-        ``until``, or after ``max_events`` events.  When ``until`` is given,
-        the clock is advanced to ``until`` even if no event lands exactly
-        there.
+        Stops when the queue is empty or the next event is later than
+        ``until``.  When ``until`` is given, the clock is advanced to
+        ``until`` even if no event lands exactly there.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        processed = 0
         queue = self._queue
         hooks = self._post_event_hooks
         try:
             while queue:
-                if max_events is not None and processed >= max_events:
-                    break
                 time, _seq, event = queue[0]
                 if until is not None and time > until:
                     break
@@ -228,7 +278,6 @@ class Simulator:
                     self._in_event = False
                 for hook in hooks:
                     hook()
-                processed += 1
                 self.events_processed += 1
                 if self._audit_every:
                     self._audit_countdown -= 1

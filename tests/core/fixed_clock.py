@@ -2,7 +2,7 @@
 
 :class:`repro.core.streaming.StreamingSession` stops its clock while a
 downloaded stream plays out (one playout-end event replaces the remaining
-ticks) and while a paused stream is not playing (``resume`` re-arms it on
+ticks) and while a paused stream is not playing (``resume`` wakes it on
 the same grid).  This subclass never stops it: it ticks every
 ``playback_tick_s`` through both phases, the clock the goldens were first
 recorded with.  It changes the clock policy only: the tick body, the
@@ -22,5 +22,5 @@ __all__ = ["FixedClockStreamingSession"]
 class FixedClockStreamingSession(StreamingSession):
     """Ticks through every phase, idle or not."""
 
-    def _idle_clock(self, next_at: float) -> None:
+    def _idle_clock(self) -> None:
         pass

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import ClientConfig, ControlPlaneConfig, SystemConfig
+from repro.core.config import (
+    ClientConfig, ControlChannelConfig, ControlPlaneConfig, SystemConfig,
+)
 
 
 class TestClientConfig:
@@ -30,8 +32,11 @@ class TestClientConfig:
             ClientConfig(max_uploads_per_object=0)
 
     def test_cache_retention_positive(self):
-        with pytest.raises(ValueError):
-            ClientConfig(cache_retention=0.0)
+        # NaN passed a ``<= 0`` check, and the first completed download
+        # then crashed the run scheduling its eviction at t=nan.
+        for retention in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                ClientConfig(cache_retention=retention)
 
 
 class TestControlPlaneConfig:
@@ -51,10 +56,25 @@ class TestControlPlaneConfig:
         ("reconnect_rate_limit", 0.0),
         ("reconnect_rate_limit", -5.0),
         ("remote_search_threshold", -1),
+        # A NaN TTL passed the DN's ``<= 0`` check: registrations never
+        # expired and every peer armed ``every(nan)``.
+        ("registration_ttl", 0.0),
+        ("registration_ttl", -1.0),
+        ("registration_ttl", float("nan")),
+        ("registration_ttl", float("inf")),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             ControlPlaneConfig(**{field: value})
+
+
+class TestControlChannelConfig:
+    @pytest.mark.parametrize("field", ["latency", "request_timeout",
+                                       "probe_interval"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_timers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ControlChannelConfig(**{field: value})
 
 
 class TestSystemConfig:

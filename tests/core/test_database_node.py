@@ -65,8 +65,9 @@ class TestRegistration:
         assert dn.total_registrations() == 3
 
     def test_invalid_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            DatabaseNode("x", "eu", registration_ttl=0.0)
+        for ttl in (0.0, float("nan")):  # NaN fails every comparison
+            with pytest.raises(ValueError):
+                DatabaseNode("x", "eu", registration_ttl=ttl)
 
 
 class TestSoftState:

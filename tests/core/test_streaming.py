@@ -324,7 +324,7 @@ class TestPrefixCursor:
             if not probe:
                 continue  # the cursor is lazy: skipped reads must not matter
             prefix = _scan_prefix_bytes(session)
-            session.played_bytes = played * prefix
+            session._played = played * prefix
             assert session.contiguous_bytes() == prefix
             assert session.buffered_seconds() == max(
                 0.0, (prefix - session.played_bytes) / session.bitrate)
@@ -579,11 +579,11 @@ def _phase(session) -> str:
     """Which clock phase a production session is in."""
     if session.playback_finished_at is not None:
         return "finished"
-    if session._playout_next is not None:
+    if session._playout_end is not None:
         return "collapsed"
-    if session._resume_at is not None:
+    if session._clock.suspended:
         return "suspended"
-    if session._tick_event is None:
+    if not session._clock.pending:
         return "stopped"
     return f"{session.state}:{'playing' if session.playing else 'waiting'}"
 

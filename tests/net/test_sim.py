@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.sim import Event, SimulationError, Simulator
+from repro.net.sim import Clock, Event, SimulationError, Simulator
 
 
 class TestScheduling:
@@ -99,14 +99,6 @@ class TestRunControl:
         sim.run()
         assert seen == [10]
 
-    def test_max_events_limit(self):
-        sim = Simulator()
-        seen = []
-        for i in range(10):
-            sim.schedule(float(i + 1), lambda i=i: seen.append(i))
-        sim.run(max_events=3)
-        assert len(seen) == 3
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
         error: list[Exception] = []
@@ -167,13 +159,6 @@ class TestRecurring:
         sim.run(until=35.0)
         assert seen == [10.0, 20.0, 30.0]
 
-    def test_every_with_first_delay(self):
-        sim = Simulator()
-        seen = []
-        sim.every(10.0, lambda: seen.append(sim.now), first_delay=1.0)
-        sim.run(until=25.0)
-        assert seen == [1.0, 11.0, 21.0]
-
     def test_every_until_bound(self):
         sim = Simulator()
         seen = []
@@ -192,6 +177,18 @@ class TestRecurring:
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().every(0.0, lambda: None)
+
+    def test_nan_times_rejected(self):
+        # NaN fails every comparison, so ``< now`` / ``<= 0`` let it into
+        # the heap; the checks are written so that it fails them instead.
+        sim = Simulator()
+        nan = float("nan")
+        for call in (lambda: sim.schedule(nan, lambda: None),
+                     lambda: sim.schedule_at(nan, lambda: None),
+                     lambda: sim.every(nan, lambda: None)):
+            with pytest.raises(SimulationError):
+                call()
+        assert sim.heap_pushes == 0 and sim.pending_count() == 0
 
     def test_cancel_recurring_from_its_own_callback(self):
         # A recurring callback that decides "I'm done" mid-fire must be able
@@ -299,3 +296,175 @@ class TestCounters:
         sim.schedule(2.0, lambda: order.append("b"))
         sim.run()
         assert order == ["a", "hook", "b", "hook"]
+
+
+class _Rescheduled:
+    """The cancel-and-reschedule sequence a :class:`Clock` must match push
+    for push: a chain of one-shots (each re-pushed after its callback),
+    cancelled to suspend and rescheduled on the grid to wake."""
+
+    def __init__(self, sim, interval, callback):
+        self.sim, self.interval, self.callback = sim, interval, callback
+        self.next_at = sim.now + interval
+        self.event = sim.schedule_at(self.next_at, self._tick)
+
+    def _tick(self):
+        self.callback()
+        self.next_at = self.sim.now + self.interval
+        self.event = self.sim.schedule_at(self.next_at, self._tick)
+
+    def suspend(self):
+        if self.event is not None:
+            self.event.cancel()
+            self.event = None
+
+    def wake(self):  # only ever called outside the event loop
+        if self.event is None:
+            while self.next_at <= self.sim.now:
+                self.next_at += self.interval
+            self.event = self.sim.schedule_at(self.next_at, self._tick)
+
+
+def _counters(sim):
+    return sim.heap_pushes, sim.stale_pops, sim.pending_count()
+
+
+class TestClock:
+    def test_every_returns_an_event_compatible_clock(self):
+        sim = Simulator()
+        clock = sim.every(10.0, lambda: None)
+        assert isinstance(clock, Clock)
+        assert clock.pending and clock.time == clock.next_at == 10.0
+        sim.run(until=25.0)
+        assert clock.time == clock.next_at == 30.0
+        clock.cancel()
+        assert not clock.pending and sim.pending_count() == 0
+
+    def test_suspend_outside_the_tick_keeps_the_pending_instant(self):
+        sim = Simulator()
+        seen = []
+        clock = sim.every(1.0, lambda: seen.append(sim.now))
+        sim.run(until=2.5)
+        clock.suspend()
+        assert clock.suspended and not clock.pending
+        assert clock.next_at == 3.0 and sim.pending_count() == 0
+        sim.run(until=10.0)
+        assert seen == [1.0, 2.0] and sim.stale_pops == 1
+        clock.wake()  # outside an event, the instant at now (10.0) is due
+        assert clock.pending and clock.next_at == 11.0
+        sim.run(until=12.5)
+        assert seen == [1.0, 2.0, 11.0, 12.0]
+
+    def test_suspend_inside_its_own_tick_keeps_the_next_instant(self):
+        sim = Simulator()
+        seen = []
+
+        def tick():
+            seen.append(sim.now)
+            if sim.now == 2.0:
+                clock.suspend()
+
+        clock = sim.every(1.0, tick)
+        sim.run(until=5.5)
+        assert seen == [1.0, 2.0] and clock.suspended
+        assert clock.next_at == 3.0
+        # Nothing was queued to cancel: no stale entry, no re-push.
+        assert _counters(sim) == (2, 0, 0)
+        clock.wake()
+        sim.run(until=7.5)
+        assert seen == [1.0, 2.0, 6.0, 7.0]
+
+    def test_due_rule_at_now(self):
+        sim = Simulator(start_time=5.0)
+        assert sim.due(4.0) and sim.due(5.0) and not sim.due(5.5)
+        inside = []
+        sim.schedule(0.0, lambda: inside.append((sim.due(4.9), sim.due(5.0))))
+        sim.run()
+        assert inside == [(True, False)]
+
+    def test_wake_on_a_grid_instant_inside_and_outside_an_event(self):
+        # Inside an event the grid instant at now is not yet due, so the
+        # woken clock fires it right after the waking event; outside one,
+        # run(until=now) has had its turn and the clock skips to the next.
+        def run(wake_inside: bool) -> list[float]:
+            sim = Simulator()
+            seen = []
+            clock = sim.every(1.0, lambda: seen.append(sim.now))
+            sim.run(until=1.5)
+            clock.suspend()
+            if wake_inside:
+                sim.schedule_at(4.0, clock.wake)
+            sim.run(until=4.0)
+            if not wake_inside:
+                clock.wake()
+            sim.run(until=5.5)
+            return seen
+
+        assert run(wake_inside=True) == [1.0, 4.0, 5.0]
+        assert run(wake_inside=False) == [1.0, 5.0]
+
+    def test_cancel_while_suspended_then_wake_is_a_no_op(self):
+        sim = Simulator()
+        seen = []
+        clock = sim.every(1.0, lambda: seen.append(sim.now))
+        sim.run(until=1.5)
+        clock.suspend()
+        clock.cancel()
+        assert not (clock.suspended or clock.pending)
+        pushes = sim.heap_pushes
+        clock.wake()
+        sim.run(until=10.0)
+        assert seen == [1.0]
+        assert sim.heap_pushes == pushes and sim.pending_count() == 0
+
+    def test_suspend_and_wake_are_no_ops_out_of_phase(self):
+        sim = Simulator()
+        clock = sim.every(1.0, lambda: None)
+        clock.wake()  # armed: nothing to wake
+        assert sim.heap_pushes == 1 and clock.pending
+        clock.suspend()
+        clock.suspend()  # suspended: nothing left to cancel
+        assert clock.suspended and clock.next_at == 1.0
+        assert _counters(sim) == (1, 0, 0)
+
+    def test_wake_before_the_stale_instant_fires_each_instant_once(self):
+        # The suspend leaves the 3.0 entry stale in the heap; the wake at
+        # 2.5 re-arms 3.0 with a heap entry of its own.  Reviving the stale
+        # one would fire 3.0 twice.
+        clocked, rescheduled = Simulator(), Simulator()
+        seen_c, seen_r = [], []
+        clock = clocked.every(1.0, lambda: seen_c.append(clocked.now))
+        ref = _Rescheduled(rescheduled, 1.0,
+                           lambda: seen_r.append(rescheduled.now))
+        for sim, timer in ((clocked, clock), (rescheduled, ref)):
+            sim.run(until=2.5)
+            timer.suspend()
+            timer.wake()
+        assert clock.next_at == 3.0
+        assert _counters(clocked) == _counters(rescheduled) == (4, 0, 1)
+        for sim in (clocked, rescheduled):
+            sim.run(until=5.5)
+        assert seen_c == seen_r == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert _counters(clocked) == _counters(rescheduled) == (7, 1, 1)
+
+    @given(st.lists(st.tuples(st.floats(0.0, 3.0),
+                              st.sampled_from(["suspend", "wake"])),
+                    max_size=12),
+           st.sampled_from([1.0, 0.7, 0.1]))
+    def test_matches_cancel_and_reschedule(self, steps, interval):
+        clocked, rescheduled = Simulator(), Simulator()
+        seen_c, seen_r = [], []
+        clock = clocked.every(interval, lambda: seen_c.append(clocked.now))
+        ref = _Rescheduled(rescheduled, interval,
+                           lambda: seen_r.append(rescheduled.now))
+        at = 0.0
+        for gap, action in steps:
+            at += gap
+            for sim, timer in ((clocked, clock), (rescheduled, ref)):
+                sim.run(until=at)
+                getattr(timer, action)()
+            assert _counters(clocked) == _counters(rescheduled)
+        for sim in (clocked, rescheduled):
+            sim.run(until=at + 5.0)
+        assert seen_c == seen_r
+        assert _counters(clocked) == _counters(rescheduled)

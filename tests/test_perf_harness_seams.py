@@ -57,3 +57,23 @@ def test_workload_configs_build(name):
     assert isinstance(config, ScenarioConfig)
     if config.sharding is not None:
         assert config.sharding.resolve_shards() == config.sharding.shards
+
+
+def test_a_woken_clock_bills_its_ticks_to_its_callback_module():
+    """``Clock.wake`` re-arms inside the clock, not through the patched
+    ``Simulator.schedule_at``, so its ticks must still run the callback
+    that the patched ``every`` wrapped."""
+    from repro.net.sim import Simulator
+
+    recorder = SpanRecorder()
+    fired = []
+    with tracing.layer_spans(recorder):
+        sim = Simulator()
+        clock = sim.every(1.0, lambda: fired.append(sim.now))
+        sim.run(until=1.5)
+        clock.suspend()
+        sim.run(until=3.5)
+        clock.wake()
+        sim.run(until=5.5)
+    assert fired == [1.0, 4.0, 5.0]
+    assert recorder.totals()[f"cb:{__name__}"].count == 3
