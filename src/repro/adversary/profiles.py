@@ -26,14 +26,17 @@ with ``adversary=None`` is bit-identical to one that never imported this
 module.
 
 Like :mod:`repro.vod.config`, this module is deliberately dependency-free
-(stdlib only) so :class:`AdversaryConfig` is importable from the workload
-layer without dragging in the rest of the subsystem.
+(stdlib and :mod:`repro.bounds` only) so :class:`AdversaryConfig` is
+importable from the workload layer without dragging in the rest of the
+subsystem.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+from repro.bounds import bound, check_bounds
 
 __all__ = [
     "PROFILES", "AdversaryConfig", "apply_profile", "assign_adversaries",
@@ -58,26 +61,23 @@ class AdversaryConfig:
 
     #: Fraction of the population converted to adversaries (at least one
     #: peer when positive).
-    fraction: float = 0.1
+    fraction: float = bound("[0, 1]", 0.1)
     #: Relative weights over :data:`PROFILES`; zero removes a profile.
     profile_mix: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0)
     #: Per-piece corruption probability for ``corrupter`` peers.
-    corruption_prob: float = 0.3
+    corruption_prob: float = bound("[0, 1]", 0.3)
     #: ``slow_loris`` upload cap as a fraction of the honest cap.
-    slow_factor: float = 0.02
+    slow_factor: float = bound("(0, 1]", 0.02)
 
     def __post_init__(self):
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
+        check_bounds(self)
         if len(self.profile_mix) != len(PROFILES):
             raise ValueError(
                 f"profile_mix needs {len(PROFILES)} weights (one per profile)")
-        if any(w < 0 for w in self.profile_mix) or not any(self.profile_mix):
-            raise ValueError("profile_mix weights must be >= 0, not all zero")
-        if not 0.0 <= self.corruption_prob <= 1.0:
-            raise ValueError("corruption_prob must be in [0, 1]")
-        if not 0.0 < self.slow_factor <= 1.0:
-            raise ValueError("slow_factor must be in (0, 1]")
+        if not all(0 <= w < float("inf") for w in self.profile_mix) \
+                or not any(self.profile_mix):
+            raise ValueError("profile_mix weights must be finite and >= 0, "
+                             "not all zero")
 
 
 def choose_profile(rng: random.Random,

@@ -19,6 +19,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.bounds import bound, check_bounds
+
 __all__ = [
     "ClientConfig", "ControlChannelConfig", "ControlPlaneConfig",
     "DefenseConfig", "InvariantConfig", "SystemConfig",
@@ -31,19 +33,19 @@ class ClientConfig:
 
     #: Maximum simultaneous upload connections a peer serves (global limit;
     #: NetSession has no per-peer reciprocity).
-    max_upload_connections: int = 6
+    max_upload_connections: int = bound("[0, inf)", 6)
     #: Cap on upload rate as a fraction of the peer's uplink capacity —
     #: uploads are "intentionally limited using custom protocols".
-    upload_rate_fraction: float = 0.8
+    upload_rate_fraction: float = bound("(0, 1]", 0.8)
     #: A peer uploads each object at most this many times (§3.9, §6.1: this
     #: is one of the mechanisms keeping AS traffic balanced).
-    max_uploads_per_object: int = 20
+    max_uploads_per_object: int = bound("[1, inf)", 20)
     #: Seconds a completed object stays in the local cache / registered
     #: with the control plane.  Default one week.
-    cache_retention: float = 7 * 24 * 3600.0
+    cache_retention: float = bound("(0, inf)", 7 * 24 * 3600.0)
     #: Probability per hour that a peer's link is busy with other traffic.
     #: Drives the back-off machinery.
-    link_busy_prob_per_hour: float = 0.05
+    link_busy_prob_per_hour: float = bound("[0, 1]", 0.05)
     #: Disable to let the edge connection run at full fair share even in
     #: peer-assisted downloads (ablation: no offload incentive; the policy
     #: itself is :data:`repro.core.swarm.EDGE_TARGET_FRACTION` and friends).
@@ -52,22 +54,15 @@ class ClientConfig:
     # --- integrity ----------------------------------------------------------
     #: Per-piece probability that a piece received from an (honest) peer
     #: fails hash verification (link corruption, disk errors).
-    piece_corruption_prob: float = 1e-4
+    piece_corruption_prob: float = bound("[0, 1]", 1e-4)
     #: Download fails with a system cause after this many corrupted pieces
     #: ("too many corrupted content blocks", §5.2).
-    max_corrupted_pieces: int = 30
+    max_corrupted_pieces: int = bound("[0, inf)", 30)
     #: Drop a peer connection after this many corrupted pieces from it.
-    conn_corruption_ban: int = 2
+    conn_corruption_ban: int = bound("[1, inf)", 2)
 
     def __post_init__(self):
-        if self.max_upload_connections < 0:
-            raise ValueError("max_upload_connections must be >= 0")
-        if not 0 < self.upload_rate_fraction <= 1.0:
-            raise ValueError("upload_rate_fraction must be in (0, 1]")
-        if self.max_uploads_per_object <= 0:
-            raise ValueError("max_uploads_per_object must be positive")
-        if not self.cache_retention > 0:
-            raise ValueError("cache_retention must be positive")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -75,33 +70,24 @@ class ControlPlaneConfig:
     """Control-plane behaviour (paper §3.6–3.8)."""
 
     #: Peers returned per query ("By default, up to 40 peers are returned").
-    peers_per_query: int = 40
+    peers_per_query: int = bound("[1, inf)", 40)
     #: Probability of occasionally selecting from a less-specific locality
     #: set, "proportional to the specificity of the set" (§3.7).
-    diversity_probability: float = 0.10
+    diversity_probability: float = bound("[0, 1]", 0.10)
     #: Reconnection rate limit (reconnects/second accepted per CN) used
     #: during large-scale failures (§3.8).
-    reconnect_rate_limit: float = 500.0
+    reconnect_rate_limit: float = bound("(0, inf)", 500.0)
     #: How long a DN keeps a peer's registration without a refresh before
     #: expiring it (soft state).
-    registration_ttl: float = 6 * 3600.0
+    registration_ttl: float = bound("(0, inf)", 6 * 3600.0)
     #: The CN/DN system is interconnected across regions and can "in
     #: principle search for peers from any region" (§3.7).  When the local
     #: DNs return fewer candidates than this, the CN widens the search to
     #: remote regions; 0 disables remote search entirely.
-    remote_search_threshold: int = 5
+    remote_search_threshold: int = bound("[0, inf)", 5)
 
     def __post_init__(self):
-        if self.peers_per_query <= 0:
-            raise ValueError("peers_per_query must be positive")
-        if not 0.0 <= self.diversity_probability <= 1.0:
-            raise ValueError("diversity_probability must be in [0, 1]")
-        if not self.reconnect_rate_limit > 0:
-            raise ValueError("reconnect_rate_limit must be positive")
-        if not 0 < self.registration_ttl < float("inf"):
-            raise ValueError("registration_ttl must be finite and positive")
-        if self.remote_search_threshold < 0:
-            raise ValueError("remote_search_threshold must be >= 0")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -118,28 +104,20 @@ class ControlChannelConfig:
     """
 
     #: One-way message latency, seconds.  0 = synchronous delivery.
-    latency: float = 0.0
+    latency: float = bound("[0, inf)", 0.0)
     #: Per-direction message loss probability.  0 = lossless.
-    loss_prob: float = 0.0
+    loss_prob: float = bound("[0, 1)", 0.0)
     #: Seconds a request waits for its response before retrying.
-    request_timeout: float = 15.0
+    request_timeout: float = bound("(0, inf)", 15.0)
     #: Consecutive failed attempts (across requests) that trip the circuit
     #: breaker into the ``degraded`` edge-only state.
-    breaker_threshold: int = 5
+    breaker_threshold: int = bound("[1, inf)", 5)
     #: Seconds between recovery probes while degraded.  On probe success the
     #: peer re-logs-in, re-registers, and promotes edge-only sessions.
-    probe_interval: float = 60.0
+    probe_interval: float = bound("(0, inf)", 60.0)
 
     def __post_init__(self):
-        if not 0 <= self.latency < float("inf"):
-            raise ValueError("latency must be finite and >= 0")
-        if not 0.0 <= self.loss_prob < 1.0:
-            raise ValueError("loss_prob must be in [0, 1)")
-        for name in ("request_timeout", "probe_interval"):
-            if not 0 < getattr(self, name) < float("inf"):
-                raise ValueError(f"{name} must be finite and positive")
-        if self.breaker_threshold <= 0:
-            raise ValueError("breaker_threshold must be positive")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -165,11 +143,11 @@ class InvariantConfig:
     #: ``auto`` (env-resolved), ``off``, ``observe``, or ``strict``.
     mode: str = "auto"
     #: Run the sampled checkers every this many simulator events (the
-    #: end-of-run audit always runs).  Must be positive.
-    every_events: int = 20_000
+    #: end-of-run audit always runs).
+    every_events: int = bound("[1, inf)", 20_000)
     #: Cap on *distinct* recorded violations (deduplicated by invariant,
     #: severity, and subject); further distinct ones are dropped and counted.
-    max_violations: int = 200
+    max_violations: int = bound("[1, inf)", 200)
     #: Restrict the audit to these checker names; empty = all registered.
     checkers: tuple[str, ...] = ()
 
@@ -178,10 +156,7 @@ class InvariantConfig:
     def __post_init__(self):
         if self.mode not in self._MODES:
             raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
-        if self.every_events <= 0:
-            raise ValueError("every_events must be positive")
-        if self.max_violations <= 0:
-            raise ValueError("max_violations must be positive")
+        check_bounds(self)
 
     def resolve_mode(self) -> str:
         """The effective mode: ``auto`` resolved via ``REPRO_INVARIANTS``."""
@@ -228,11 +203,14 @@ class SystemConfig:
     defense: DefenseConfig = field(default_factory=DefenseConfig)
     #: Edge egress per server in Mbit/s; None = overprovisioned (never the
     #: bottleneck), matching the paper's production observations.
-    edge_egress_mbps: float | None = None
+    edge_egress_mbps: float | None = bound("(0, inf)", None)
     #: If False, peers never query the control plane — the system degrades
     #: to a pure infrastructure CDN (used for the edge-only baseline and the
     #: total-control-plane-failure scenario of §3.8).
     p2p_globally_enabled: bool = True
+
+    def __post_init__(self):
+        check_bounds(self)
 
     def resolve_kernel(self) -> str:
         """Always ``"python"``: there is one water-filling kernel.

@@ -79,8 +79,7 @@ class EdgeServer:
         capacity = None if egress_mbps is None else mbps(egress_mbps)
         # Resource(None) models an overprovisioned server that never
         # bottlenecks an individual client download.
-        self.egress = Resource(f"edge:{name}", capacity) if capacity else \
-            Resource(f"edge:{name}", None)
+        self.egress = Resource(f"edge:{name}", capacity)
         #: While a brownout fault degrades this server, the original egress
         #: capacity (possibly None = unconstrained); cleared on recovery.
         self.pre_brownout: tuple[float | None] | None = None
@@ -110,8 +109,6 @@ class EdgeServer:
         were admitted without traversing the egress resource).  Returns
         False if already browned out — brownouts do not stack.
         """
-        if not 0 < capacity_factor <= 1.0:
-            raise ValueError(f"capacity_factor must be in (0, 1], got {capacity_factor}")
         if self.browned_out:
             return False
         self.pre_brownout = (self.egress.capacity,)

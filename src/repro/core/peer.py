@@ -275,8 +275,6 @@ class PeerNode:
         entries are withdrawn) and comes back through the normal
         :meth:`go_online` path after the gap.
         """
-        if downtime < 0:
-            raise ValueError(f"downtime must be non-negative, got {downtime}")
         if not self.online:
             return
         self.go_offline()

@@ -20,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.bounds import bound, check_bounds
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.content import ContentObject
     from repro.core.system import NetSessionSystem
@@ -32,24 +34,21 @@ class PlacementConfig:
     """Knobs for the predictive-placement policy."""
 
     #: How often the policy re-evaluates demand, in seconds.
-    interval: float = 3600.0
+    interval: float = bound("(0, inf)", 3600.0)
     #: Desired online registered copies per (hot object, network region).
-    copies_target: int = 8
+    copies_target: int = bound("[1, inf)", 8)
     #: Demand threshold: an object is "hot" once it has this many downloads
     #: in the trace so far.
-    hot_threshold: int = 3
+    hot_threshold: int = bound("[0, inf)", 3)
     #: At most this many prefetches started per evaluation, fleet-wide
     #: (placement must not swamp user traffic).
-    max_prefetches_per_tick: int = 10
+    max_prefetches_per_tick: int = bound("[0, inf)", 10)
     #: Device class the operator steers prefetches toward (the always-on
     #: smartrouter fleet, typically).  None keeps the class-blind scan.
     prefer_class: str | None = None
 
     def __post_init__(self):
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.copies_target <= 0:
-            raise ValueError("copies_target must be positive")
+        check_bounds(self)
 
 
 class PredictivePlacer:

@@ -80,10 +80,14 @@ class StreamingSession(DownloadSession):
         playback_tick_s: float = 1.0,
     ):
         """``bitrate`` is the video's consumption rate in *bytes* per second."""
-        if bitrate <= 0:
-            raise ValueError("bitrate must be positive")
-        if startup_buffer_s <= 0 or rebuffer_resume_s <= 0:
-            raise ValueError("buffer thresholds must be positive")
+        # Before the base class draws from the system RNG: a rejected
+        # session leaves no trace.
+        for name, value in (("bitrate", bitrate),
+                            ("startup_buffer_s", startup_buffer_s),
+                            ("rebuffer_resume_s", rebuffer_resume_s),
+                            ("playback_tick_s", playback_tick_s)):
+            if not 0 < value < float("inf"):
+                raise ValueError(f"{name} must be in (0, inf), got {value!r}")
         super().__init__(system, peer, obj)
         self.bitrate = bitrate
         self.startup_buffer_s = startup_buffer_s

@@ -14,6 +14,7 @@ from repro.analysis import (
     figure5_efficiency_vs_copies, offload_summary, pct, render_table,
 )
 from repro.analysis.traffic import locality_shares
+from repro.core.placement import PlacementConfig
 from repro.experiments.common import Experiment, ExperimentOutput, standard_config
 
 # ----------------------------------------------------------------- Figure 5
@@ -160,7 +161,7 @@ def placement_plan(scale: str, seed: int) -> list:
     """A cold start (no pre-trace cached copies) with and without
     predictive placement."""
     cold = replace(standard_config(scale, seed), warm_copies_per_peer=0.0)
-    return [cold, replace(cold, predictive_placement=True)]
+    return [cold, replace(cold, placement=PlacementConfig())]
 
 
 def placement(artifacts, seed: int) -> ExperimentOutput:

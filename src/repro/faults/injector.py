@@ -50,17 +50,8 @@ class InjectionEvent:
 class FaultInjector:
     """Applies a fault schedule to a live system, deterministically."""
 
-    def __init__(
-        self,
-        system: "NetSessionSystem",
-        specs: Iterable[FaultSpec],
-        *,
-        seed: int = 0,
-        track_recovery: bool = True,
-        recovery_fraction: float = 0.9,
-        recovery_sample_interval: float = 5.0,
-        recovery_timeout: float = 6 * 3600.0,
-    ):
+    def __init__(self, system: "NetSessionSystem", specs: Iterable[FaultSpec],
+                 *, seed: int = 0):
         specs = sorted(specs, key=lambda s: (s.start, s.name))
         names = [s.name for s in specs]
         dupes = {n for n in names if names.count(n) > 1}
@@ -69,10 +60,6 @@ class FaultInjector:
         self.system = system
         self.specs: tuple[FaultSpec, ...] = tuple(specs)
         self.seed = seed
-        self.track_recovery = track_recovery
-        self.recovery_fraction = recovery_fraction
-        self.recovery_sample_interval = recovery_sample_interval
-        self.recovery_timeout = recovery_timeout
         #: Chronological record of every apply/revert performed.
         self.timeline: list[InjectionEvent] = []
         #: Per-fault recovery measurements, keyed by fault name.
@@ -133,13 +120,7 @@ class FaultInjector:
         recovery.reverted_at = self.system.sim.now
         if reverted:
             self._record(spec, "reverted")
-        if self.track_recovery:
-            RecoveryTracker(
-                self.system, recovery,
-                recovery_fraction=self.recovery_fraction,
-                sample_interval=self.recovery_sample_interval,
-                timeout=self.recovery_timeout,
-            ).start()
+        RecoveryTracker(self.system, recovery).start()
 
     def _record(self, spec: FaultSpec, phase: str, detail: str = "") -> None:
         event = InjectionEvent(

@@ -26,6 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["FaultRecovery", "RecoveryTracker", "adversary_metrics"]
 
+#: A gauge has recovered once it is back to this fraction of its target.
+RECOVERY_FRACTION = 0.9
+#: Seconds between recovery samples.
+SAMPLE_INTERVAL = 5.0
+#: Seconds after recovery begins that sampling gives up.
+RECOVERY_TIMEOUT = 6 * 3600.0
+
 
 def adversary_metrics(system: "NetSessionSystem") -> dict:
     """Defense outcome vs. ground truth; {} for honest, defenseless runs.
@@ -112,24 +119,9 @@ class RecoveryTracker:
     A gauge that never dipped records an immediate (0.0s) recovery.
     """
 
-    def __init__(
-        self,
-        system: "NetSessionSystem",
-        recovery: FaultRecovery,
-        *,
-        recovery_fraction: float = 0.9,
-        sample_interval: float = 5.0,
-        timeout: float = 6 * 3600.0,
-    ):
-        if not 0 < recovery_fraction <= 1.0:
-            raise ValueError(f"recovery_fraction must be in (0, 1], got {recovery_fraction}")
-        if sample_interval <= 0:
-            raise ValueError(f"sample_interval must be positive, got {sample_interval}")
+    def __init__(self, system: "NetSessionSystem", recovery: FaultRecovery):
         self.system = system
         self.recovery = recovery
-        self.recovery_fraction = recovery_fraction
-        self.sample_interval = sample_interval
-        self.timeout = timeout
         self._started_at: Optional[float] = None
         self._event = None
 
@@ -141,7 +133,7 @@ class RecoveryTracker:
         self._sample()  # the dip may already have healed
         if self._done():
             return
-        self._event = self.system.sim.every(self.sample_interval, self._tick)
+        self._event = self.system.sim.every(SAMPLE_INTERVAL, self._tick)
 
     def _connected_target(self) -> int:
         # In a workload run the online population breathes with the diurnal
@@ -149,10 +141,10 @@ class RecoveryTracker:
         # later; the honest target is the smaller of the snapshot and the
         # peers that are online to reconnect right now.
         online = self.system.online_peer_count()
-        return int(self.recovery_fraction * min(self.recovery.pre_connected, online))
+        return int(RECOVERY_FRACTION * min(self.recovery.pre_connected, online))
 
     def _registrations_target(self) -> int:
-        return int(self.recovery_fraction * self.recovery.pre_registrations)
+        return int(RECOVERY_FRACTION * self.recovery.pre_registrations)
 
     def _sample(self) -> None:
         rec = self.recovery
@@ -174,7 +166,7 @@ class RecoveryTracker:
     def _tick(self) -> None:
         self._sample()
         assert self._started_at is not None
-        timed_out = self.system.sim.now - self._started_at >= self.timeout
+        timed_out = self.system.sim.now - self._started_at >= RECOVERY_TIMEOUT
         if self._done() or timed_out:
             self._event.cancel()
             self._event = None

@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, TypeVar
 
+from repro.bounds import bound, check_bounds
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import NetSessionSystem
 
@@ -67,27 +69,15 @@ class FaultSpec:
 
     name: str
     #: Absolute simulated start time, seconds.
-    start: float
+    start: float = bound("[0, inf)")
     #: Seconds until the fault is reverted; 0 means instantaneous (the
     #: fault happens and recovery begins immediately, e.g. a DN wipe).
-    duration: float = 0.0
+    duration: float = bound("[0, inf)", 0.0)
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("fault needs a non-empty name")
-        if self.start < 0:
-            raise ValueError(f"fault {self.name!r}: start must be >= 0, got {self.start}")
-        if self.duration < 0:
-            raise ValueError(
-                f"fault {self.name!r}: duration must be >= 0, got {self.duration}"
-            )
-        # One check for every spec that declares a ``fraction`` scope;
-        # the chained comparison is False for NaN too.
-        fraction = getattr(self, "fraction", 0.0)
-        if not 0 <= fraction <= 1:
-            raise ValueError(
-                f"fault {self.name!r}: fraction must be in [0, 1], got {fraction}"
-            )
+        check_bounds(self)
 
     @property
     def instantaneous(self) -> bool:
@@ -138,7 +128,7 @@ class CNOutage(FaultSpec):
     #: Restrict to one network region; None = fleet-wide.
     region: str | None = None
     #: Fraction of the in-scope, alive CNs to crash.
-    fraction: float = 1.0
+    fraction: float = bound("[0, 1]", 1.0)
 
     def apply(self, ctx: InjectionContext) -> object:
         plane = ctx.system.control
@@ -172,7 +162,7 @@ class DNWipe(FaultSpec):
     """
 
     region: str | None = None
-    fraction: float = 1.0
+    fraction: float = bound("[0, 1]", 1.0)
     #: Broadcast RE-ADD on recovery so peers re-list their stored files.
     re_add: bool = True
 
@@ -238,16 +228,9 @@ class ControlMessageLoss(FaultSpec):
     """
 
     #: Fraction of peers whose channel turns lossy.
-    fraction: float = 1.0
+    fraction: float = bound("[0, 1]", 1.0)
     #: Per-direction message loss probability while the fault holds.
-    loss_prob: float = 0.3
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 <= self.loss_prob < 1.0:
-            raise ValueError(
-                f"fault {self.name!r}: loss_prob must be in [0, 1), got {self.loss_prob}"
-            )
+    loss_prob: float = bound("[0, 1)", 0.3)
 
     def apply(self, ctx: InjectionContext) -> object:
         victims = []
@@ -270,16 +253,9 @@ class ControlLatencySpike(FaultSpec):
     spike past the timeout shades into effective message loss.
     """
 
-    fraction: float = 1.0
+    fraction: float = bound("[0, 1]", 1.0)
     #: One-way control-message latency while the fault holds, seconds.
-    latency: float = 5.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.latency < 0:
-            raise ValueError(
-                f"fault {self.name!r}: latency must be >= 0, got {self.latency}"
-            )
+    latency: float = bound("[0, inf)", 5.0)
 
     def apply(self, ctx: InjectionContext) -> object:
         victims = []
@@ -336,9 +312,9 @@ class EdgeBrownout(FaultSpec):
     """
 
     region: str | None = None
-    fraction: float = 1.0
+    fraction: float = bound("[0, 1]", 1.0)
     #: Remaining egress as a fraction of normal.
-    capacity_factor: float = 0.1
+    capacity_factor: float = bound("(0, 1]", 0.1)
 
     def apply(self, ctx: InjectionContext) -> object:
         servers = ctx.system.edge.servers_in(self.region)
@@ -362,9 +338,9 @@ class LinkDegradation(FaultSpec):
     *uploaders* are hit.
     """
 
-    fraction: float = 0.25
-    down_factor: float = 0.2
-    up_factor: float = 0.2
+    fraction: float = bound("[0, 1]", 0.25)
+    down_factor: float = bound("(0, 1]", 0.2)
+    up_factor: float = bound("(0, 1]", 0.2)
 
     def apply(self, ctx: InjectionContext) -> object:
         flows = ctx.system.flows
@@ -391,7 +367,7 @@ class NATRebind(FaultSpec):
     instantaneous rebinds are permanent.
     """
 
-    fraction: float = 0.2
+    fraction: float = bound("[0, 1]", 0.2)
 
     def apply(self, ctx: InjectionContext) -> object:
         nat_model = ctx.system.nat_model
@@ -419,7 +395,7 @@ class PeerChurnStorm(FaultSpec):
     Requires a positive duration (a zero-length storm is no storm).
     """
 
-    fraction: float = 0.3
+    fraction: float = bound("[0, 1]", 0.3)
     #: (low, high) seconds a churned peer stays offline.
     downtime: tuple[float, float] = (30.0, 300.0)
 
@@ -428,7 +404,7 @@ class PeerChurnStorm(FaultSpec):
         if self.duration <= 0:
             raise ValueError(f"fault {self.name!r}: a churn storm needs a positive duration")
         lo, hi = self.downtime
-        if lo < 0 or hi < lo:
+        if not 0 <= lo <= hi < float("inf"):
             raise ValueError(f"fault {self.name!r}: invalid downtime range {self.downtime}")
 
     def apply(self, ctx: InjectionContext) -> object:
@@ -451,15 +427,8 @@ class FlakyUploader(FaultSpec):
     and only a download drowning in corruption fails with a system cause.
     """
 
-    fraction: float = 0.2
-    corruption_prob: float = 0.05
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0 <= self.corruption_prob <= 1:
-            raise ValueError(
-                f"fault {self.name!r}: corruption_prob out of range: {self.corruption_prob}"
-            )
+    fraction: float = bound("[0, 1]", 0.2)
+    corruption_prob: float = bound("[0, 1]", 0.05)
 
     def apply(self, ctx: InjectionContext) -> object:
         uploaders = [p for p in ctx.system.peer_universe() if p.uploads_enabled]
@@ -491,22 +460,18 @@ class AdversarialInfestation(FaultSpec):
     and any reputation state in place — detection history is real history.
     """
 
-    fraction: float = 0.1
+    fraction: float = bound("(0, 1]", 0.1)
     #: Restrict to one profile, or None for the uniform five-way mix.
     profile: str | None = None
     #: Per-piece corruption probability for converted corrupters.
-    corruption_prob: float = 0.3
+    corruption_prob: float = bound("[0, 1]", 0.3)
     #: Upload-cap factor for converted slow-loris peers.
-    slow_factor: float = 0.02
+    slow_factor: float = bound("(0, 1]", 0.02)
 
     def __post_init__(self):
         super().__post_init__()
         from repro.adversary.profiles import PROFILES
 
-        if not 0 < self.fraction <= 1:
-            raise ValueError(
-                f"fault {self.name!r}: fraction must be in (0, 1], got {self.fraction}"
-            )
         if self.profile is not None and self.profile not in PROFILES:
             raise ValueError(
                 f"fault {self.name!r}: unknown profile {self.profile!r}"

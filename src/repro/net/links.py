@@ -90,10 +90,6 @@ class AccessLink:
         False (and does nothing) if the link is already degraded — faults do
         not stack, which keeps apply/revert symmetric.
         """
-        if not 0 < down_factor <= 1.0 or not 0 < up_factor <= 1.0:
-            raise ValueError(
-                f"degradation factors must be in (0, 1], got {down_factor}/{up_factor}"
-            )
         if self.degraded:
             return False
         self.pre_degradation = (self.down_bps, self.up_bps)

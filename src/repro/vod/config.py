@@ -1,6 +1,7 @@
 """Configuration for the VoD streaming workload and serving policies.
 
-Kept dependency-free (stdlib only): :class:`VodConfig` is embedded in
+Kept dependency-free (stdlib and :mod:`repro.bounds` only):
+:class:`VodConfig` is embedded in
 :class:`repro.workload.scenario.ScenarioConfig`, so this module must be
 importable from the workload layer without dragging the rest of the VoD
 subsystem (catalog, demand, policy engine) into the import graph.
@@ -14,6 +15,8 @@ through, seek ahead, and binge the next episode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.bounds import bound, check_bounds
 
 __all__ = ["VodConfig", "POLICY_NAMES"]
 
@@ -35,20 +38,20 @@ class VodConfig:
 
     # --- catalog -----------------------------------------------------------
     #: Number of series in the catch-up catalog.
-    n_series: int = 6
+    n_series: int = bound("[1, inf)", 6)
     #: Episodes per series, released one per day counting back from the
     #: trace start (newest episode is freshest; see :mod:`repro.vod.catalog`
     #: for the release spacing and popularity decay).
-    episodes_per_series: int = 8
+    episodes_per_series: int = bound("[1, inf)", 8)
     #: Episode runtime in minutes; with the bitrate this fixes the file size.
-    episode_minutes: float = 30.0
+    episode_minutes: float = bound("(0, inf)", 30.0)
     #: Video consumption rate in kilobits per second.
-    bitrate_kbps: float = 3000.0
+    bitrate_kbps: float = bound("(0, inf)", 3000.0)
 
     # --- demand ------------------------------------------------------------
     #: Viewing sessions scheduled over the trace (the prime-time arrival
     #: curve and the viewers' behavior live in :mod:`repro.vod.demand`).
-    sessions: int = 300
+    sessions: int = bound("[0, inf)", 300)
 
     # --- serving policy ----------------------------------------------------
     #: One of :data:`POLICY_NAMES`; validated by the engine, not here, so
@@ -56,15 +59,10 @@ class VodConfig:
     policy: str = "unrestricted"
     #: ``popularity_seeding``: expected pre-trace cached copies per episode,
     #: apportioned by decayed popularity.
-    seed_copies_per_episode: float = 3.0
+    seed_copies_per_episode: float = bound("[0, inf)", 3.0)
 
     def __post_init__(self):
-        if self.n_series <= 0 or self.episodes_per_series <= 0:
-            raise ValueError("catalog dimensions must be positive")
-        if self.episode_minutes <= 0 or self.bitrate_kbps <= 0:
-            raise ValueError("episode_minutes and bitrate_kbps must be positive")
-        if self.sessions < 0:
-            raise ValueError("sessions must be >= 0")
+        check_bounds(self)
 
     @property
     def bitrate_bytes_per_s(self) -> float:

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 
 from repro.analysis.records import FAILURE_OTHER
+from repro.bounds import bound, check_bounds
 from repro.core.swarm import DownloadSession
 from repro.core.system import NetSessionSystem
 from repro.workload.population import DAY, Population
@@ -44,25 +45,22 @@ class BehaviorConfig:
     #: With sigma 1.5, a two-hour download is abandoned ~12% of the time, a
     #: 30-minute one ~2%, a 5-minute one ~0.4% — reproducing §5.2's 3%
     #: (infra) vs 8% (p2p) split purely through the size composition.
-    patience_median: float = 12.0 * 3600.0
+    patience_median: float = bound("(0, inf)", 12.0 * 3600.0)
     #: Log-normal sigma of the patience distribution.
-    patience_sigma: float = 1.5
+    patience_sigma: float = bound("[0, inf)", 1.5)
     #: Probability that a download dies of a non-system cause (disk full…).
     #: Calibrated to §5.2's outcome split: ~94% complete, ~3% paused or
     #: terminated, small failure remainder dominated by non-system causes.
-    other_failure_prob: float = 0.025
+    other_failure_prob: float = bound("[0, 1]", 0.025)
     #: When patience runs out: probability the user aborts outright.
-    abort_vs_pause: float = 0.5
+    abort_vs_pause: float = bound("[0, 1]", 0.5)
     #: Table 3 toggle probabilities over the whole trace for peers that
     #: start with uploads enabled (see :data:`TOGGLE_IF_DISABLED`).
-    toggle_once_if_enabled: float = 0.0180
-    toggle_twice_if_enabled: float = 0.0009
+    toggle_once_if_enabled: float = bound("[0, 1]", 0.0180)
+    toggle_twice_if_enabled: float = bound("[0, 1]", 0.0009)
 
     def __post_init__(self):
-        if self.patience_median <= 0:
-            raise ValueError("patience_median must be positive")
-        if not 0 <= self.other_failure_prob <= 1:
-            raise ValueError("other_failure_prob must be in [0, 1]")
+        check_bounds(self)
 
 
 class UserBehavior:

@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from repro.bounds import bound, check_bounds
 from repro.core.content import ContentObject, ContentProvider
 from repro.net.geo import Region
 
@@ -73,22 +74,19 @@ P2P_PROVIDER_THRESHOLD = 0.10
 class CatalogConfig:
     """Knobs for catalog synthesis."""
 
-    objects_per_provider: int = 60
+    objects_per_provider: int = bound("[1, inf)", 60)
     #: Fraction of objects with p2p enabled (§5.1: 1.7% in the trace).
-    p2p_enabled_fraction: float = 0.017
+    p2p_enabled_fraction: float = bound("[0, 1]", 0.017)
     #: Zipf exponent for object popularity within a provider (Fig 3b shows
     #: the "nearly ubiquitous power law").
-    zipf_exponent: float = 1.1
+    zipf_exponent: float = bound("[0, inf)", 1.1)
     #: Relative popularity boost for p2p-enabled objects: providers enable
     #: peer assist on their flagship (most-downloaded) files, which is how
     #: 1.7% of files carry 57% of bytes.
-    p2p_head_bias: float = 0.85
+    p2p_head_bias: float = bound("[0, 1]", 0.85)
 
     def __post_init__(self):
-        if self.objects_per_provider <= 0:
-            raise ValueError("objects_per_provider must be positive")
-        if not 0.0 <= self.p2p_enabled_fraction <= 1.0:
-            raise ValueError("p2p_enabled_fraction must be in [0, 1]")
+        check_bounds(self)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.bounds import bound, check_bounds
 from repro.core.peer import PeerNode
 from repro.core.system import NetSessionSystem
 from repro.workload.population import DAY, Population
@@ -34,20 +35,18 @@ class CloningConfig:
     """Rollback incidence and pattern mix (Figure 12 calibration)."""
 
     #: Fraction of installations that experience any rollback (0.6%).
-    affected_fraction: float = 0.006
+    affected_fraction: float = bound("[0, 1]", 0.006)
     #: Pattern mix among affected installations.
-    failed_update_weight: float = 0.462
-    restored_backup_weight: float = 0.062
-    reimaging_weight: float = 0.235
-    irregular_weight: float = 0.241
+    failed_update_weight: float = bound("[0, inf)", 0.462)
+    restored_backup_weight: float = bound("[0, inf)", 0.062)
+    reimaging_weight: float = bound("[0, inf)", 0.235)
+    irregular_weight: float = bound("[0, inf)", 0.241)
 
     def __post_init__(self):
-        if not 0 <= self.affected_fraction <= 1:
-            raise ValueError("affected_fraction must be in [0, 1]")
-        weights = (self.failed_update_weight, self.restored_backup_weight,
-                   self.reimaging_weight, self.irregular_weight)
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("pattern weights must be non-negative with a positive sum")
+        check_bounds(self)
+        if self.failed_update_weight + self.restored_backup_weight \
+                + self.reimaging_weight + self.irregular_weight <= 0:
+            raise ValueError("pattern weights must have a positive sum")
 
 
 class CloningModel:

@@ -23,6 +23,7 @@ import bisect
 import random
 from dataclasses import dataclass
 
+from repro.bounds import bound, check_bounds
 from repro.core.content import ContentObject
 from repro.core.peer import PeerNode
 from repro.core.system import NetSessionSystem
@@ -58,15 +59,12 @@ REGION_TZ = {
 class DemandConfig:
     """Knobs for the arrival process."""
 
-    total_downloads: int = 5000
-    duration_days: float = 7.0
+    total_downloads: int = bound("[1, inf)", 5000)
+    duration_days: float = bound("(0, inf)", 7.0)
     provider_shares: tuple[float, ...] = DEFAULT_PROVIDER_SHARES
 
     def __post_init__(self):
-        if self.total_downloads <= 0:
-            raise ValueError("total_downloads must be positive")
-        if self.duration_days <= 0:
-            raise ValueError("duration_days must be positive")
+        check_bounds(self)
 
 
 class DemandGenerator:

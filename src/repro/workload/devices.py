@@ -18,8 +18,9 @@ store parity holds with tiers enabled too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from repro.bounds import bound, check_bounds
 
 _MOBILITY_KINDS = ("default", "stationary", "nomadic")
 
@@ -37,42 +38,24 @@ class DeviceClass:
     """
 
     name: str
-    share: float
-    always_on_prob: float = 0.0
-    uptime_hours_mean: float = 10.0
-    daily_skip_prob: float = 0.12
-    uplink_cap_bps: float | None = None
-    cache_objects: int | None = None
-    nat_open_prob: float | None = None
-    selection_weight: float = 0.0
+    share: float = bound("[0, inf)")
+    always_on_prob: float = bound("[0, 1]", 0.0)
+    uptime_hours_mean: float = bound("(0, 24]", 10.0)
+    daily_skip_prob: float = bound("[0, 1]", 0.12)
+    uplink_cap_bps: float | None = bound("(0, inf)", None)
+    cache_objects: int | None = bound("[1, inf)", None)
+    nat_open_prob: float | None = bound("[0, 1]", None)
+    selection_weight: float = bound("(-inf, inf)", 0.0)
     mobility: str = "default"
-    link_busy_mult: float = 1.0
+    link_busy_mult: float = bound("[0, inf)", 1.0)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("device class needs a name")
-        for value_name in ("share", "selection_weight"):
-            if not math.isfinite(getattr(self, value_name)):
-                raise ValueError(f"{self.name}: {value_name} must be finite")
-        if self.share < 0:
-            raise ValueError(f"{self.name}: share must be >= 0")
-        for prob_name in ("always_on_prob", "daily_skip_prob"):
-            value = getattr(self, prob_name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{self.name}: {prob_name} outside [0, 1]")
-        if self.nat_open_prob is not None and not 0.0 <= self.nat_open_prob <= 1.0:
-            raise ValueError(f"{self.name}: nat_open_prob outside [0, 1]")
-        if self.uptime_hours_mean <= 0:
-            raise ValueError(f"{self.name}: uptime_hours_mean must be > 0")
-        if self.uplink_cap_bps is not None and self.uplink_cap_bps <= 0:
-            raise ValueError(f"{self.name}: uplink_cap_bps must be > 0")
-        if self.cache_objects is not None and self.cache_objects < 1:
-            raise ValueError(f"{self.name}: cache_objects must be >= 1")
+        check_bounds(self)
         if self.mobility not in _MOBILITY_KINDS:
             raise ValueError(
                 f"{self.name}: mobility {self.mobility!r} not in {_MOBILITY_KINDS}")
-        if self.link_busy_mult < 0:
-            raise ValueError(f"{self.name}: link_busy_mult must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.bounds import bound, check_bounds
 from repro.core.peer import PeerNode
 from repro.core.system import NetSessionSystem
 from repro.net.geo import City, Country
@@ -44,13 +45,14 @@ ROAMER_LOCATIONS = (3, 5)
 class MobilityConfig:
     """Mobility class mix and movement parameters."""
 
-    commuter_fraction: float = 0.135
-    roamer_fraction: float = 0.05
-    traveler_fraction: float = 0.012
+    commuter_fraction: float = bound("[0, 1]", 0.135)
+    roamer_fraction: float = bound("[0, 1]", 0.05)
+    traveler_fraction: float = bound("[0, 1]", 0.012)
     #: Probability a commuter's work location is in a different AS.
-    commuter_as_change_prob: float = 0.95
+    commuter_as_change_prob: float = bound("[0, 1]", 0.95)
 
     def __post_init__(self):
+        check_bounds(self)
         total = self.commuter_fraction + self.roamer_fraction + self.traveler_fraction
         if total > 1.0:
             raise ValueError("mobility class fractions exceed 1.0")

@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.bounds import bound, check_bounds
 from repro.core.content import ContentProvider
 from repro.core.peer import PeerNode
 from repro.core.population_store import ColumnarPopulationStore
@@ -45,21 +46,21 @@ DAY = 24 * 3600.0
 class PopulationConfig:
     """Knobs for population synthesis and the online-session process."""
 
-    n_peers: int = 2000
+    n_peers: int = bound("[1, inf)", 2000)
     #: Fraction of machines with a fault that corrupts uploaded pieces.
-    broken_fraction: float = 0.002
+    broken_fraction: float = bound("[0, 1]", 0.002)
     #: Piece-corruption probability on broken machines.
-    broken_corruption_prob: float = 0.25
+    broken_corruption_prob: float = bound("[0, 1]", 0.25)
     #: Fraction of peers running a client modified to misreport usage.
-    attacker_fraction: float = 0.0
+    attacker_fraction: float = bound("[0, 1]", 0.0)
     #: Mean hours per day a user's machine is on (and NetSession running).
-    mean_daily_uptime_hours: float = 10.0
+    mean_daily_uptime_hours: float = bound("(0, 24]", 10.0)
     #: When set, only this many peers (a seeded uniform subset) get daily
     #: online-session schedules; the rest stay dormant until demand or a
     #: fault touches them.  Million-peer scenarios need it — scheduling
     #: 40 days of boot/shutdown cycles for every install would swamp the
     #: event heap before the trace starts.  None (default) schedules all.
-    active_peer_cap: int | None = None
+    active_peer_cap: int | None = bound("[1, inf)", None)
     #: Device-tier mix (smartrouter/mobile/settop heterogeneity).  None —
     #: the default — draws nothing and keeps every golden byte-identical;
     #: a :class:`DeviceMixConfig` adds three class draws per peer (class
@@ -67,17 +68,7 @@ class PopulationConfig:
     device: DeviceMixConfig | None = None
 
     def __post_init__(self):
-        if self.n_peers <= 0:
-            raise ValueError("n_peers must be positive")
-        # Chained comparisons are False for NaN, so NaN is rejected too.
-        for name in ("broken_fraction", "broken_corruption_prob",
-                     "attacker_fraction"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0 < self.mean_daily_uptime_hours <= 24:
-            raise ValueError("mean_daily_uptime_hours must be in (0, 24]")
-        if self.active_peer_cap is not None and self.active_peer_cap <= 0:
-            raise ValueError("active_peer_cap must be positive (or None)")
+        check_bounds(self)
 
     def resolve_store(self) -> str:
         """Always ``"columnar"``: there is one store.  Kept only because

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.adversary.profiles import AdversaryConfig, assign_adversaries
 from repro.analysis.logstore import LogStore
+from repro.bounds import bound, check_bounds
 from repro.core.config import SystemConfig
 from repro.core.peer import CacheEntry
 from repro.core.placement import PlacementConfig
@@ -47,11 +48,11 @@ class ScenarioConfig:
     """Everything that defines one synthetic trace."""
 
     seed: int = 42
-    duration_days: float = 7.0
+    duration_days: float = bound("(0, inf)", 7.0)
     #: Extra synthetic territories appended to the core world (Table 1's
     #: "239 countries and territories" needs a padded world; most scenarios
     #: don't).
-    extra_territories: int = 0
+    extra_territories: int = bound("[0, inf)", 0)
     system: SystemConfig = field(default_factory=SystemConfig)
     population: PopulationConfig = field(default_factory=PopulationConfig)
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
@@ -62,11 +63,9 @@ class ScenarioConfig:
     #: Ablation switch: random instead of locality-aware peer selection.
     locality_aware_selection: bool = True
     #: Extension (paper's explicit non-feature, §5.2): run the predictive
-    #: placement policy that prefetches hot objects into thin regions.
-    predictive_placement: bool = False
-    #: Placement-policy knobs (interval, copies target, device-class
-    #: steering).  None uses :class:`PlacementConfig` defaults; setting it
-    #: implies the placer runs even with ``predictive_placement=False``.
+    #: placement policy that prefetches hot objects into thin regions, with
+    #: these knobs (interval, copies target, device-class steering).  None
+    #: (the default) runs no placer.
     placement: PlacementConfig | None = None
     #: Fault schedule injected into the run (see :mod:`repro.faults`); the
     #: empty default keeps every existing scenario fault-free.  Faults draw
@@ -95,7 +94,7 @@ class ScenarioConfig:
     #: peers already hold popular content; a cold start would understate
     #: peer efficiency for the whole first half of the trace.  Copies are
     #: assigned popularity-proportionally across p2p-enabled objects.
-    warm_copies_per_peer: float = 4.0
+    warm_copies_per_peer: float = bound("[0, inf)", 4.0)
     #: Scripted demand (see :mod:`repro.workload.script`).  None (the
     #: default) builds the synthetic trace; a script replaces the catalog,
     #: population, warm caches, behaviour, mobility, cloning and demand
@@ -104,12 +103,11 @@ class ScenarioConfig:
     script: Script | None = None
 
     def __post_init__(self):
+        check_bounds(self)
         if self.script is None:
             return
         clash = [name for name in ("sharding", "vod", "adversary", "placement")
                  if getattr(self, name) is not None]
-        if self.predictive_placement:
-            clash.append("predictive_placement")
         if clash:
             raise ValueError(f"a scripted scenario has no population for "
                              f"{', '.join(clash)}")
@@ -293,7 +291,7 @@ def run_scenario(
     if cast is not None:
         cast.launch()
 
-    if cfg.predictive_placement or cfg.placement is not None:
+    if cfg.placement is not None:
         from repro.core.placement import PredictivePlacer
 
         placer = PredictivePlacer(system, catalog.objects, cfg.placement)

@@ -15,13 +15,15 @@ config — while remaining a cache key so the parity stays checked rather
 than assumed.
 
 Like :mod:`repro.vod.config`, this module is deliberately dependency-free
-(stdlib only) so :class:`ShardingConfig` is importable from the workload
-layer without dragging in the runner.
+(stdlib and :mod:`repro.bounds` only) so :class:`ShardingConfig` is
+importable from the workload layer without dragging in the runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.bounds import bound, check_bounds
 
 __all__ = ["ShardingConfig"]
 
@@ -37,13 +39,13 @@ class ShardingConfig:
 
     #: Process-pool fan-out for the region sub-scenarios: a positive int.
     #: Output bytes are invariant to this knob by construction.
-    shards: int = 2
+    shards: int = bound("[1, inf)", 2)
 
     def __post_init__(self):
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
-                or self.shards < 1:
+        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
             raise ValueError(
                 f"shards must be a positive int, got {self.shards!r}")
+        check_bounds(self)
 
     def resolve_shards(self) -> int:
         """Always ``self.shards``: the width is a plain field.  Kept only

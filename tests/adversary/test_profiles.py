@@ -37,6 +37,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdversaryConfig(profile_mix=(0.0,) * len(PROFILES))
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_profile_mix_weights_finite_and_non_negative(self, weight):
+        # NaN passed the old ``w < 0`` check; inf made every draw NaN.
+        with pytest.raises(ValueError, match="profile_mix"):
+            AdversaryConfig(profile_mix=(weight,) + (1.0,) * (len(PROFILES) - 1))
+
 
 class TestChooseProfile:
     def test_zero_weight_never_chosen(self):

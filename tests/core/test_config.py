@@ -92,3 +92,11 @@ class TestSystemConfig:
 
     def test_p2p_enabled_by_default(self):
         assert SystemConfig().p2p_globally_enabled
+
+    @pytest.mark.parametrize("mbps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_edge_egress_is_none_or_finite_and_positive(self, mbps):
+        # 0 used to build an *unconstrained* server (``if capacity`` fell
+        # through to ``Resource(..., None)``) and NaN a NaN-capacity one.
+        with pytest.raises(ValueError, match="edge_egress_mbps"):
+            SystemConfig(edge_egress_mbps=mbps)
+        assert SystemConfig(edge_egress_mbps=None).edge_egress_mbps is None

@@ -35,6 +35,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             StreamingSession(system, peer, video, bitrate=0.0)
 
+    @pytest.mark.parametrize("start", [
+        lambda peer, video: StreamingSession(peer.system, peer, video,
+                                             bitrate=3 * MBIT, playback_tick_s=0.0),
+        lambda peer, video: start_streaming(peer, video, bitrate=float("nan")),
+        lambda peer, video: start_streaming(peer, video, bitrate=3 * MBIT,
+                                            startup_buffer_s=float("nan")),
+    ], ids=["tick-0", "nan-bitrate", "nan-buffer"])
+    def test_rejected_stream_leaves_no_trace(self, system, video, start):
+        # A zero tick used to fail only in ``start()``, after the transfer
+        # had begun; a NaN bitrate or buffer passed an ``x <= 0`` check.
+        system.publish(video)
+        peer = system.create_peer()
+        peer.boot()
+        rng_state = system.rng.getstate()
+        with pytest.raises(ValueError, match="must be in"):
+            start(peer, video)
+        assert peer.sessions == {}
+        assert not system.flows.active_flows
+        assert system.rng.getstate() == rng_state
+
     def test_offline_peer_rejected(self, system, video):
         system.publish(video)
         peer = system.create_peer()

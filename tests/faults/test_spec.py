@@ -62,9 +62,12 @@ class TestValidation:
             PeerChurnStorm("storm", start=0.0, duration=0.0)
 
     def test_churn_storm_invalid_downtime_rejected(self):
-        with pytest.raises(ValueError):
-            PeerChurnStorm("storm", start=0.0, duration=60.0,
-                           downtime=(300.0, 30.0))
+        # NaN passed the old ``lo < 0 or hi < lo`` check.
+        for downtime in [(300.0, 30.0), (-1.0, 30.0), (math.nan, 300.0),
+                         (30.0, math.nan), (30.0, math.inf)]:
+            with pytest.raises(ValueError, match="downtime"):
+                PeerChurnStorm("storm", start=0.0, duration=60.0,
+                               downtime=downtime)
 
     def test_flaky_corruption_prob_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -250,9 +250,6 @@ def test_script_rejects_the_blocks_that_need_a_population():
     with pytest.raises(ValueError, match="placement"):
         dataclasses.replace(tiny_config(), script=SCRIPT,
                             placement=PlacementConfig())
-    with pytest.raises(ValueError, match="predictive_placement"):
-        dataclasses.replace(tiny_config(), script=SCRIPT,
-                            predictive_placement=True)
 
 
 def test_distinct_configs_same_scale_and_seed_do_not_collide():

@@ -74,15 +74,16 @@ def test_fuzz_seed_stream_is_pinned():
     """Pins the current seed stream: ``repr(generate(s))`` for s in 0…29.
     Anything that moves this digest is a stream bump to document in
     ``generate``: a new draw, a reordered draw, or a changed default of a
-    leaf the fuzzer leaves alone.  Re-recorded three times without a
+    leaf the fuzzer leaves alone.  Re-recorded four times without a
     stream bump, when ``ScenarioConfig`` gained ``script`` and 29 leaves
-    nothing set became module constants, when 28 more did, and when the
+    nothing set became module constants, when 28 more did, when the
     last three (``sharding.reconcile``, ``vod.startup_buffer_s``,
-    ``vod.max_prefetches_per_tick``) did: each time every shared leaf and
-    every ``run_spec`` digest stayed equal."""
+    ``vod.max_prefetches_per_tick``) did, and when ``predictive_placement``
+    (a duplicate of ``placement=PlacementConfig()``) went: each time every
+    shared leaf and every ``run_spec`` digest stayed equal."""
     rows = [repr(fuzz.generate(seed)) for seed in range(30)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
-        "263859c1d009c76b6ae336dc1995d068718667b82774564a6af4a7325c50fea9"
+        "cb9f14c98316e5ed5342034c33e34a91975d311acf7cb8978a16bd7ec5e42958"
 
 
 # ------------------------------------------------------------------ the guard
