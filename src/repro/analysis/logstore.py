@@ -45,7 +45,7 @@ class LogStore:
     # ---------------------------------------------------------------- reads
 
     def logins_by_guid(self) -> dict[str, list[LoginRecord]]:
-        """Login records grouped by GUID, in append (time) order."""
+        """The login records grouped by GUID, in append (time) order."""
         if self._logins_by_guid is None:
             grouped: dict[str, list[LoginRecord]] = defaultdict(list)
             for rec in self.logins:

@@ -35,8 +35,6 @@ class P2PConfig:
     recheck_interval: float = 10.0
     upload_slots: int = 4
     optimistic_slots: int = 1
-    #: Neighbours a leecher knows about (from tracker announces).
-    max_neighbours: int = 30
     #: A download that makes no progress for this long is declared failed.
     stall_timeout: float = 6 * 3600.0
     #: Seeders stay this long after completing (short sessions are the

@@ -134,7 +134,7 @@ class _Request:
         self.on_result = on_result
         self.on_giveup = on_giveup
         self.attempt = 0
-        #: Login requests resolve a fresh CN mapping instead of failing
+        #: A login request resolves a fresh CN mapping instead of failing
         #: over (there is no connection to fail over *from* yet).
         self.fresh_login = fresh_login
         self.done = False
@@ -168,9 +168,8 @@ class ControlChannel:
         self.degraded_since: Optional[float] = None
         #: Times this channel's breaker has tripped.
         self.times_degraded = 0
-        #: When the last recovery completed, and how long the outage was.
+        #: When the last recovery completed.
         self.last_recovered_at: Optional[float] = None
-        self.last_downtime: Optional[float] = None
         self._probe_event = None
         self._pending: set[_Request] = set()
         self._connecting = False
@@ -557,9 +556,7 @@ class ControlChannel:
         now = self.system.sim.now
         peer.cn = cn
         if self.degraded_since is not None:
-            downtime = now - self.degraded_since
-            self.stats.degraded_seconds += downtime
-            self.last_downtime = downtime
+            self.stats.degraded_seconds += now - self.degraded_since
             self.degraded_since = None
         self.stats.recoveries += 1
         self.last_recovered_at = now

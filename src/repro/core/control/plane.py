@@ -23,7 +23,6 @@ from repro.analysis.logstore import LogStore
 from repro.core.config import SystemConfig
 from repro.core.control.connection_node import ConnectionNode
 from repro.core.control.database_node import DatabaseNode
-from repro.core.control.monitoring import MonitoringService
 from repro.core.control.stun import StunService
 from repro.core.edge import EdgeNetwork
 from repro.core.selection import CandidateStage
@@ -72,7 +71,6 @@ class ControlPlane:
         self.rng = rng
         self.locality_aware = locality_aware
         self.stun = StunService()
-        self.monitoring = MonitoringService()
         self._stage_slots = dict.fromkeys(STAGE_ORDER)
         #: The installed candidate stages in :data:`STAGE_ORDER`.
         self.stages: tuple[CandidateStage, ...] = ()

@@ -1,15 +1,13 @@
 """Control-plane protocol messages.
 
 Peers talk to the control plane over a persistent TCP connection (paper
-§3.4); the message vocabulary below mirrors the interactions the paper
-describes: login (with secondary-GUID history), content queries, content
-registration, RE-ADD recovery after a DN failure, usage reports for
-accounting, and connect instructions pushed to both endpoints of a
-prospective peer-to-peer transfer.
+§3.4).  Two payloads cross it: the connection node's answer to a content
+query, and the usage report a peer uploads for accounting after each
+download.
 
 In the simulation these are plain dataclasses passed through method calls —
 the value of modelling them explicitly is that the log records, the
-accounting checks, and the failure-recovery logic all operate on the same
+accounting checks, and the reputation engine all operate on the same
 payloads a wire protocol would carry.
 """
 
@@ -17,35 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = [
-    "Login", "PeerQuery", "PeerCandidate", "PeerQueryResponse",
-    "RegisterContent", "UnregisterContent", "ReAddRequest",
-    "UsageReport", "ConnectInstruction", "CrashReport",
-]
-
-
-@dataclass(frozen=True)
-class Login:
-    """Sent when a peer opens its persistent control connection."""
-
-    guid: str
-    ip: str
-    software_version: str
-    uploads_enabled: bool
-    #: Last SECONDARY_HISTORY_LENGTH secondary GUIDs, newest first (§6.2).
-    secondary_guids: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class PeerQuery:
-    """Ask the control plane for peers holding an object."""
-
-    guid: str
-    cid: str
-    #: Encrypted authorization token obtained from an edge server (§3.5).
-    auth_token: str
-    #: Peers already connected (excluded from the response).
-    exclude: frozenset[str] = frozenset()
+__all__ = ["PeerCandidate", "PeerQueryResponse", "UsageReport"]
 
 
 @dataclass(frozen=True)
@@ -60,33 +30,10 @@ class PeerCandidate:
 
 @dataclass(frozen=True)
 class PeerQueryResponse:
-    """The control plane's answer to a :class:`PeerQuery`."""
+    """The control plane's answer to a content query."""
 
     cid: str
     candidates: tuple[PeerCandidate, ...]
-
-
-@dataclass(frozen=True)
-class RegisterContent:
-    """Peer announces it holds a complete, verified copy of an object."""
-
-    guid: str
-    cid: str
-
-
-@dataclass(frozen=True)
-class UnregisterContent:
-    """Peer announces it no longer serves an object (evicted / uploads off)."""
-
-    guid: str
-    cid: str
-
-
-@dataclass(frozen=True)
-class ReAddRequest:
-    """CN asks its peers to re-list their stored files after a DN loss (§3.8)."""
-
-    reason: str = "dn-failure"
 
 
 @dataclass(frozen=True)
@@ -119,22 +66,3 @@ class UsageReport:
     per_uploader_refusals: dict[str, int] = field(default_factory=dict)
     #: Serves that ended below the slow-rate floor (slow-loris signature).
     per_uploader_slow: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ConnectInstruction:
-    """Control plane tells a peer to open a connection to another peer (§3.6)."""
-
-    from_guid: str
-    to_guid: str
-    cid: str
-
-
-@dataclass(frozen=True)
-class CrashReport:
-    """Operational report uploaded to a monitoring node (§3.6)."""
-
-    guid: str
-    kind: str          # "crash" | "error" | "warning"
-    detail: str
-    timestamp: float

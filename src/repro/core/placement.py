@@ -63,7 +63,6 @@ class PredictivePlacer:
         self.system = system
         self.config = config if config is not None else PlacementConfig()
         self.objects = [o for o in objects if o.p2p_enabled]
-        self.prefetches_started = 0
         self._event = None
 
     def start(self) -> None:
@@ -111,7 +110,6 @@ class PredictivePlacer:
                     session.is_prefetch = True
                     started += 1
                     deficit -= 1
-        self.prefetches_started += started
         return started
 
     def _region_deficits(self, obj: "ContentObject") -> list[tuple[str, int]]:

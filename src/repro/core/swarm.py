@@ -362,7 +362,6 @@ class PeerConnection(_Connection):
         self.flow = None
         self.chunk = None
         self.uploader.release_upload()
-        self.session.connection_closed(self)
 
 
 class DownloadSession:
@@ -660,11 +659,6 @@ class DownloadSession:
     def replace_connections(self) -> None:
         """A connection died; look for replacements if work remains."""
         self._maybe_requery()
-
-    def connection_closed(self, conn: PeerConnection) -> None:
-        """Bookkeeping when a peer connection fully closes."""
-        # Connections are kept in the list for end-of-download statistics;
-        # closed ones are filtered where liveness matters.
 
     # --------------------------------------------------------- backstop policy
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from repro.analysis import pct, render_table
-from repro.baselines import P2PConfig, P2PPeer, PureP2PSwarm, infrastructure_cost
+from repro.analysis import pct, render_table, trace_offload
+from repro.baselines import P2PConfig, P2PPeer, PureP2PSwarm
 from repro.experiments.common import Experiment, ExperimentOutput, standard_config
+from repro.workload.script import wave_stats
 
 
 def plan(scale: str, seed: int) -> list:
@@ -25,9 +26,10 @@ def render(artifacts, seed: int) -> ExperimentOutput:
     """Compare the three architectures on the same workload scale."""
     # Hybrid: the standard scenario; pure infrastructure: p2p globally off.
     hybrid, infra = artifacts
-    hybrid_cost = infrastructure_cost(hybrid.logstore)
-    hybrid_completed = hybrid_cost.completion_rate
-    infra_cost_rep = infrastructure_cost(infra.logstore)
+    hybrid_completed = wave_stats(hybrid.logstore.downloads)["completion_rate"]
+    hybrid_offload = trace_offload(hybrid.logstore)
+    infra_completed = wave_stats(infra.logstore.downloads)["completion_rate"]
+    infra_offload = trace_offload(infra.logstore)
 
     # Pure P2P: a BitTorrent-like swarm on an equivalent object, with the
     # same churn-prone population and no backstop.
@@ -45,10 +47,8 @@ def render(artifacts, seed: int) -> ExperimentOutput:
     p2p_stats = swarm.completion_stats(torrent)
 
     rows = [
-        ("hybrid (NetSession)", pct(hybrid_completed),
-         pct(1.0 - hybrid_cost.edge_share)),
-        ("pure infrastructure", pct(infra_cost_rep.completion_rate),
-         pct(1.0 - infra_cost_rep.edge_share)),
+        ("hybrid (NetSession)", pct(hybrid_completed), pct(hybrid_offload)),
+        ("pure infrastructure", pct(infra_completed), pct(infra_offload)),
         ("pure p2p (BitTorrent-like)", pct(p2p_stats["completed"]), "100.0%"),
     ]
     text = render_table(
@@ -60,9 +60,9 @@ def render(artifacts, seed: int) -> ExperimentOutput:
         text=text,
         metrics={
             "hybrid_completion": hybrid_completed,
-            "hybrid_offload": 1.0 - hybrid_cost.edge_share,
-            "infra_completion": infra_cost_rep.completion_rate,
-            "infra_offload": 1.0 - infra_cost_rep.edge_share,
+            "hybrid_offload": hybrid_offload,
+            "infra_completion": infra_completed,
+            "infra_offload": infra_offload,
             "pure_p2p_completion": p2p_stats["completed"],
         },
     )

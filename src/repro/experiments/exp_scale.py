@@ -27,6 +27,7 @@ from pathlib import Path
 
 from repro.core.config import ClientConfig, InvariantConfig, SystemConfig
 from repro.experiments.common import ExperimentOutput
+from repro.runner import run_scenario_artifact
 from repro.workload import (
     CatalogConfig, DemandConfig, PopulationConfig, ScenarioConfig,
 )
@@ -104,32 +105,17 @@ def run_point(
         n_peers, seed=seed, days=days, shards=shards, strict=strict,
     )
     started = time.perf_counter()
-    if cfg.sharding is not None:
-        from repro.runner import run_scenario_artifact
-
-        artifact = run_scenario_artifact(cfg)
-        downloads = len(artifact.logstore.downloads)
-        logins = len(artifact.logstore.logins)
-        width = cfg.sharding.shards
-        regions = len(artifact.sharding["regions"])
-    else:
-        from repro.workload import run_scenario
-
-        result = run_scenario(cfg)
-        downloads = len(result.logstore.downloads)
-        logins = len(result.logstore.logins)
-        width = 0
-        regions = 1
+    artifact = run_scenario_artifact(cfg)
     wall = time.perf_counter() - started
     return {
         "peers": n_peers,
         "days": days,
         "wall_seconds": round(wall, 2),
         "peers_per_second": round(n_peers / wall, 1),
-        "downloads": downloads,
-        "logins": logins,
-        "shards": width,
-        "regions": regions,
+        "downloads": len(artifact.logstore.downloads),
+        "logins": len(artifact.logstore.logins),
+        "shards": cfg.sharding.shards if cfg.sharding else 0,
+        "regions": len(artifact.sharding.get("regions", ())) or 1,
         "strict": strict,
     }
 

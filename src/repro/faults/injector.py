@@ -10,9 +10,7 @@ declared simulated time.
 
 Around each fault the injector snapshots control-plane gauges and, once
 recovery begins, runs a :class:`~repro.faults.metrics.RecoveryTracker`
-that measures time-to-reconnect and RE-ADD convergence.  Fault lifecycle
-events are also reported to the :class:`MonitoringService` — the §3.6
-monitoring nodes see the chaos the way they would see real incidents.
+that measures time-to-reconnect and RE-ADD convergence.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.messages import CrashReport
 from repro.faults.metrics import FaultRecovery, RecoveryTracker
 from repro.faults.spec import FaultSpec, InjectionContext
 
@@ -28,9 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import NetSessionSystem
 
 __all__ = ["FaultInjector", "InjectionEvent"]
-
-#: GUID under which injector lifecycle reports appear in monitoring.
-INJECTOR_GUID = "fault-injector"
 
 
 @dataclass(frozen=True)
@@ -123,15 +117,8 @@ class FaultInjector:
         RecoveryTracker(self.system, recovery).start()
 
     def _record(self, spec: FaultSpec, phase: str, detail: str = "") -> None:
-        event = InjectionEvent(
+        self.timeline.append(InjectionEvent(
             time=self.system.sim.now, fault=spec.name, phase=phase, detail=detail,
-        )
-        self.timeline.append(event)
-        self.system.control.monitoring.report(CrashReport(
-            guid=INJECTOR_GUID,
-            kind=f"fault-{phase}",
-            detail=f"{spec.name}: {spec.kind()}",
-            timestamp=event.time,
         ))
 
     # -------------------------------------------------------------- inspection

@@ -82,8 +82,10 @@ class CatalogConfig:
     zipf_exponent: float = bound("[0, inf)", 1.1)
     #: Relative popularity boost for p2p-enabled objects: providers enable
     #: peer assist on their flagship (most-downloaded) files, which is how
-    #: 1.7% of files carry 57% of bytes.
-    p2p_head_bias: float = bound("[0, 1]", 0.85)
+    #: 1.7% of files carry 57% of bytes.  1.0 is excluded: every rank
+    #: would then come from the head window, and a p2p budget larger than
+    #: that window could never be filled.
+    p2p_head_bias: float = bound("[0, 1)", 0.85)
 
     def __post_init__(self):
         check_bounds(self)

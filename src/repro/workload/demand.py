@@ -65,6 +65,10 @@ class DemandConfig:
 
     def __post_init__(self):
         check_bounds(self)
+        if not all(0 <= w < float("inf") for w in self.provider_shares) \
+                or not sum(self.provider_shares) > 0:
+            raise ValueError("provider_shares must be finite and >= 0, with a "
+                             f"positive sum, got {self.provider_shares!r}")
 
 
 class DemandGenerator:

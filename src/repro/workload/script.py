@@ -13,8 +13,10 @@ Every peer lives in :data:`COUNTRY`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro.bounds import bound, check_bounds
 from repro.core.content import ContentObject, ContentProvider
 from repro.core.peer import CacheEntry, PeerNode
 from repro.net.flows import Resource
@@ -33,19 +35,26 @@ class ScriptObject:
     """One published, p2p-enabled object; named by ``url``."""
 
     url: str
-    size: int
-    cp_code: int
+    size: int = bound("[1, inf)")
+    cp_code: int = bound("[1, inf)")
     provider: str
+
+    def __post_init__(self):
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class Seeders:
     """``count`` peers that hold ``object`` from t=0 and share it."""
 
-    count: int
+    count: int = bound("[1, inf)")
     object: str
     #: Pinned ``(down, up)`` access link in Mbit/s; None keeps the sampled one.
     link: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        check_bounds(self)
+        _check_link(self)
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,19 @@ class Wave:
     #: Put the wave's peers on one :class:`~repro.net.lan.LanSite` named
     #: after ``label``.
     lan_site: bool = False
+
+    def __post_init__(self):
+        if not all(0 <= t < math.inf for t in self.starts):
+            raise ValueError(f"Wave.starts entries must be in [0, inf), got {self.starts!r}")
+        _check_link(self)
+
+
+def _check_link(group) -> None:
+    """A pinned link is two rates in (0, inf) Mbit/s (NaN fails)."""
+    if group.link is not None and not (
+            len(group.link) == 2 and all(0 < r < math.inf for r in group.link)):
+        raise ValueError(f"{type(group).__name__}.link must be two rates in "
+                         f"(0, inf) Mbit/s, got {group.link!r}")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
-"""Tests for the pure-infrastructure baseline."""
+"""Tests for the pure-infrastructure baseline: NetSession with p2p off."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.baselines.infra_cdn import infrastructure_cost
+from repro.analysis import trace_offload
+from repro.analysis.logstore import LogStore
+from repro.analysis.records import DownloadRecord
 from repro.core import ContentObject, ContentProvider, NetSessionSystem
 from repro.core.config import SystemConfig
 from repro.core.peer import CacheEntry
+from repro.workload.script import wave_stats
 
 
 class TestDelivery:
@@ -32,10 +33,10 @@ class TestDelivery:
 
 
 class TestCostReport:
-    def test_cost_aggregation(self):
-        from repro.analysis.logstore import LogStore
-        from repro.analysis.records import DownloadRecord
+    """The offload and completion share ``exp_baselines`` reads per
+    architecture."""
 
+    def test_cost_aggregation(self):
         store = LogStore()
         store.add_download(DownloadRecord(
             guid="g", url="u", cid="c", cp_code=1, size=100, started_at=0,
@@ -45,14 +46,11 @@ class TestCostReport:
             guid="g2", url="u", cid="c", cp_code=1, size=100, started_at=0,
             ended_at=1, edge_bytes=50, peer_bytes=0, p2p_enabled=False,
             outcome="aborted"))
-        report = infrastructure_cost(store)
-        assert report.edge_bytes == 120
-        assert report.peer_bytes == 30
-        assert report.edge_share == pytest.approx(0.8)
-        assert report.completion_rate == 0.5
+        # Edge 120 / peer 30 across the trace, whatever the outcome.
+        assert trace_offload(store) == 0.2
+        assert wave_stats(store.downloads)["completion_rate"] == 0.5
 
     def test_empty_report(self):
-        from repro.analysis.logstore import LogStore
-        report = infrastructure_cost(LogStore())
-        assert report.edge_share == 0.0
-        assert report.completion_rate == 0.0
+        store = LogStore()
+        assert trace_offload(store) == 0.0
+        assert wave_stats(store.downloads)["completion_rate"] == 0.0

@@ -6,24 +6,17 @@ import dataclasses
 
 import pytest
 
-from repro.core.messages import (
-    ConnectInstruction, CrashReport, Login, PeerCandidate, PeerQuery,
-    PeerQueryResponse, ReAddRequest, RegisterContent, UnregisterContent,
-    UsageReport,
-)
+from repro.core.messages import PeerCandidate, PeerQueryResponse, UsageReport
+
+REPORT = UsageReport(guid="g", cid="c", cp_code=1, started_at=0.0,
+                     ended_at=1.0, claimed_edge_bytes=0, claimed_peer_bytes=0)
 
 
 class TestImmutability:
     @pytest.mark.parametrize("message", [
-        Login(guid="g", ip="i", software_version="v", uploads_enabled=True),
-        PeerQuery(guid="g", cid="c", auth_token="t"),
         PeerCandidate(guid="g", ip="i", asn=1, nat_type="open"),
         PeerQueryResponse(cid="c", candidates=()),
-        RegisterContent(guid="g", cid="c"),
-        UnregisterContent(guid="g", cid="c"),
-        ReAddRequest(),
-        ConnectInstruction(from_guid="a", to_guid="b", cid="c"),
-        CrashReport(guid="g", kind="crash", detail="d", timestamp=0.0),
+        REPORT,
     ])
     def test_messages_are_frozen(self, message):
         field = dataclasses.fields(message)[0].name
@@ -32,22 +25,7 @@ class TestImmutability:
 
 
 class TestDefaults:
-    def test_login_defaults_to_empty_history(self):
-        login = Login(guid="g", ip="i", software_version="v",
-                      uploads_enabled=False)
-        assert login.secondary_guids == ()
-
-    def test_query_defaults_to_no_exclusions(self):
-        query = PeerQuery(guid="g", cid="c", auth_token="t")
-        assert query.exclude == frozenset()
-
-    def test_re_add_has_reason(self):
-        assert ReAddRequest().reason == "dn-failure"
-
     def test_usage_report_outcome_default(self):
-        report = UsageReport(guid="g", cid="c", cp_code=1, started_at=0.0,
-                             ended_at=1.0, claimed_edge_bytes=0,
-                             claimed_peer_bytes=0)
-        assert report.outcome == "completed"
-        assert report.failure_class is None
-        assert report.per_uploader_bytes == {}
+        assert REPORT.outcome == "completed"
+        assert REPORT.failure_class is None
+        assert REPORT.per_uploader_bytes == {}

@@ -2,7 +2,8 @@
 
 The walk covers the :class:`ScenarioConfig` leaf tree (each block,
 optional ones included, expanded to its class; a tuple or a device mix is
-one leaf), :class:`DeviceClass` and every :class:`FaultSpec`.  Each int or
+one leaf), :class:`DeviceClass`, every :class:`FaultSpec` and the scripted
+cast's :class:`ScriptObject`, :class:`Seeders` and :class:`Wave`.  Each int or
 float leaf there must be declared with :func:`repro.bounds.bound` (``seed``
 is the one exemption: every integer is a seed), its default must be
 accepted, and NaN, the infinities outside its interval, the nearest
@@ -26,6 +27,7 @@ from repro.faults import spec as fault_spec
 from repro.faults.spec import DNWipe, FaultSpec, PeerChurnStorm
 from repro.workload.devices import DeviceClass, DeviceMixConfig
 from repro.workload.scenario import ScenarioConfig
+from repro.workload.script import Script, ScriptObject, Seeders, Wave
 
 #: The one int leaf with no interval.
 EXEMPT = {"seed"}
@@ -81,12 +83,12 @@ def config_leaves(cls: type = ScenarioConfig, path: str = ""):
 
 
 def census_classes() -> list[type]:
-    """Every class with a numeric leaf the census covers, in a stable order."""
+    """Every class the census covers, in a stable order."""
     classes = [owner for _, owner, *_ in config_leaves()]
-    classes += [DeviceClass, FaultSpec]
+    classes += [DeviceClass, ScriptObject, Seeders, Wave, FaultSpec]
     classes += [c for c in vars(fault_spec).values()
                 if isinstance(c, type) and issubclass(c, FaultSpec)]
-    return [c for c in dict.fromkeys(classes) if any(numeric_leaves(c))]
+    return list(dict.fromkeys(classes))
 
 
 def numeric_leaves(cls: type):
@@ -118,7 +120,10 @@ def base_kwargs(cls: type) -> dict:
     if issubclass(cls, FaultSpec):
         duration = 60.0 if cls is PeerChurnStorm else 0.0
         return {"name": "x", "start": 600.0, "duration": duration}
-    return {}
+    return {Script: {"objects": ()},
+            ScriptObject: {"url": "u", "size": 1, "cp_code": 1, "provider": "P"},
+            Seeders: {"count": 1, "object": "u"},
+            Wave: {"label": "w", "starts": (0.0,)}}.get(cls, {})
 
 
 BOUNDED = [(cls, f, tp, optional) for cls in census_classes()
@@ -181,6 +186,22 @@ def test_values_outside_the_interval_are_rejected(cls, field, tp, optional):
             cls(**{**base_kwargs(cls), field.name: value})
     if optional:
         cls(**{**base_kwargs(cls), field.name: None})
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (Wave, "starts", (math.nan,)),
+    (Wave, "starts", (10.0, -5.0)),
+    (Wave, "starts", (math.inf,)),
+    (Wave, "link", (math.nan, 1.0)),
+    (Wave, "link", (1.0, 0.0)),
+    (Seeders, "link", (-1.0, 1.0)),
+    (Seeders, "link", (1.0, math.inf)),
+    (Seeders, "link", (1.0,)),
+])
+def test_script_tuple_elements_are_checked(cls, field, value):
+    # Tuple elements have no ``bound`` form yet; these checks are by hand.
+    with pytest.raises(ValueError, match=f"{cls.__name__}.{field}"):
+        cls(**{**base_kwargs(cls), field: value})
 
 
 def test_zero_inside_an_interval_is_deliberate():

@@ -112,3 +112,25 @@ class TestP2PBudget:
         assert done.returncode == 0, done.stderr
         # Every rank of the five p2p-using providers is p2p-enabled.
         assert int(done.stdout) == 5 * 60
+
+    def test_full_head_bias_is_refused(self):
+        # At bias 1.0 every rank came from the head window (the top 5%),
+        # so a budget larger than that window never filled and
+        # build_catalog never returned.
+        with pytest.raises(ValueError, match="p2p_head_bias"):
+            CatalogConfig(p2p_head_bias=1.0)
+
+    def test_near_full_head_bias_terminates(self):
+        # The config that hung at 1.0, one step inside the interval.
+        script = (
+            "import random\n"
+            "from repro.workload.catalog import CatalogConfig, build_catalog\n"
+            "cat = build_catalog(random.Random(1), CatalogConfig("
+            "objects_per_provider=100, p2p_enabled_fraction=0.05, "
+            "p2p_head_bias=0.99))\n"
+            "print(len(cat.p2p_objects()))\n")
+        done = subprocess.run([sys.executable, "-c", script], timeout=30,
+                              capture_output=True, text=True,
+                              env=env_with_src())
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -85,6 +86,17 @@ class TestScheduling:
             DemandConfig(total_downloads=0)
         with pytest.raises(ValueError):
             DemandConfig(duration_days=0.0)
+
+    @pytest.mark.parametrize("shares", [
+        (math.nan,) * 10, (-1.0,) * 10, (math.inf,) * 10, (), (0.0,) * 10,
+        (1.0, math.nan), (1.0, -1.0),
+    ])
+    def test_provider_shares_finite_non_negative_and_not_all_zero(self, shares):
+        with pytest.raises(ValueError, match="provider_shares"):
+            DemandConfig(provider_shares=shares)
+
+    def test_provider_shares_may_zero_out_some_providers(self):
+        assert DemandConfig(provider_shares=(0.0, 1.0)).provider_shares == (0.0, 1.0)
 
     def test_arrival_times_within_horizon(self, env):
         system, catalog, population = env
