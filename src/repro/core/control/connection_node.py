@@ -9,8 +9,8 @@ directory from their own state (§3.8).
 The peer objects a CN holds must provide the small protocol documented in
 :class:`repro.core.peer.PeerNode`: identity (``guid``, ``ip``), locality
 (``asn``, ``country_code``, ``geo_region``), connectivity (``nat_profile``),
-preferences (``uploads_enabled``), ``shareable_cids()`` and the
-``channel`` its RE-ADD replies ride.
+preferences (``uploads_enabled``), ``shareable_cids()``, the
+``channel`` its RE-ADD replies ride and ``wake_refresh()``.
 
 Queries compose the plane's candidate stages (``ControlPlane.stages``)
 into one :func:`~repro.core.selection.select_peers` call.
@@ -235,6 +235,8 @@ class ConnectionNode:
         for dn in self.local_dns:
             for peer in orphans:
                 dn.unregister_peer(peer.guid)
+        for peer in orphans:  # their next refresh fails over
+            peer.wake_refresh()
         return orphans
 
     def recover(self) -> None:

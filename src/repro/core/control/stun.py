@@ -6,7 +6,7 @@ databases) and to enable NAT traversal."
 
 The heavy lifting (the NAT taxonomy and misclassification model) lives in
 :mod:`repro.net.nat`; this service is the control-plane component peers talk
-to, and it records probe volume for the monitoring dashboards.
+to.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ __all__ = ["StunService"]
 
 
 class StunService:
-    """Answers connectivity probes and counts them."""
+    """Answers connectivity probes."""
 
     def __init__(self, name: str = "stun-0"):
         self.name = name
-        self.probe_count = 0
 
     def probe(self, profile: NATProfile) -> NATType:
         """Classify a peer's NAT.
@@ -31,5 +30,4 @@ class StunService:
         probability.  The result is what gets stored in the DN database and
         used by peer selection.
         """
-        self.probe_count += 1
         return profile.reported_type

@@ -228,6 +228,17 @@ class PeerNode:
         if not self.online:
             return
         self.channel.refresh_registrations()
+        if self.channel.refresh_is_silent():
+            self._idle_refresh()
+
+    def _idle_refresh(self) -> None:
+        """Suspend, in order, until :meth:`wake_refresh` (DESIGN.md §7)."""
+        self._refresh_event.suspend(keep_order=True)
+
+    def wake_refresh(self) -> None:
+        """A refresh could act again (see ``refresh_is_silent``)."""
+        if self._refresh_event is not None:
+            self._refresh_event.wake()
 
     def go_offline(self) -> None:
         """Disconnect: pause downloads, kill uploads, close the control conn."""
@@ -330,6 +341,7 @@ class PeerNode:
         retention = self.system.config.client.cache_retention
         self.system.sim.schedule(retention, lambda: self._evict(cid))
         if self.uploads_enabled:
+            self.wake_refresh()
             self.channel.register(cid, on_registered=lambda: self._mark_registered(cid))
 
     def _mark_registered(self, cid: str) -> None:
@@ -433,6 +445,7 @@ class PeerNode:
         if not self.online:
             return
         if enabled:
+            self.wake_refresh()
             for cid in self.shareable_cids():
                 self.channel.register(
                     cid, on_registered=lambda c=cid: self._mark_registered(c)

@@ -197,6 +197,9 @@ class StreamingSession(DownloadSession):
                 and self.edge_cap is not None and self.edge_cap < floor):
             self.edge_conn.set_cap(floor)
 
+    def _idle_backstop(self) -> None:
+        """Keep the fixed period: ``buffered_seconds()`` drains with time."""
+
     def _steal_stuck_head(self, buffered: float) -> None:
         """Reassign imminent pieces to the edge when peers would stall them.
 

@@ -203,6 +203,7 @@ class EdgeConnection(_Connection):
     def _on_chunk_done(self, flow: Flow) -> None:
         chunk, self.chunk, self.flow = self.chunk, None, None
         assert chunk is not None
+        self.session.wake_backstop()
         self.observe_rate(flow)
         self.server.record_served(
             self.session.peer.guid, self.session.obj.cid, int(flow.size)
@@ -281,14 +282,17 @@ class PeerConnection(_Connection):
             size,
             cap=cap,
             on_complete=self._on_chunk_done,
+            on_rate=self.session.wake_backstop,
             meta=self,
         )
         self.uploader.upload_flows.add(self.flow)
+        self.session.wake_backstop()
 
     def _on_chunk_done(self, flow: Flow) -> None:
         self.uploader.upload_flows.discard(flow)
         chunk, self.chunk, self.flow = self.chunk, None, None
         assert chunk is not None
+        self.session.wake_backstop()
         self.observe_rate(flow)
         self._note_if_slow(flow)
         self._verify_and_deliver(chunk.pieces)
@@ -344,6 +348,7 @@ class PeerConnection(_Connection):
 
     def stop(self, *, credit_partial: bool) -> None:
         self.closed = True
+        self.session.wake_backstop()
         if self.flow is not None and self.flow.active:
             flow = self.flow
             self.uploader.upload_flows.discard(flow)
@@ -683,10 +688,22 @@ class DownloadSession:
         trickle = max(1.0, EDGE_TRICKLE_FRACTION * down)
         cap = max(trickle, target - peer_rate)
         old = self.edge_cap
-        if old is None or abs(cap - old) > BACKSTOP_HYSTERESIS * old:
+        moved = old is None or abs(cap - old) > BACKSTOP_HYSTERESIS * old
+        if moved:
             self.edge_conn.set_cap(cap)
         if not self.piece_pool and self.edge_conn.chunk is None:
             self.maybe_steal_for_edge()
+        elif not moved:
+            self._idle_backstop()
+
+    def _idle_backstop(self) -> None:
+        """Suspend, in order, until :meth:`wake_backstop` (DESIGN.md §7)."""
+        self._backstop_event.suspend(keep_order=True)
+
+    def wake_backstop(self) -> None:
+        """A tick input moved: a flow started, ended or re-rated, or the link."""
+        if self._backstop_event is not None:
+            self._backstop_event.wake()
 
     def maybe_steal_for_edge(self) -> None:
         """Endgame: re-fetch a stalled peer chunk over the infrastructure.

@@ -237,6 +237,7 @@ class ControlMessageLoss(FaultSpec):
         for peer in ctx.select(ctx.system.peer_universe(), self.fraction):
             victims.append((peer, peer.channel.loss_prob))
             peer.channel.loss_prob = self.loss_prob
+            peer.wake_refresh()
         return victims
 
     def revert(self, ctx: InjectionContext, token: object) -> None:
@@ -262,6 +263,7 @@ class ControlLatencySpike(FaultSpec):
         for peer in ctx.select(ctx.system.peer_universe(), self.fraction):
             victims.append((peer, peer.channel.latency))
             peer.channel.latency = self.latency
+            peer.wake_refresh()
         return victims
 
     def revert(self, ctx: InjectionContext, token: object) -> None:
@@ -291,6 +293,7 @@ class RegionPartition(FaultSpec):
                 continue
             if peer.channel.reachable:
                 peer.channel.reachable = False
+                peer.wake_refresh()
                 victims.append(peer)
         return victims
 
@@ -348,12 +351,16 @@ class LinkDegradation(FaultSpec):
             peer for peer in ctx.select(ctx.system.peer_universe(), self.fraction)
             if peer.link.degrade(flows, self.down_factor, self.up_factor)
         ]
+        for session in (s for p in victims for s in p.sessions.values()):
+            session.wake_backstop()  # its cap is a fraction of the downlink
         return victims
 
     def revert(self, ctx: InjectionContext, token: object) -> None:
         flows = ctx.system.flows
         for peer in token:
             peer.link.restore(flows)
+            for session in peer.sessions.values():
+                session.wake_backstop()
 
 
 @dataclass(frozen=True)
@@ -494,6 +501,7 @@ class AdversarialInfestation(FaultSpec):
         for peer in ctx.select(honest, self.fraction):
             profile = self.profile or choose_profile(ctx.rng)
             tokens.append(apply_profile(peer, profile, config))
+            peer.wake_refresh()  # uploads may have been switched on
             ctx.system.adversary_truth[peer.guid] = profile
         return tokens
 

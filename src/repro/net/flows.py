@@ -107,12 +107,12 @@ class Flow:
 
     Flows are created through :meth:`FlowNetwork.start_flow`.  ``meta`` is an
     opaque payload for the caller (the swarm layer stores the connection it
-    belongs to).
+    belongs to).  ``on_rate()`` runs whenever a settlement changes ``rate``.
     """
 
     __slots__ = (
         "flow_id", "resources", "size", "transferred", "rate", "cap",
-        "on_complete", "meta", "start_time", "_last_update", "_version",
+        "on_complete", "on_rate", "meta", "start_time", "_last_update", "_version",
         "_queued", "active", "end_time",
     )
 
@@ -125,6 +125,7 @@ class Flow:
         on_complete: Optional[Callable[["Flow"], None]],
         meta: object,
         now: float,
+        on_rate: Optional[Callable[[], None]] = None,
     ):
         self.flow_id = flow_id
         self.resources = resources
@@ -133,6 +134,7 @@ class Flow:
         self.rate = 0.0
         self.cap = cap
         self.on_complete = on_complete
+        self.on_rate = on_rate
         self.meta = meta
         self.start_time = now
         self.end_time: Optional[float] = None
@@ -245,13 +247,14 @@ class FlowNetwork:
         *,
         cap: Optional[float] = None,
         on_complete: Optional[Callable[[Flow], None]] = None,
+        on_rate: Optional[Callable[[], None]] = None,
         meta: object = None,
     ) -> Flow:
         """Begin a transfer of ``size`` bytes across ``resources``.
 
         ``cap`` optionally limits the flow's rate regardless of fair share
         (NetSession's upload throttle).  ``on_complete`` fires, inside the
-        simulator, when the last byte is delivered.
+        simulator, when the last byte is delivered (``on_rate``: see Flow).
         """
         if size <= 0:
             raise ValueError(f"flow size must be positive, got {size}")
@@ -265,6 +268,7 @@ class FlowNetwork:
             on_complete=on_complete,
             meta=meta,
             now=self.sim.now,
+            on_rate=on_rate,
         )
         self._next_id += 1
         self.active_flows.add(flow)
@@ -454,6 +458,8 @@ class FlowNetwork:
                 self.stats.heap_skips += 1
                 continue
             f.rate = rate
+            if f.on_rate is not None:
+                f.on_rate()
             f._version += 1
             if f._queued:
                 f._queued = False

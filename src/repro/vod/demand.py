@@ -99,9 +99,6 @@ class VodDemandGenerator:
         self._peers_by_region: dict[str, list["PeerNode"]] = {}
         for peer in population.iter_peers():
             self._peers_by_region.setdefault(peer.geo_region, []).append(peer)
-        self.sessions_requested = 0
-        self.sessions_dropped = 0
-        self.binge_started = 0
 
     # ------------------------------------------------------------ scheduling
 
@@ -146,10 +143,8 @@ class VodDemandGenerator:
     # --------------------------------------------------------------- viewing
 
     def _on_arrival(self, episode: Episode, region: str) -> None:
-        self.sessions_requested += 1
         peer = self._pick_viewer(region, episode)
         if peer is None:
-            self.sessions_dropped += 1
             return
         if not peer.online:
             peer.boot()
@@ -235,5 +230,4 @@ class VodDemandGenerator:
             return
         if episode.obj.cid in peer.sessions or peer.has_complete(episode.obj.cid):
             return
-        self.binge_started += 1
         self._start_viewing(peer, episode)

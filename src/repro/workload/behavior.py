@@ -70,8 +70,6 @@ class UserBehavior:
         self.system = system
         self.config = config if config is not None else BehaviorConfig()
         self.rng = random.Random(system.rng.getrandbits(64))
-        self.abandonments = 0
-        self.other_failures = 0
 
     # ------------------------------------------------------------- downloads
 
@@ -90,7 +88,6 @@ class UserBehavior:
 
     def _other_failure(self, session: DownloadSession) -> None:
         if session.state in ("active", "paused"):
-            self.other_failures += 1
             session.fail(FAILURE_OTHER)
 
     def _patience_out(self, session: DownloadSession) -> None:
@@ -103,7 +100,6 @@ class UserBehavior:
                 2 * 3600.0, lambda: self._patience_out(session)
             )
             return
-        self.abandonments += 1
         if self.rng.random() < self.config.abort_vs_pause:
             session.abort()
             return

@@ -94,8 +94,6 @@ class DemandGenerator:
                                       population.column("installed_from_cp"))):
             self._peers_by_region.setdefault(key[0], []).append(row)
             self._peers_by_region_cp.setdefault(key, []).append(row)
-        self.requests_issued = 0
-        self.requests_dropped = 0
         #: Sessions created by this generator, for behaviour attachment.
         self.on_session_started = None  # callback(session) or None
 
@@ -156,15 +154,12 @@ class DemandGenerator:
     def _on_arrival(self, obj: ContentObject, region: str) -> None:
         peer = self._pick_peer(region, obj)
         if peer is None:
-            self.requests_dropped += 1
             return
         if not peer.online:
             peer.boot()
         if obj.cid in peer.sessions or peer.has_complete(obj.cid):
-            self.requests_dropped += 1
             return
         session = peer.start_download(obj)
-        self.requests_issued += 1
         if self.on_session_started is not None:
             self.on_session_started(session)
 

@@ -49,8 +49,13 @@ class TestLogin:
             for r in system.logstore.registrations
         )
 
-    def test_login_runs_stun_probe(self, system, querier):
-        assert system.control.stun.probe_count >= 1
+    def test_login_runs_stun_probe(self, system, querier, monkeypatch):
+        probed = []
+        real = system.control.stun.probe
+        monkeypatch.setattr(system.control.stun, "probe",
+                            lambda p: (probed.append(p), real(p))[1])
+        querier.cn.login(querier, system.sim.now)
+        assert probed == [querier.nat_profile]
 
     def test_logout_unregisters(self, system, online_seeder):
         online_seeder.go_offline()

@@ -20,22 +20,31 @@ class TestStunService:
         # STUN reports the (possibly mis-) classified type, never the truth.
         assert stun.probe(profile) is NATType.OPEN
 
-    def test_probe_volume_counted(self):
-        stun = StunService(name="stun-eu")
-        profile = NATProfile(true_type=NATType.OPEN,
-                             reported_type=NATType.OPEN)
+    def test_probe_volume_counted(self, system, monkeypatch):
+        # One probe per login: the volume equals the login records.
+        probed = _spy(system, monkeypatch)
+        country = system.world.by_code["DE"]
         for _ in range(5):
-            stun.probe(profile)
-        assert stun.probe_count == 5
-        assert stun.name == "stun-eu"
+            system.create_peer(country=country, uploads_enabled=True).boot()
+        assert len(probed) == len(system.logstore.logins) == 5
+        assert system.control.stun.name == "stun-0"
 
-    def test_cn_login_runs_a_probe(self, system):
+    def test_cn_login_runs_a_probe(self, system, monkeypatch):
         # §3.6: connectivity is (re)determined when a peer logs into a CN.
-        before = system.control.stun.probe_count
+        probed = _spy(system, monkeypatch)
         country = system.world.by_code["DE"]
         peer = system.create_peer(country=country, uploads_enabled=True)
         peer.boot()
-        assert system.control.stun.probe_count == before + 1
+        assert probed == [peer.nat_profile]
+
+
+def _spy(system, monkeypatch) -> list:
+    """Record every profile the system's STUN service probes."""
+    stun, probed = system.control.stun, []
+    real = stun.probe
+    monkeypatch.setattr(stun, "probe",
+                        lambda profile: (probed.append(profile), real(profile))[1])
+    return probed
 
 
 class TestNATModel:

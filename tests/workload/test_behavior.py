@@ -28,7 +28,7 @@ class TestAbandonment:
         behavior.attach(session)
         system.run(until=DAY)
         assert session.state == "aborted"
-        assert behavior.abandonments == 1
+        assert [r.outcome for r in system.logstore.downloads] == ["aborted"]
 
     def test_fast_download_outruns_patience(self, system, provider):
         from repro.core import ContentObject
@@ -42,7 +42,7 @@ class TestAbandonment:
         behavior.attach(session)
         system.run(until=DAY * 2)
         assert session.state == "completed"
-        assert behavior.abandonments == 0
+        assert [r.outcome for r in system.logstore.downloads] == ["completed"]
 
     def test_nearly_done_download_not_abandoned(self, system, provider):
         from repro.core import ContentObject
@@ -74,7 +74,8 @@ class TestAbandonment:
         system.run(until=DAY)
         assert session.state == "failed"
         assert session.failure_class == "other"
-        assert behavior.other_failures == 1
+        assert [(r.outcome, r.failure_class)
+                for r in system.logstore.downloads] == [("failed", "other")]
 
 
 class TestSettingChanges:
